@@ -1,13 +1,21 @@
 """Exact weighted tiling counts.
 
-The production counter is a frontier (pathwidth) dynamic program over the
-dual graph: cells are swept in a fixed order and the state is the set of
-already-seen cells still awaiting a partner.  The sweep runs along whichever
-lattice direction keeps the frontier narrow.  All arithmetic is exact --
-integer when the region carries no weights, big rationals otherwise.
+A lozenge tiling of a region is a perfect matching of its planar bipartite
+dual graph, up cells against down cells.  The production counter is
+Kasteleyn's determinant (Kasteleyn 1961; Kenyon, *Lectures on dimers*, 2009):
+once the edges are signed so that every bounded face of length 2k carries
+k-1 minus signs mod 2, the absolute determinant of the signed up x down
+biadjacency matrix is the weighted number of matchings.  The signs are solved
+over GF(2) from the faces of the region itself, so dent holes, barriers,
+halved regions and hand-built regions need no special rule.  The determinant
+is taken by fraction-free Bareiss elimination in integers: rows holding
+fractional weights are scaled to integers and the scale is divided out at the
+end.  Lozenges forced in every tiling are stripped before the matrix is built.
 
-``count_tilings_oracle`` is an independent exhaustive enumeration used to
-cross-check the DP; it refuses regions above a cell cap.
+Two independent checks stand beside the engine: ``count_tilings_oracle``, an
+exhaustive enumeration that refuses regions above a cell cap, and the closed
+forms in ``formulas`` (MacMahon, Cohn-Larsen-Propp, Proctor, Ciucu, the
+quartered hexagons).
 
 Counts are memoized per region.  Everything here is pure; the memo table is
 a plain dict whose per-key updates are atomic under the GIL, so concurrent
@@ -16,11 +24,10 @@ readers are safe after warm-up.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .lattice import LozengePlacement, Orient, TriangleCell, neighbors
 from .regions import (
@@ -71,85 +78,185 @@ class DualGraph:
         return len(self.edges)
 
 
+def _lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]]:
+    """The dual graph's edges as (up, down, weight): by up cell in sorted
+    order, then in ``neighbors`` order, barred edges left out."""
+    cells, barred, weights = region.cells, region.barred, region.weight_map
+    return [
+        (cell, nb, weights.get((cell, nb), ONE))
+        for cell in sorted(region.up_cells)
+        for nb in neighbors(cell)
+        if nb in cells and (cell, nb) not in barred
+    ]
+
+
 def dual_graph(region: Region) -> DualGraph:
-    vertices = tuple(sorted(region.cells))
-    edges = []
-    for cell in vertices:
-        if cell.orient is not Orient.UP:
-            continue
-        for nb in neighbors(cell):
-            if nb not in region.cells:
-                continue
-            edge = (cell, nb)
-            if edge in region.barred:
-                continue
-            edges.append(LozengePlacement(cell, nb, region.weight(edge)))
-    return DualGraph(vertices, tuple(edges))
+    return DualGraph(
+        tuple(sorted(region.cells)),
+        tuple(LozengePlacement(*edge) for edge in _lozenges(region)),
+    )
 
 
-# -- frontier DP ---------------------------------------------------------------
+# -- Kasteleyn determinant -------------------------------------------------------
 
 
-def _sweep_order(cells) -> list[TriangleCell]:
-    rows = Counter(c.layer for c in cells)
-    cols = Counter(c.index for c in cells)
-    if max(rows.values()) <= max(cols.values()):
-        return sorted(cells)
-    return sorted(cells, key=lambda c: (c.index, c.layer, c.orient))
+def _kasteleyn_signs(lozenges: list[tuple[TriangleCell, TriangleCell, Fraction]]) -> int:
+    """Bitset over ``lozenges`` of the edges that get a minus sign.
 
-
-def _dp_count(region: Region) -> Fraction:
-    cells = region.cells
-    if not cells:
-        return ONE
-    order = _sweep_order(cells)
-    pos = {c: i for i, c in enumerate(order)}
-    weighted = bool(region.weights)
-
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in order]
-    for cell in order:
-        if cell.orient is not Orient.UP:
-            continue
-        for nb in neighbors(cell):
-            if nb not in cells:
-                continue
-            edge = (cell, nb)
-            if edge in region.barred:
-                continue
-            w = region.weight(edge)
-            i, j = pos[cell], pos[nb]
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-
-    last = [max((j for j, _ in a), default=-1) for a in adj]
-    unit = ONE if weighted else 1
-    states = {0: unit}
-    for i, a in enumerate(adj):
-        past = [(j, w) for j, w in a if j < i]
-        has_future = last[i] > i
-        new: dict[int, object] = {}
-        for mask, acc in states.items():
-            due = [(j, w) for j, w in past if (mask >> j) & 1 and last[j] == i]
-            if len(due) > 1:
-                continue  # two pending cells both need this cell: dead branch
-            if due:
-                j, w = due[0]
-                m2 = mask ^ (1 << j)
-                val = acc * w if weighted else acc
-                new[m2] = new.get(m2, 0) + val
+    Kasteleyn's condition for a planar bipartite graph: every bounded face of
+    length 2k carries k-1 minus signs mod 2.  Faces are traced with the
+    rotation the lattice fixes: ``neighbors`` order (west, east, vertical)
+    runs clockwise around up cells and counterclockwise around down cells.
+    Each walk turns to the next neighbor clockwise, so its face lies to its
+    left: bounded faces run counterclockwise and have positive shoelace area,
+    an outer face negative (or zero for a tree).  Outer faces are left out: a
+    component's outer row is the sum of its bounded rows, and contradicts them
+    when the component has odd size.  Edges a walk crosses twice cancel mod 2.
+    The bounded face rows are independent in the cycle space, so the system is
+    always solvable; it is solved by Gaussian elimination over GF(2) with ints
+    as bitsets, free variables set to 0.
+    """
+    slots: dict[TriangleCell, list] = {}  # edge ids around a cell: west, east, vertical
+    # dart 2e runs up -> down along edge e, dart 2e+1 down -> up.  cross holds
+    # each dart's shoelace term, with every cell at its centroid: (index,
+    # -3 layer - 2) for up and (index, -3 layer - 1) for down cells, i.e. x
+    # scaled by 2 and y, pointing north, by 3/height.
+    cross = []
+    for e, (u, d, _) in enumerate(lozenges):
+        if u.layer != d.layer:
+            su = sd = 2
+        else:
+            su = 0 if d.index < u.index else 1
+            sd = 1 - su
+        slots.setdefault(u, [None, None, None])[su] = e
+        slots.setdefault(d, [None, None, None])[sd] = e
+        c = d.index * (3 * u.layer + 2) - u.index * (3 * d.layer + 1)
+        cross += (c, -c)
+    turn = [0] * len(cross)
+    for v, ring in slots.items():
+        ring = [e for e in ring if e is not None]
+        for k, e in enumerate(ring):
+            if v.orient is Orient.UP:
+                turn[2 * e + 1] = 2 * ring[(k + 1) % len(ring)]
             else:
-                for j, w in past:
-                    if (mask >> j) & 1:
-                        m2 = mask ^ (1 << j)
-                        val = acc * w if weighted else acc
-                        new[m2] = new.get(m2, 0) + val
-                if has_future:
-                    m2 = mask | (1 << i)
-                    new[m2] = new.get(m2, 0) + acc
-        if not new:
-            return ZERO
-        states = new
-    return Fraction(states.get(0, 0))
+                turn[2 * e] = 2 * ring[k - 1] + 1
+    rhs_bit = 1 << len(lozenges)
+    pivots: dict[int, int] = {}  # lowest edge bit -> row
+    seen = bytearray(len(turn))
+    for dart in range(len(turn)):
+        row = length = area = 0
+        while not seen[dart]:
+            seen[dart] = 1
+            row ^= 1 << (dart >> 1)
+            area += cross[dart]
+            length += 1
+            dart = turn[dart]
+        if area <= 0:
+            continue  # already traced, or the outer face of a component
+        if (length // 2 - 1) % 2:
+            row |= rhs_bit
+        while row and row != rhs_bit:
+            low = row & -row
+            if low not in pivots:
+                pivots[low] = row
+                break
+            row ^= pivots[low]
+        else:
+            if row:
+                raise RuntimeError("Kasteleyn face-parity system is inconsistent")
+    signs = 0
+    for low in sorted(pivots, reverse=True):
+        row = pivots[low]
+        if (bool(row & rhs_bit) + (row & signs).bit_count()) % 2:
+            signs |= low
+    return signs
+
+
+def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
+    """|det| of a square integer matrix given as sparse rows {column: value},
+    which the elimination consumes.
+
+    Fraction-free Bareiss elimination, column by column in index order, with
+    the row of fewest nonzeros as pivot.  A row without an entry in the pivot
+    column is only rescaled by Bareiss, so the rescaling is deferred until the
+    row is next touched: ``stamp[i]`` is the last step row i is current for,
+    and the factor pivot(k-1) / pivot(stamp) divides exactly.
+    """
+    n = len(rows)
+    by_col: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            by_col[j].add(i)
+    stamp = [-1] * n
+    pivot = [1]  # pivot[t + 1] is the pivot of step t
+
+    def current(i: int, k: int) -> dict[int, int]:
+        row = rows[i]
+        if stamp[i] != k - 1:
+            num, den = pivot[k], pivot[stamp[i] + 1]
+            for j in row:
+                row[j] = row[j] * num // den
+        return row
+
+    for k in range(n):
+        hits = by_col[k]
+        if not hits:
+            return 0
+        p = min(hits, key=lambda i: (len(rows[i]), i))
+        prow = current(p, k)
+        pv = prow.pop(k)
+        for j in prow:
+            by_col[j].discard(p)
+        prev = pivot[k]
+        for i in hits:
+            if i == p:
+                continue
+            row = current(i, k)
+            a = row.pop(k)
+            for j, v in row.items():
+                row[j] = v * pv
+            for j, v in prow.items():
+                if j in row:
+                    row[j] -= a * v
+                else:
+                    row[j] = -a * v
+                    by_col[j].add(i)
+            for j in list(row):
+                v = row[j] // prev
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+                    by_col[j].discard(i)
+            stamp[i] = k
+        pivot.append(pv)
+    return abs(pivot[-1])
+
+
+def _det_count(region: Region) -> Fraction:
+    """Weighted matching count as |det| of the Kasteleyn-signed up x down matrix.
+
+    Rows are up cells and columns down cells, both in sorted order.  A row
+    holding fractional weights is multiplied by the lcm of their denominators
+    so every entry is an integer; the product of those factors divides the
+    determinant at the end.
+    """
+    if not region.cells:
+        return ONE
+    lozenges = _lozenges(region)
+    signs = _kasteleyn_signs(lozenges)
+    row_of = {c: i for i, c in enumerate(sorted(region.up_cells))}
+    col_of = {c: j for j, c in enumerate(sorted(region.down_cells))}
+    entries: list[list[tuple[int, int, Fraction]]] = [[] for _ in row_of]
+    for e, (u, d, w) in enumerate(lozenges):
+        entries[row_of[u]].append((col_of[d], -1 if signs >> e & 1 else 1, w))
+    rows = []
+    scale = 1
+    for entry in entries:
+        m = math.lcm(*(w.denominator for _, _, w in entry))
+        scale *= m
+        rows.append({j: sign * w.numerator * (m // w.denominator) for j, sign, w in entry})
+    return Fraction(_bareiss_abs_det(rows), scale)
 
 
 _COUNT_CACHE: dict[Region, Fraction] = {}
@@ -171,7 +278,7 @@ def count_tilings(region: Region) -> Fraction:
         if reduced.untileable:
             result = ZERO
         else:
-            result = factor * _dp_count(reduced)
+            result = factor * _det_count(reduced)
     _COUNT_CACHE[region] = result
     return result
 

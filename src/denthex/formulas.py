@@ -14,18 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .regions import InvalidSpec
+from .regions import InvalidSpec, nonnegative_int, normalize_positions
 
 ONE = Fraction(1)
-
-
-def normalize_positions(values) -> tuple[int, ...]:
-    tup = tuple(sorted(int(v) for v in values))
-    if len(set(tup)) != len(tup):
-        raise InvalidSpec("position sets must be strictly increasing")
-    if tup and tup[0] < 1:
-        raise InvalidSpec("positions must be >= 1")
-    return tup
 
 
 def pp(a: int, b: int, c: int) -> Fraction:
@@ -184,9 +175,8 @@ class RatioSpec:
                 f"unknown ratio family {self.family!r}; expected one of {RATIO_FAMILIES}"
             )
         for name in ("U", "D", "Uprime", "Dprime"):
-            object.__setattr__(self, name, normalize_positions(getattr(self, name)))
-        if self.y < 0:
-            raise InvalidSpec("y must be nonnegative")
+            object.__setattr__(self, name, normalize_positions(getattr(self, name), name))
+        object.__setattr__(self, "y", nonnegative_int("y", self.y))
         u, d = set(self.U), set(self.D)
         u2, d2 = set(self.Uprime), set(self.Dprime)
         if u | d != u2 | d2:

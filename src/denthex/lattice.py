@@ -67,7 +67,9 @@ def is_canonical(cell: TriangleCell) -> bool:
 def neighbors(cell: TriangleCell) -> list[TriangleCell]:
     """Lattice-adjacent cells in horizontal-left, horizontal-right, vertical order.
 
-    Every returned cell has the opposite orientation.  Candidates that would
+    Around an up cell that order is clockwise (northwest, northeast, south);
+    around a down cell it is counterclockwise (southwest, southeast, north).
+    The determinant engine traces faces with this rotation.  Every returned cell has the opposite orientation.  Candidates that would
     fall outside the first quadrant are dropped, so boundary addresses have
     fewer than three neighbors.
     """

@@ -44,6 +44,7 @@ suite; they are the single source of truth for geometry.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -83,13 +84,24 @@ def edge_between(a: TriangleCell, b: TriangleCell) -> Edge:
     return (a, b) if a.orient is Orient.UP else (b, a)
 
 
-def _positions(name: str, value, *, upper: int | None = None) -> tuple[int, ...]:
+def is_int(value) -> bool:
+    """True for ints (and other types with ``__index__``), False for bools,
+    floats and everything else: specs reject those rather than coerce them."""
+    return hasattr(type(value), "__index__") and not isinstance(value, bool)
+
+
+def normalize_positions(
+    value, name: str = "positions", *, upper: int | None = None
+) -> tuple[int, ...]:
     if value is None:
         value = ()
     try:
-        tup = tuple(sorted(int(v) for v in value))
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"{name} must be a list of integers") from None
+        items = list(value)
+    except TypeError:
+        items = None
+    if items is None or not all(is_int(v) for v in items):
+        raise InvalidSpec(f"{name} must be a list of integers (got {value!r})")
+    tup = tuple(sorted(operator.index(v) for v in items))
     if len(set(tup)) != len(tup):
         raise InvalidSpec(f"{name} must be strictly increasing (duplicate position)")
     if tup and tup[0] < 1:
@@ -99,10 +111,10 @@ def _positions(name: str, value, *, upper: int | None = None) -> tuple[int, ...]
     return tup
 
 
-def _nonneg(name: str, value) -> int:
-    if value is None or int(value) != value or int(value) < 0:
+def nonnegative_int(name: str, value) -> int:
+    if not is_int(value) or value < 0:
         raise InvalidSpec(f"{name} must be a nonnegative integer (got {value!r})")
-    return int(value)
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -211,20 +223,20 @@ def _validate_spec(s: RegionSpec) -> None:
 
     if s.family == "Hex":
         for f in ("a", "b", "c"):
-            set_attr(s, f, _nonneg(f, getattr(s, f)))
+            set_attr(s, f, nonnegative_int(f, getattr(s, f)))
         return
 
     if s.family in ("P", "Pprime"):
         for f in ("a", "b", "c"):
-            set_attr(s, f, _nonneg(f, getattr(s, f)))
+            set_attr(s, f, nonnegative_int(f, getattr(s, f)))
         if s.a > s.b:
             raise InvalidSpec("P/Pprime: the staircase cut requires a <= b")
         return
 
     if s.family == "DentedSemihex":
-        set_attr(s, "a", _nonneg("a", s.a))
-        set_attr(s, "b", _nonneg("b", s.b))
-        dents = _positions("dents", s.dents, upper=s.a + s.b)
+        set_attr(s, "a", nonnegative_int("a", s.a))
+        set_attr(s, "b", nonnegative_int("b", s.b))
+        dents = normalize_positions(s.dents, "dents", upper=s.a + s.b)
         if len(dents) != s.a:
             raise InvalidSpec(
                 f"DentedSemihex: exactly a={s.a} dents required (got {len(dents)})"
@@ -233,10 +245,10 @@ def _validate_spec(s: RegionSpec) -> None:
         return
 
     if s.family in ("L", "Lbar"):
-        set_attr(s, "m", _nonneg("m", s.m))
-        set_attr(s, "n", _nonneg("n", s.n))
+        set_attr(s, "m", nonnegative_int("m", s.m))
+        set_attr(s, "n", nonnegative_int("n", s.n))
         k = (s.m + 1) // 2
-        dents = _positions("dents", s.dents, upper=s.n + k)
+        dents = normalize_positions(s.dents, "dents", upper=s.n + k)
         if len(dents) != k:
             raise InvalidSpec(
                 f"{s.family}: exactly floor((m+1)/2)={k} dents required (got {len(dents)})"
@@ -245,11 +257,11 @@ def _validate_spec(s: RegionSpec) -> None:
         return
 
     # remaining: the axis families
-    set_attr(s, "x", _nonneg("x", s.x))
-    set_attr(s, "y", _nonneg("y", s.y))
-    U = _positions("U", s.U)
-    D = _positions("D", s.D)
-    B = _positions("B", s.B)
+    set_attr(s, "x", nonnegative_int("x", s.x))
+    set_attr(s, "y", nonnegative_int("y", s.y))
+    U = normalize_positions(s.U, "U")
+    D = normalize_positions(s.D, "D")
+    B = normalize_positions(s.B, "B")
     n = len(set(U) | set(D))
 
     if s.family == "RS":
@@ -472,7 +484,8 @@ def _assemble(
     def tr(geo) -> TriangleCell:
         r, p, o = geo
         cell = TriangleCell(r, p + shift, o)
-        assert canonical_orient(cell.layer, cell.index) is o
+        if canonical_orient(cell.layer, cell.index) is not o:
+            raise RuntimeError(f"translated cell {cell} breaks the parity convention")
         return cell
 
     region = Region(
@@ -579,7 +592,10 @@ def _build_p(spec: RegionSpec) -> Region:
         # only the a staircase teeth carry weights; deeper rows of the west
         # boundary slant away and never form a tooth, so the generic rule
         # already produced exactly a entries.
-        assert len(region.weights) == a
+        if len(region.weights) != a:
+            raise RuntimeError(
+                f"Pprime({a},{b},{c}) got {len(region.weights)} weighted teeth, want {a}"
+            )
     return region
 
 

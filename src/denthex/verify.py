@@ -272,7 +272,7 @@ def check_base_cases(spec: RegionSpec) -> VerificationReport:
 
     Applies when y = 0 (split along the axis) or x = |B| (every free axis
     position is forced to carry a vertical lozenge).  Each quartered factor
-    is counted by the DP and cross-checked against its closed form.
+    is counted by the engine and cross-checked against its closed form.
     """
     t0 = time.perf_counter()
     if spec.family not in ("F", "Fbar"):

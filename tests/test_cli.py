@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from denthex import build_region, count_tilings, hex_spec
+from denthex import build_region, cli, count_tilings, hex_spec
 from denthex.cli import main
 from denthex.render import region_ascii, region_svg, tiling_ascii, tiling_svg
 from denthex import enumerate_tilings, pprime_spec, h_spec
@@ -128,6 +129,13 @@ def test_bench_runs(capsys):
     assert "Hex(a=2, b=2, c=2)" in out
 
 
+def test_bench_mismatch_exits_1(monkeypatch, capsys):
+    # a plain assert would vanish under -O; the mismatch must reach the exit code
+    monkeypatch.setattr(cli, "count_tilings_oracle", lambda region, cap: Fraction(-1))
+    assert main(["bench", "--max-hex", "1"]) == 1
+    assert "MISMATCH Hex(a=1, b=1, c=1)" in capsys.readouterr().out
+
+
 # -- renderer internals -----------------------------------------------------------
 
 
@@ -153,6 +161,14 @@ def test_tiling_ascii_letters():
     text = tiling_ascii(region, t)
     body = "".join(text.splitlines()[2:])
     assert set(body) - {" "} <= set("ILR")
+
+
+@pytest.mark.parametrize("field,value", [("x", True), ("x", 2.5), ("B", [4.0]), ("U", 1)])
+def test_ratio_rejects_non_integers(tmp_path, capsys, field, value):
+    spec = {"family": "F", "x": 2, "y": 1, "U": [1], "D": [2], "Uprime": [2], "Dprime": [1]}
+    path = write(tmp_path, "ratio.json", {**spec, field: value})
+    assert main(["ratio", path]) == 2
+    assert "integer" in capsys.readouterr().err
 
 
 def test_ratio_malformed_json(tmp_path, capsys):

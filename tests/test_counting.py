@@ -1,18 +1,25 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from denthex import (
+    FAMILIES,
     CapExceeded,
     InvalidSpec,
     Region,
+    RegionSpec,
     build_region,
     ciucu,
     clp,
     count_reflective,
     count_tilings,
     count_tilings_oracle,
+    down,
     dual_graph,
     enumerate_tilings,
     f_spec,
@@ -22,12 +29,19 @@ from denthex import (
     hex_spec,
     kuo_counts,
     l_spec,
+    lbar_spec,
+    parse_spec,
     pp,
     pprime_spec,
+    quartered,
     rs_spec,
     semihex_spec,
+    up,
     w_spec,
 )
+from denthex.counting import _det_count, _reflective_fold
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_dual_graph_unit_hexagon_is_six_cycle():
@@ -112,7 +126,7 @@ def test_barrier_isolating_cell_counts_zero():
     assert count_tilings_oracle(barred) == 0
 
 
-def test_dp_matches_oracle_on_small_sweep():
+def test_engine_matches_oracle_on_small_sweep():
     specs = [
         hex_spec(1, 2, 2),
         h_spec(1, 1, (1,), (2,)),
@@ -127,6 +141,93 @@ def test_dp_matches_oracle_on_small_sweep():
     for spec in specs:
         region = build_region(spec)
         assert count_tilings(region) == count_tilings_oracle(region), spec.describe()
+
+
+def test_hand_built_regions_with_holes_match_oracle():
+    # no axis and no family: the signs must come from the faces alone
+    hexagon = build_region(hex_spec(3, 3, 3)).cells
+    # the six cells around the centre vertex, and a lozenge further south
+    ring = {up(2, 4), down(2, 5), up(2, 6), down(3, 4), up(3, 5), down(3, 6)}
+    pair = {up(4, 6), down(4, 7)}
+    assert ring | pair <= hexagon
+    for cells in (hexagon - ring, hexagon - pair, hexagon - ring - pair):
+        region = Region(cells=frozenset(cells))
+        assert count_tilings(region) == count_tilings_oracle(region)
+
+
+def test_engine_signs_ignore_outer_faces_of_odd_components():
+    # balanced overall, but a unit hexagon with a pendant cell and a lone cell
+    # elsewhere each have odd size; the outer face of such a component would
+    # contradict the bounded-face parity rows, so it must be left out
+    hexagon = build_region(hex_spec(1, 1, 1)).cells
+    region = Region(cells=hexagon | {down(0, 3), up(4, 8)})
+    assert region.balanced
+    assert _det_count(region) == 0 == count_tilings_oracle(region)
+
+
+def test_large_hexagons_match_macmahon():
+    for k in (10, 12):
+        assert count_tilings(build_region(hex_spec(k, k, k))) == pp(k, k, k)
+
+
+def test_large_weighted_quartered_hexagon_matches_closed_form():
+    # 1056 cells with weight-1/2 teeth; far beyond what the oracle could check
+    dents = (1, 2, 4, 7, 9, 12, 15, 17, 20, 23, 25, 28)
+    region = build_region(lbar_spec(24, 16, dents))
+    assert len(region.cells) == 1056 and region.weights
+    assert count_tilings(region) == quartered("Lbar-even", dents)
+
+
+def test_counts_match_golden_fixture():
+    # counts of the frontier dynamic program that preceded the determinant;
+    # see tests/data/make_golden_counts.py
+    lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) >= 200
+    for record in records:
+        region = build_region(parse_spec(record["spec"]))
+        got = _reflective_fold(region) if record["fold"] else count_tilings(region)
+        assert got == Fraction(record["count"]), record
+
+
+@st.composite
+def small_specs(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    if family in ("Hex", "P", "Pprime"):
+        b = draw(st.integers(0, 4))
+        a = draw(st.integers(0, b if family != "Hex" else 4))
+        return dict(family=family, a=a, b=b, c=draw(st.integers(0, 3)))
+    if family in ("DentedSemihex", "L", "Lbar"):
+        rows = draw(st.integers(0, 4) if family == "DentedSemihex" else st.integers(1, 6))
+        width = draw(st.integers(0 if family == "DentedSemihex" else 1, 4))
+        k = rows if family == "DentedSemihex" else (rows + 1) // 2
+        dents = tuple(draw(st.sets(st.integers(1, max(width + k, 1)), min_size=k, max_size=k)))
+        if family == "DentedSemihex":
+            return dict(family=family, a=rows, b=width, dents=dents)
+        return dict(family=family, m=rows, n=width, dents=dents)
+    x, y, n = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    top = x + y + n
+    if family == "RS":
+        top = (x + y + 2 * n + 1) // 2 - (x + y) % 2
+    positions = sorted(draw(st.sets(st.integers(1, max(top, 1)), min_size=n, max_size=n)))
+    kinds = draw(st.lists(st.sampled_from("UD2"), min_size=n, max_size=n))
+    U = tuple(p for p, t in zip(positions, kinds) if t in "U2")
+    D = tuple(p for p, t in zip(positions, kinds) if t in "D2")
+    free = [p for p in range(1, top + 1) if p not in positions]
+    nb = x // 2 if family == "RS" else x
+    B = tuple(draw(st.sets(st.sampled_from(free), max_size=nb))) if free else ()
+    return dict(family=family, x=x, y=y, U=U, D=D, B=B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_specs())
+def test_engine_matches_oracle_on_random_small_regions(params):
+    try:
+        region = build_region(RegionSpec(**params))
+    except InvalidSpec:
+        reject()
+    assume(len(region.cells) <= 60)
+    assert count_tilings(region) == count_tilings_oracle(region)
 
 
 def test_barrier_monotonicity():
@@ -162,8 +263,15 @@ def test_enumerate_deterministic():
 
 def test_enumerate_untileable_is_empty():
     region = build_region(hex_spec(1, 1, 1))
+    # dropping the last two cells leaves a strip of four with a single tiling
     smaller = Region(cells=frozenset(list(sorted(region.cells))[:-2]))
-    assert enumerate_tilings(smaller, cap=10) in ([],) or True
+    assert len(enumerate_tilings(smaller, cap=10)) == 1
+    assert count_tilings(smaller) == 1
+    # balanced but untileable: both down cells can only pair with the one up cell
+    stuck = Region(cells=frozenset({down(0, 1), up(0, 2), down(0, 3), up(2, 0)}))
+    assert stuck.balanced
+    assert enumerate_tilings(stuck, cap=10) == []
+    assert count_tilings(stuck) == 0 == count_tilings_oracle(stuck)
     # an unbalanced region enumerates to nothing
     unbalanced = Region(cells=frozenset(list(sorted(region.cells))[:-1]))
     assert enumerate_tilings(unbalanced, cap=10) == []

@@ -132,6 +132,21 @@ def test_ratio_spec_validation():
         RatioSpec("RS-even", (1,), (2,), (2,), (1,), 1)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("F", (1,), (2,), (2,), (1,), 1.5),
+        ("F", (1,), (2,), (2,), (1,), True),
+        ("F", (1,), (2,), (2,), (1,), -1),
+        ("F", (1.7,), (2,), (2,), (1,), 1),
+        ("F", (1,), (2,), (2,), (True,), 1),
+    ],
+)
+def test_ratio_spec_rejects_non_integers(args):
+    with pytest.raises(InvalidSpec, match="integer"):
+        RatioSpec(*args)
+
+
 def test_shuffle_ratio_identity_when_no_shuffle():
     for fam in ("H", "F", "Fbar", "W", "Wbar"):
         rs = RatioSpec(fam, (1, 3), (2,), (1, 3), (2,), 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from denthex import regions
 from denthex import (
     InvalidSpec,
     Orient,
@@ -179,6 +180,39 @@ def test_rejects_p_with_a_greater_than_b():
 def test_rejects_degenerate_fbar():
     with pytest.raises(InvalidSpec, match="negative length"):
         fbar_spec(2, 0, (), (1,))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"family": "H", "x": 2, "y": 1, "U": [1.7], "D": [2]},  # was truncated to U=(1,)
+        {"family": "H", "x": 2, "y": 1, "U": [1], "D": [2.0]},
+        {"family": "H", "x": 2, "y": 1, "U": [True], "D": [2]},
+        {"family": "H", "x": 2, "y": 1, "U": "1", "D": [2]},
+        {"family": "H", "x": 2, "y": 1, "U": 1, "D": [2]},
+        {"family": "Hex", "a": True, "b": 1, "c": 1},  # was taken as 1
+        {"family": "Hex", "a": 1.5, "b": 1, "c": 1},
+        {"family": "Hex", "a": 2.0, "b": 1, "c": 1},
+        {"family": "L", "m": 2, "n": 1, "dents": [1.0]},
+    ],
+)
+def test_parse_spec_rejects_non_integers(obj):
+    with pytest.raises(InvalidSpec, match="integer"):
+        parse_spec(obj)
+
+
+def test_translation_parity_failure_is_an_error_not_an_assert(monkeypatch):
+    # the invariant must hold under python -O too, where asserts vanish
+    monkeypatch.setattr(regions, "canonical_orient", lambda layer, index: None)
+    with pytest.raises(RuntimeError, match="parity"):
+        build_region(hex_spec(1, 1, 1))
+
+
+def test_pprime_tooth_count_failure_is_an_error_not_an_assert(monkeypatch):
+    real = regions._assemble
+    monkeypatch.setattr(regions, "_assemble", lambda *a, **k: real(*a, **{**k, "teeth": False}))
+    with pytest.raises(RuntimeError, match="weighted teeth"):
+        build_region(pprime_spec(2, 3, 1))
 
 
 # -- forced lozenges -----------------------------------------------------------
