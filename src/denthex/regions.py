@@ -84,7 +84,7 @@ def edge_between(a: TriangleCell, b: TriangleCell) -> Edge:
     return (a, b) if a.orient is Orient.UP else (b, a)
 
 
-def is_int(value) -> bool:
+def _is_int(value) -> bool:
     """True for ints (and other types with ``__index__``), False for bools,
     floats and everything else: specs reject those rather than coerce them."""
     return hasattr(type(value), "__index__") and not isinstance(value, bool)
@@ -99,7 +99,7 @@ def normalize_positions(
         items = list(value)
     except TypeError:
         items = None
-    if items is None or not all(is_int(v) for v in items):
+    if items is None or not all(_is_int(v) for v in items):
         raise InvalidSpec(f"{name} must be a list of integers (got {value!r})")
     tup = tuple(sorted(operator.index(v) for v in items))
     if len(set(tup)) != len(tup):
@@ -112,7 +112,7 @@ def normalize_positions(
 
 
 def nonnegative_int(name: str, value) -> int:
-    if not is_int(value) or value < 0:
+    if not _is_int(value) or value < 0:
         raise InvalidSpec(f"{name} must be a nonnegative integer (got {value!r})")
     return operator.index(value)
 
