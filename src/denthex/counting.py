@@ -11,11 +11,14 @@ halved regions and hand-built regions need no special rule.  The determinant
 is taken by fraction-free Bareiss elimination in integers: rows holding
 fractional weights are scaled to integers and the scale is divided out at the
 end.  Lozenges forced in every tiling are stripped before the matrix is built.
+The matrix, the forced reduction and the search below all take their edges
+from ``regions.lozenges``.
 
 Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
 forms in ``formulas`` (MacMahon, Cohn-Larsen-Propp, Proctor, Ciucu, the
-quartered hexagons).
+quartered hexagons).  The oracle, ``enumerate_tilings`` and the filter route
+of ``count_reflective`` share one iterative backtracking search.
 
 Counts are memoized per region.  Everything here is pure; the memo table is
 a plain dict whose per-key updates are atomic under the GIL, so concurrent
@@ -25,18 +28,18 @@ readers are safe after warm-up.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .lattice import LozengePlacement, Orient, TriangleCell, neighbors
+from .lattice import LozengePlacement, Orient, TriangleCell
 from .regions import (
-    Edge,
     InvalidSpec,
     Region,
     RegionSpec,
     build_region,
-    edge_between,
+    lozenges,
     mirror_constant,
     mirror_edge,
     reduce_reflective,
@@ -51,57 +54,11 @@ class CapExceeded(RuntimeError):
     """Raised when an enumeration or oracle cap would be exceeded."""
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Planar bipartite dual of a region: one vertex per cell, one edge per
-    admissible lozenge placement (barred edges excluded)."""
-
-    vertices: tuple[TriangleCell, ...]
-    edges: tuple[LozengePlacement, ...]
-
-    @cached_property
-    def adjacency(self) -> dict[TriangleCell, list[tuple[TriangleCell, Fraction]]]:
-        adj: dict[TriangleCell, list[tuple[TriangleCell, Fraction]]] = {
-            v: [] for v in self.vertices
-        }
-        for e in self.edges:
-            adj[e.up].append((e.down, e.weight))
-            adj[e.down].append((e.up, e.weight))
-        return adj
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-
-def _lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]]:
-    """The dual graph's edges as (up, down, weight): by up cell in sorted
-    order, then in ``neighbors`` order, barred edges left out."""
-    cells, barred, weights = region.cells, region.barred, region.weight_map
-    return [
-        (cell, nb, weights.get((cell, nb), ONE))
-        for cell in sorted(region.up_cells)
-        for nb in neighbors(cell)
-        if nb in cells and (cell, nb) not in barred
-    ]
-
-
-def dual_graph(region: Region) -> DualGraph:
-    return DualGraph(
-        tuple(sorted(region.cells)),
-        tuple(LozengePlacement(*edge) for edge in _lozenges(region)),
-    )
-
-
 # -- Kasteleyn determinant -------------------------------------------------------
 
 
-def _kasteleyn_signs(lozenges: list[tuple[TriangleCell, TriangleCell, Fraction]]) -> int:
-    """Bitset over ``lozenges`` of the edges that get a minus sign.
+def _kasteleyn_signs(edges: list[tuple[TriangleCell, TriangleCell, Fraction]]) -> int:
+    """Bitset over ``edges``, a ``lozenges`` list, of those that get a minus sign.
 
     Kasteleyn's condition for a planar bipartite graph: every bounded face of
     length 2k carries k-1 minus signs mod 2.  Faces are traced with the
@@ -122,7 +79,7 @@ def _kasteleyn_signs(lozenges: list[tuple[TriangleCell, TriangleCell, Fraction]]
     # -3 layer - 2) for up and (index, -3 layer - 1) for down cells, i.e. x
     # scaled by 2 and y, pointing north, by 3/height.
     cross = []
-    for e, (u, d, _) in enumerate(lozenges):
+    for e, (u, d, _) in enumerate(edges):
         if u.layer != d.layer:
             su = sd = 2
         else:
@@ -140,7 +97,7 @@ def _kasteleyn_signs(lozenges: list[tuple[TriangleCell, TriangleCell, Fraction]]
                 turn[2 * e + 1] = 2 * ring[(k + 1) % len(ring)]
             else:
                 turn[2 * e] = 2 * ring[k - 1] + 1
-    rhs_bit = 1 << len(lozenges)
+    rhs_bit = 1 << len(edges)
     pivots: dict[int, int] = {}  # lowest edge bit -> row
     seen = bytearray(len(turn))
     for dart in range(len(turn)):
@@ -243,12 +200,12 @@ def _det_count(region: Region) -> Fraction:
     """
     if not region.cells:
         return ONE
-    lozenges = _lozenges(region)
-    signs = _kasteleyn_signs(lozenges)
+    edges = lozenges(region)
+    signs = _kasteleyn_signs(edges)
     row_of = {c: i for i, c in enumerate(sorted(region.up_cells))}
     col_of = {c: j for j, c in enumerate(sorted(region.down_cells))}
     entries: list[list[tuple[int, int, Fraction]]] = [[] for _ in row_of]
-    for e, (u, d, w) in enumerate(lozenges):
+    for e, (u, d, w) in enumerate(edges):
         entries[row_of[u]].append((col_of[d], -1 if signs >> e & 1 else 1, w))
     rows = []
     scale = 1
@@ -283,7 +240,56 @@ def count_tilings(region: Region) -> Fraction:
     return result
 
 
-# -- exhaustive oracle -----------------------------------------------------------
+# -- exhaustive search -------------------------------------------------------------
+
+
+def _matchings(
+    region: Region, edges: list[tuple[TriangleCell, TriangleCell, Fraction]]
+) -> Iterator[tuple[int, ...]]:
+    """Every perfect matching of ``region``, as indices into its ``lozenges``
+    list ``edges`` in placement order.
+
+    Backtracking that always covers the first free cell in sorted order,
+    trying its lozenges in ``edges`` order.  Every cell before that one is
+    covered, so only lozenges to later cells are tried.  The stack is explicit,
+    so depth is bounded by memory, not by the recursion limit.
+    """
+    if region.untileable or not region.balanced:
+        return
+    order = sorted(region.cells)
+    n = len(order)
+    pos = {c: i for i, c in enumerate(order)}
+    later: list[list[tuple[int, int]]] = [[] for _ in order]  # (edge, other cell)
+    for e, (u, d, _) in enumerate(edges):
+        a, b = sorted((pos[u], pos[d]))
+        later[a].append((e, b))
+    free = bytearray(b"\1") * n
+    placed: list[int] = []
+    trail: list[tuple[int, int, int]] = []  # (cell, other cell, option tried)
+    cell = k = 0
+    while True:
+        while cell < n and not free[cell]:
+            cell += 1
+        if cell == n:
+            yield tuple(placed)
+            options = ()
+        else:
+            options = later[cell]
+        while k < len(options) and not free[options[k][1]]:
+            k += 1
+        if k < len(options):
+            e, other = options[k]
+            free[cell] = free[other] = 0
+            placed.append(e)
+            trail.append((cell, other, k))
+            k = 0
+            continue
+        if not trail:
+            return
+        cell, other, k = trail.pop()
+        placed.pop()
+        free[cell] = free[other] = 1
+        k += 1
 
 
 def count_tilings_oracle(region: Region, cap: int = 60) -> Fraction:
@@ -291,39 +297,9 @@ def count_tilings_oracle(region: Region, cap: int = 60) -> Fraction:
     ncells = len(region.cells)
     if ncells > cap:
         raise CapExceeded(f"oracle cell cap {cap} exceeded ({ncells} cells)")
-    if region.untileable or not region.balanced:
-        return ZERO
-    order = sorted(region.cells)
-    free = set(order)
-    barred = region.barred
-    in_region = region.cells
-
-    def rec(lo: int) -> Fraction:
-        while lo < len(order) and order[lo] not in free:
-            lo += 1
-        if lo == len(order):
-            return ONE
-        cell = order[lo]
-        free.discard(cell)
-        total = ZERO
-        for nb in neighbors(cell):
-            if nb not in in_region or nb not in free:
-                continue
-            edge = edge_between(cell, nb)
-            if edge in barred:
-                continue
-            free.discard(nb)
-            sub = rec(lo + 1)
-            if sub:
-                total += region.weight(edge) * sub
-            free.add(nb)
-        free.add(cell)
-        return total
-
-    return rec(0)
-
-
-# -- enumeration ------------------------------------------------------------------
+    edges = lozenges(region)
+    weights = [w for _, _, w in edges]
+    return sum((math.prod(weights[e] for e in m) for m in _matchings(region, edges)), ZERO)
 
 
 @dataclass(frozen=True)
@@ -331,10 +307,6 @@ class Tiling:
     """A perfect matching of a region's dual graph."""
 
     placements: tuple[LozengePlacement, ...]
-
-    @cached_property
-    def pairs(self) -> frozenset[Edge]:
-        return frozenset((p.up, p.down) for p in self.placements)
 
     @cached_property
     def weight(self) -> Fraction:
@@ -347,45 +319,23 @@ class Tiling:
         return len(self.placements)
 
 
+def _capped(matchings: Iterator[tuple[int, ...]], cap: int) -> Iterator[tuple[int, ...]]:
+    for i, m in enumerate(matchings):
+        if i >= cap:
+            raise CapExceeded(f"tiling enumeration cap {cap} exceeded")
+        yield m
+
+
 def enumerate_tilings(region: Region, cap: int) -> list[Tiling]:
     """All tilings in deterministic order (lexicographic by first free cell).
 
     Raises CapExceeded as soon as more than ``cap`` tilings exist.
     """
-    if region.untileable or not region.balanced:
-        return []
-    order = sorted(region.cells)
-    free = set(order)
-    barred = region.barred
-    in_region = region.cells
-    acc: list[LozengePlacement] = []
-    out: list[Tiling] = []
-
-    def rec(lo: int) -> None:
-        while lo < len(order) and order[lo] not in free:
-            lo += 1
-        if lo == len(order):
-            if len(out) >= cap:
-                raise CapExceeded(f"tiling enumeration cap {cap} exceeded")
-            out.append(Tiling(tuple(acc)))
-            return
-        cell = order[lo]
-        free.discard(cell)
-        for nb in neighbors(cell):
-            if nb not in in_region or nb not in free:
-                continue
-            edge = edge_between(cell, nb)
-            if edge in barred:
-                continue
-            free.discard(nb)
-            acc.append(LozengePlacement(edge[0], edge[1], region.weight(edge)))
-            rec(lo + 1)
-            acc.pop()
-            free.add(nb)
-        free.add(cell)
-
-    rec(0)
-    return out
+    edges = lozenges(region)
+    placements = [LozengePlacement(*edge) for edge in edges]
+    return [
+        Tiling(tuple(placements[e] for e in m)) for m in _capped(_matchings(region, edges), cap)
+    ]
 
 
 # -- reflectively symmetric counting -------------------------------------------------
@@ -406,18 +356,11 @@ def _reflective_fold(region: Region) -> Fraction:
     column = sorted(
         (c for c in region.cells if c.index == mid), key=lambda c: c.layer
     )
-    for i in range(0, len(column), 2):
-        if i + 1 >= len(column):
-            return ZERO
-        a, b = column[i], column[i + 1]
-        if not (
-            a.orient is Orient.UP
-            and b.orient is Orient.DOWN
-            and b.layer == a.layer + 1
-        ):
-            return ZERO
-        if (a, b) in region.barred:
-            return ZERO
+    admissible = {(u, d) for u, d, _ in lozenges(region)}
+    if len(column) % 2 or any(
+        pair not in admissible for pair in zip(column[::2], column[1::2])
+    ):
+        return ZERO
     east = frozenset(c for c in region.cells if c.index > mid)
     half = Region(
         cells=east,
@@ -448,12 +391,13 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
     if method == "filter":
         region = build_region(spec)
         k = mirror_constant(region)
-        tilings = enumerate_tilings(region, cap)
-        invariant = sum(
-            1
-            for t in tilings
-            if frozenset(mirror_edge(e, k) for e in t.pairs) == t.pairs
-        )
+        edges = lozenges(region)
+        index = {(u, d): e for e, (u, d, _) in enumerate(edges)}
+        mirror = [index[mirror_edge((u, d), k)] for u, d, _ in edges]
+        invariant = 0
+        for m in _capped(_matchings(region, edges), cap):
+            chosen = set(m)
+            invariant += all(mirror[e] in chosen for e in m)
         return Fraction(invariant)
     try:
         halved = reduce_reflective(spec)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import prod
 
 from .regions import InvalidSpec, nonnegative_int, normalize_positions
 
@@ -64,12 +64,20 @@ def ciucu(a: int, b: int, c: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def h2(n: int) -> int:
-    """Skipping hyperfactorial: 0!2!4!... or 1!3!5!... up to (n-2)!."""
+    """Skipping hyperfactorial: 0!2!4!... or 1!3!5!... up to (n-2)!.
+
+    Each i in 2..n-2 divides (n-i)//2 of those factorials, so the value is
+    the product of i**((n-i)//2).  It is built from the top exponent bit down,
+    squaring at each bit, so the large products are squarings rather than a
+    long chain of multiplications by one factorial at a time.
+    """
     if n < 0:
         raise InvalidSpec("h2 requires a nonnegative argument")
-    if n <= 1:
-        return 1
-    return h2(n - 2) * factorial(n - 2)
+    exponents = {i: (n - i) // 2 for i in range(2, n - 1)}
+    out = 1
+    for bit in reversed(range(max(exponents.values(), default=0).bit_length())):
+        out = out * out * prod(i for i, e in exponents.items() if e >> bit & 1)
+    return out
 
 
 DELTA_KINDS = ("Squares", "OddShift", "EvenShift", "WeightedTri")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class Orient(IntEnum):
@@ -100,12 +100,3 @@ class LozengePlacement:
             return "vertical"
         return "right" if self.down.index > self.up.index else "left"
 
-
-def lozenge_between(a: TriangleCell, b: TriangleCell) -> Optional[LozengePlacement]:
-    """Unit-weight placement covering ``a`` and ``b``, or None if they cannot tile."""
-    if a.orient is b.orient:
-        return None
-    hi, lo = (a, b) if a.orient is Orient.UP else (b, a)
-    if lo in neighbors(hi):
-        return LozengePlacement(hi, lo)
-    return None

@@ -43,7 +43,6 @@ suite; they are the single source of truth for geometry.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
@@ -78,10 +77,6 @@ Edge = tuple[TriangleCell, TriangleCell]  # always (up cell, down cell)
 
 class InvalidSpec(ValueError):
     """Raised when region parameters violate a family invariant."""
-
-
-def edge_between(a: TriangleCell, b: TriangleCell) -> Edge:
-    return (a, b) if a.orient is Orient.UP else (b, a)
 
 
 def _is_int(value) -> bool:
@@ -376,9 +371,6 @@ class Region:
     def weight_map(self) -> dict[Edge, Fraction]:
         return dict(self.weights)
 
-    def weight(self, edge: Edge) -> Fraction:
-        return self.weight_map.get(edge, ONE)
-
     @cached_property
     def up_cells(self) -> frozenset[TriangleCell]:
         return frozenset(c for c in self.cells if c.orient is Orient.UP)
@@ -643,6 +635,23 @@ def build_region(spec: RegionSpec) -> Region:
 # -- reductions ---------------------------------------------------------------
 
 
+def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]]:
+    """The admissible lozenges, i.e. the edges of the dual graph, as (up, down,
+    weight): both cells in the region and the edge not barred.  They come by up
+    cell in sorted order, then in ``neighbors`` order (west, east, vertical).
+
+    The one place that decides which lozenges may be placed; the reduction,
+    the determinant and the exhaustive search all work from this list.
+    """
+    cells, barred, weights = region.cells, region.barred, region.weight_map
+    return [
+        (cell, nb, weights.get((cell, nb), ONE))
+        for cell in sorted(region.up_cells)
+        for nb in neighbors(cell)
+        if nb in cells and (cell, nb) not in barred
+    ]
+
+
 def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
     """Strip lozenges present in every tiling.
 
@@ -654,35 +663,27 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
     if region.untileable:
         return region, ONE
     cells = set(region.cells)
-    barred = region.barred
+    partners: dict[TriangleCell, list[tuple[TriangleCell, Fraction]]] = defaultdict(list)
+    for u, d, w in lozenges(region):
+        partners[u].append((d, w))
+        partners[d].append((u, w))
     factor = ONE
     untileable = False
-
-    def partners(c):
-        return [
-            nb
-            for nb in neighbors(c)
-            if nb in cells and edge_between(c, nb) not in barred
-        ]
-
     queue = deque(sorted(cells))
     while queue:
         c = queue.popleft()
         if c not in cells:
             continue
-        ps = partners(c)
+        ps = [(nb, w) for nb, w in partners[c] if nb in cells]
         if not ps:
             untileable = True
             break
         if len(ps) == 1:
-            other = ps[0]
-            edge = edge_between(c, other)
-            factor *= region.weight(edge)
+            other, w = ps[0]
+            factor *= w
             cells.discard(c)
             cells.discard(other)
-            for nb in itertools.chain(neighbors(c), neighbors(other)):
-                if nb in cells:
-                    queue.append(nb)
+            queue.extend(nb for nb, _ in partners[c] + partners[other] if nb in cells)
 
     kept = frozenset(cells)
     reduced = Region(
@@ -690,7 +691,7 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
         weights=tuple(
             (e, w) for e, w in region.weights if e[0] in kept and e[1] in kept
         ),
-        barred=frozenset(e for e in barred if e[0] in kept and e[1] in kept),
+        barred=frozenset(e for e in region.barred if e[0] in kept and e[1] in kept),
         untileable=untileable,
         label=region.label,
         axis=region.axis,

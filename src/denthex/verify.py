@@ -33,6 +33,7 @@ from .formulas import RATIO_FAMILIES, RatioSpec, quartered, shuffle_ratio
 from .regions import (
     InvalidSpec,
     RegionSpec,
+    axis_midpoint_mirror,
     build_region,
     f_spec,
     fbar_spec,
@@ -202,10 +203,6 @@ class ClusterSpec:
 # -- individual checks ------------------------------------------------------------
 
 
-def _rs_center_mirror(x: int, y: int, n: int) -> int:
-    return (x + y + 2 * n) // 2 + 1
-
-
 def check_shuffling(rs: RatioSpec, x: int, B: Sequence[int] = ()) -> VerificationReport:
     """Compare a counted shuffle ratio with its closed form.
 
@@ -219,8 +216,9 @@ def check_shuffling(rs: RatioSpec, x: int, B: Sequence[int] = ()) -> Verificatio
         f"U'={list(rs.Uprime)} D'={list(rs.Dprime)} B={list(B)}"
     )
     if rs.family in ("RS-odd", "RS-even"):
-        n = len(set(rs.U) | set(rs.D))
-        t = _rs_center_mirror(x, rs.y, n)
+        # the involution maps the valid positions onto themselves, so the
+        # center-anchored sets also form an RS spec, with the same mirror
+        t = axis_midpoint_mirror(rs_spec(x, rs.y, rs.U, rs.D))
         mirrored = lambda tup: tuple(sorted(t - p for p in tup))
         num = count_reflective(rs_spec(x, rs.y, mirrored(rs.U), mirrored(rs.D), mirrored(B)))
         den = count_reflective(

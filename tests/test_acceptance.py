@@ -195,7 +195,7 @@ def test_c07_base_case_factorization():
     _report(
         7,
         f"base cases: {len(specs)} y=0 and x=|B| configurations factor into "
-        "quartered-hexagon products (DP and closed form agree on every factor)",
+        "quartered-hexagon products (determinant and closed form agree on every factor)",
     )
 
 
@@ -357,7 +357,7 @@ def test_c11_oracle_equivalence():
     assert with_barriers >= 5 and with_weights >= 5
     _report(
         11,
-        f"oracle equivalence: DP == exhaustive oracle on {checked} random regions "
+        f"oracle equivalence: determinant == exhaustive oracle on {checked} random regions "
         f"<= 60 cells ({with_barriers} with barriers, {with_weights} weighted)",
     )
 

@@ -20,7 +20,6 @@ from denthex import (
     count_tilings,
     count_tilings_oracle,
     down,
-    dual_graph,
     enumerate_tilings,
     f_spec,
     fbar_spec,
@@ -40,32 +39,41 @@ from denthex import (
     w_spec,
 )
 from denthex.counting import _det_count, _reflective_fold
+from denthex.regions import lozenges
 
 DATA = Path(__file__).parent / "data"
 
 
+# -- the dual graph: its edges are the admissible lozenges --------------------------
+
+
 def test_dual_graph_unit_hexagon_is_six_cycle():
-    g = dual_graph(build_region(hex_spec(1, 1, 1)))
-    assert g.n_vertices == 6
-    assert g.n_edges == 6
-    assert all(len(g.adjacency[v]) == 2 for v in g.vertices)
+    region = build_region(hex_spec(1, 1, 1))
+    edges = lozenges(region)
+    assert len(region.cells) == 6
+    assert len(edges) == 6
+    degree = {c: 0 for c in region.cells}
+    for u, d, _ in edges:
+        degree[u] += 1
+        degree[d] += 1
+    assert all(v == 2 for v in degree.values())
 
 
 def test_dual_graph_barrier_removes_vertical_edge():
-    plain = dual_graph(build_region(h_spec(2, 1, (1,), (2,))))
-    barred = dual_graph(build_region(h_spec(2, 1, (1,), (2,), (3,))))
-    assert plain.n_edges - barred.n_edges == 1
+    plain = lozenges(build_region(h_spec(2, 1, (1,), (2,))))
+    barred = lozenges(build_region(h_spec(2, 1, (1,), (2,), (3,))))
+    assert len(plain) - len(barred) == 1
+    [(u, d, _)] = set(plain) - set(barred)
+    assert d.layer == u.layer + 1 and d.index == u.index
 
 
 def test_dual_graph_empty_region():
-    g = dual_graph(Region(cells=frozenset()))
-    assert g.n_vertices == 0 and g.n_edges == 0
+    assert lozenges(Region(cells=frozenset())) == []
 
 
 def test_dual_graph_edge_bound():
-    g = dual_graph(build_region(hex_spec(2, 3, 1)))
-    ups = sum(1 for v in g.vertices if v.orient == 0)
-    assert g.n_edges <= 3 * ups
+    region = build_region(hex_spec(2, 3, 1))
+    assert len(lozenges(region)) <= 3 * len(region.up_cells)
 
 
 def test_unit_hexagon_counts():
@@ -280,6 +288,39 @@ def test_enumerate_untileable_is_empty():
 def test_enumerate_cap_zero_on_tileable_region_errors():
     with pytest.raises(CapExceeded):
         enumerate_tilings(build_region(hex_spec(1, 1, 1)), cap=0)
+
+
+def test_enumeration_order_is_pinned():
+    # every tiling's placements, in the order enumerate_tilings returns them:
+    # ``render --tiling I`` names a tiling by its position in that order
+    expected: dict[str, list] = {}
+    for line in (DATA / "tiling_order.jsonl").read_text().splitlines():
+        entry = json.loads(line)
+        tilings = expected.setdefault(json.dumps(entry["spec"]), [])
+        assert entry["index"] == len(tilings)
+        tilings.append(entry["placements"])
+    assert len(expected) == 2
+    weighted = 0
+    for spec, tilings in expected.items():
+        region = build_region(parse_spec(json.loads(spec)))
+        weighted += bool(region.weights)
+        got = [
+            [
+                [p.up.layer, p.up.index, p.down.layer, p.down.index, str(p.weight)]
+                for p in t.placements
+            ]
+            for t in enumerate_tilings(region, cap=len(tilings))
+        ]
+        assert got == tilings, spec
+    assert weighted == 1
+
+
+def test_deep_search_has_no_recursion_limit():
+    # 3200 cells and a single tiling: 1600 lozenges deep
+    region = build_region(hex_spec(40, 40, 0))
+    assert len(region.cells) == 3200
+    assert len(enumerate_tilings(region, cap=5)) == 1
+    assert count_tilings_oracle(region, cap=4000) == 1
 
 
 def test_tiling_weight_product():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -62,6 +63,7 @@ def test_h2_values():
     assert h2(4) == 2  # 0!2!
     assert h2(5) == 6  # 1!3!
     assert h2(7) == 720  # 1!3!5!
+    assert h2(2501) == h2(2499) * factorial(2499)  # deeper than the recursion limit
 
 
 def test_proctor_trivials_and_edges():

@@ -4,12 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from denthex import (
+    LozengePlacement,
     Orient,
     TriangleCell,
     canonical_orient,
     down,
     is_canonical,
-    lozenge_between,
     neighbors,
     up,
 )
@@ -69,22 +69,8 @@ def test_neighbors_are_canonical(cell):
     assert all(is_canonical(n) for n in neighbors(cell))
 
 
-def test_lozenge_between_adjacent_pair():
-    placement = lozenge_between(up(1, 1), down(1, 2))
-    assert placement is not None
-    assert placement.weight == Fraction(1)
-    assert placement.kind == "right"
-    assert lozenge_between(down(1, 2), up(1, 1)) == placement
-
-
-def test_lozenge_between_same_orientation_absent():
-    assert lozenge_between(up(0, 0), up(0, 2)) is None
-
-
-def test_lozenge_between_non_adjacent_absent():
-    assert lozenge_between(up(0, 0), down(3, 7)) is None
-
-
 def test_lozenge_kinds():
-    assert lozenge_between(up(1, 1), down(2, 1)).kind == "vertical"
-    assert lozenge_between(up(1, 3), down(1, 2)).kind == "left"
+    assert LozengePlacement(up(1, 1), down(2, 1)).kind == "vertical"
+    assert LozengePlacement(up(1, 3), down(1, 2)).kind == "left"
+    assert LozengePlacement(up(1, 1), down(1, 2)).kind == "right"
+    assert LozengePlacement(up(1, 1), down(1, 2)).weight == Fraction(1)
