@@ -200,9 +200,10 @@ def _cmd_render(args) -> int:
 
 def _cmd_bench(args) -> int:
     ladder = [hex_spec(k, k, k) for k in range(1, args.max_hex + 1)]
-    from .regions import f_spec, w_spec
+    from .regions import f_spec, h_spec, w_spec
 
     ladder += [
+        h_spec(2, 1, (1,), (4,)),  # interior dents: needs minus signs, small enough for the oracle
         f_spec(2, 1, (1,), (2,)),
         f_spec(2, 2, (1, 4), (2,)),
         w_spec(2, 2, (1, 4), (2,)),

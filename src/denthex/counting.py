@@ -3,16 +3,17 @@
 A lozenge tiling of a region is a perfect matching of its planar bipartite
 dual graph, up cells against down cells.  The production counter is
 Kasteleyn's determinant (Kasteleyn 1961; Kenyon, *Lectures on dimers*, 2009):
-once the edges are signed so that every bounded face of length 2k carries
-k-1 minus signs mod 2, the absolute determinant of the signed up x down
-biadjacency matrix is the weighted number of matchings.  The signs are solved
-over GF(2) from the faces of the region itself, so dent holes, barriers,
-halved regions and hand-built regions need no special rule.  The determinant
-is taken by fraction-free Bareiss elimination in integers: rows holding
-fractional weights are scaled to integers and the scale is divided out at the
-end.  Lozenges forced in every tiling are stripped before the matrix is built.
-The matrix, the forced reduction and the search below all take their edges
-from ``regions.lozenges``.
+once the edges are signed so that every cycle of length 2k in the union of
+two matchings carries k-1 minus signs mod 2, the absolute determinant of the
+signed up x down biadjacency matrix is the weighted number of matchings.  The
+signs follow a closed-form rule read off the region's cells
+(``_kasteleyn_signs``), so dent holes, barriers, halved regions and hand-built
+regions need no special case.  The determinant is taken over the whole region
+by fraction-free Bareiss elimination in integers: rows holding fractional
+weights are scaled to integers and the scale is divided out at the end.  A
+lozenge forced in every tiling is a row or column with a single entry, which
+the elimination strips as it goes.  The matrix and the search below take their
+edges from ``regions.lozenges``.
 
 Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .lattice import LozengePlacement, Orient, TriangleCell
+from .lattice import LozengePlacement, TriangleCell
 from .regions import (
     InvalidSpec,
     Region,
@@ -43,7 +44,6 @@ from .regions import (
     mirror_constant,
     mirror_edge,
     reduce_reflective,
-    remove_forced_lozenges,
 )
 
 ZERO = Fraction(0)
@@ -57,76 +57,45 @@ class CapExceeded(RuntimeError):
 # -- Kasteleyn determinant -------------------------------------------------------
 
 
-def _kasteleyn_signs(edges: list[tuple[TriangleCell, TriangleCell, Fraction]]) -> int:
-    """Bitset over ``edges``, a ``lozenges`` list, of those that get a minus sign.
+def _kasteleyn_signs(
+    region: Region, edges: list[tuple[TriangleCell, TriangleCell, Fraction]]
+) -> list[int]:
+    """Kasteleyn sign, +1 or -1, of each edge of ``edges``, the region's
+    ``lozenges`` list.
 
-    Kasteleyn's condition for a planar bipartite graph: every bounded face of
-    length 2k carries k-1 minus signs mod 2.  Faces are traced with the
-    rotation the lattice fixes: ``neighbors`` order (west, east, vertical)
-    runs clockwise around up cells and counterclockwise around down cells.
-    Each walk turns to the next neighbor clockwise, so its face lies to its
-    left: bounded faces run counterclockwise and have positive shoelace area,
-    an outer face negative (or zero for a tree).  Outer faces are left out: a
-    component's outer row is the sum of its bounded rows, and contradicts them
-    when the component has odd size.  Edges a walk crosses twice cancel mod 2.
-    The bounded face rows are independent in the cycle space, so the system is
-    always solvable; it is solved by Gaussian elimination over GF(2) with ints
-    as bitsets, free variables set to 0.
+    Vertical lozenges get +1.  A lozenge joining the cells at indices j and
+    j+1 of one layer gets -1 when an odd number of that layer's lattice cells
+    between its west-most region cell and j are missing from ``region.cells``.
+    Only cells are consulted, never edges, so a cell left isolated by barriers
+    still counts as present.
+
+    Why this is exact: all-plus signs on the full honeycomb are Kasteleyn,
+    because a hexagonal face (length 2k, k = 3) needs k-1 = 2, so 0 mod 2,
+    minus signs.  By Kasteleyn's lemma a simple cycle of length 2k enclosing
+    p lattice triangles then has k-1 = p (mod 2).  A horizontal ray drawn
+    east from the mid-height of each missing triangle crosses only same-layer
+    lozenge edges east of it, and the rule gives those edges one minus sign
+    per ray.  A cycle crosses a ray an odd number of times exactly when it
+    encloses the ray's start, so it carries (-1)^(missing triangles inside
+    it); triangles west of a layer's west-most region cell lie inside no
+    cycle, so they are not counted.  A cycle of the superposition of two
+    matchings encloses an even number of region cells, because the cells
+    inside are matched among themselves, so that product is (-1)^p =
+    (-1)^(k-1), which is the condition for |det| to count matchings.  No
+    axis, face or family is consulted, so fold halves and hand-built regions
+    are covered alike.
     """
-    slots: dict[TriangleCell, list] = {}  # edge ids around a cell: west, east, vertical
-    # dart 2e runs up -> down along edge e, dart 2e+1 down -> up.  cross holds
-    # each dart's shoelace term, with every cell at its centroid: (index,
-    # -3 layer - 2) for up and (index, -3 layer - 1) for down cells, i.e. x
-    # scaled by 2 and y, pointing north, by 3/height.
-    cross = []
-    for e, (u, d, _) in enumerate(edges):
-        if u.layer != d.layer:
-            su = sd = 2
+    odd = set()  # cells with an odd number of missing cells west of them in their layer
+    prev = None
+    for c in sorted(region.cells):
+        if prev is None or prev.layer != c.layer:
+            parity = 0
         else:
-            su = 0 if d.index < u.index else 1
-            sd = 1 - su
-        slots.setdefault(u, [None, None, None])[su] = e
-        slots.setdefault(d, [None, None, None])[sd] = e
-        c = d.index * (3 * u.layer + 2) - u.index * (3 * d.layer + 1)
-        cross += (c, -c)
-    turn = [0] * len(cross)
-    for v, ring in slots.items():
-        ring = [e for e in ring if e is not None]
-        for k, e in enumerate(ring):
-            if v.orient is Orient.UP:
-                turn[2 * e + 1] = 2 * ring[(k + 1) % len(ring)]
-            else:
-                turn[2 * e] = 2 * ring[k - 1] + 1
-    rhs_bit = 1 << len(edges)
-    pivots: dict[int, int] = {}  # lowest edge bit -> row
-    seen = bytearray(len(turn))
-    for dart in range(len(turn)):
-        row = length = area = 0
-        while not seen[dart]:
-            seen[dart] = 1
-            row ^= 1 << (dart >> 1)
-            area += cross[dart]
-            length += 1
-            dart = turn[dart]
-        if area <= 0:
-            continue  # already traced, or the outer face of a component
-        if (length // 2 - 1) % 2:
-            row |= rhs_bit
-        while row and row != rhs_bit:
-            low = row & -row
-            if low not in pivots:
-                pivots[low] = row
-                break
-            row ^= pivots[low]
-        else:
-            if row:
-                raise RuntimeError("Kasteleyn face-parity system is inconsistent")
-    signs = 0
-    for low in sorted(pivots, reverse=True):
-        row = pivots[low]
-        if (bool(row & rhs_bit) + (row & signs).bit_count()) % 2:
-            signs |= low
-    return signs
+            parity ^= (c.index - prev.index - 1) & 1
+        if parity:
+            odd.add(c)
+        prev = c
+    return [-1 if u.layer == d.layer and min(u, d) in odd else 1 for u, d, _ in edges]
 
 
 def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
@@ -201,12 +170,11 @@ def _det_count(region: Region) -> Fraction:
     if not region.cells:
         return ONE
     edges = lozenges(region)
-    signs = _kasteleyn_signs(edges)
     row_of = {c: i for i, c in enumerate(sorted(region.up_cells))}
     col_of = {c: j for j, c in enumerate(sorted(region.down_cells))}
     entries: list[list[tuple[int, int, Fraction]]] = [[] for _ in row_of]
-    for e, (u, d, w) in enumerate(edges):
-        entries[row_of[u]].append((col_of[d], -1 if signs >> e & 1 else 1, w))
+    for (u, d, w), sign in zip(edges, _kasteleyn_signs(region, edges)):
+        entries[row_of[u]].append((col_of[d], sign, w))
     rows = []
     scale = 1
     for entry in entries:
@@ -228,14 +196,7 @@ def count_tilings(region: Region) -> Fraction:
     cached = _COUNT_CACHE.get(region)
     if cached is not None:
         return cached
-    if region.untileable or not region.balanced:
-        result = ZERO
-    else:
-        reduced, factor = remove_forced_lozenges(region)
-        if reduced.untileable:
-            result = ZERO
-        else:
-            result = factor * _det_count(reduced)
+    result = ZERO if region.untileable or not region.balanced else _det_count(region)
     _COUNT_CACHE[region] = result
     return result
 

@@ -67,11 +67,11 @@ def is_canonical(cell: TriangleCell) -> bool:
 def neighbors(cell: TriangleCell) -> list[TriangleCell]:
     """Lattice-adjacent cells in horizontal-left, horizontal-right, vertical order.
 
-    Around an up cell that order is clockwise (northwest, northeast, south);
-    around a down cell it is counterclockwise (southwest, southeast, north).
-    The determinant engine traces faces with this rotation.  Every returned cell has the opposite orientation.  Candidates that would
-    fall outside the first quadrant are dropped, so boundary addresses have
-    fewer than three neighbors.
+    ``regions.lozenges`` lists each up cell's lozenges in this order, which
+    fixes the order in which tilings are enumerated.  Every returned cell has
+    the opposite orientation.  Candidates that would fall outside the first
+    quadrant are dropped, so boundary addresses have fewer than three
+    neighbors.
     """
     layer, index, orient = cell
     flip = orient.opposite

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from denthex import build_region, cli, count_tilings, hex_spec
+from denthex import build_region, cli, count_tilings, counting, hex_spec
 from denthex.cli import main
 from denthex.render import region_ascii, region_svg, tiling_ascii, tiling_svg
 from denthex import enumerate_tilings, pprime_spec, h_spec
@@ -127,6 +127,17 @@ def test_bench_runs(capsys):
     assert main(["bench", "--max-hex", "2"]) == 0
     out = capsys.readouterr().out
     assert "Hex(a=2, b=2, c=2)" in out
+    assert "H(B=[], D=[4], U=[1], x=2, y=1)" in out
+
+
+def test_bench_mismatch_covers_kasteleyn_signs(monkeypatch, capsys):
+    # the dented H rung is the one whose count needs minus signs: with every
+    # sign +1 its determinant is 0 and the oracle's count 8
+    monkeypatch.setattr(counting, "_COUNT_CACHE", {})
+    monkeypatch.setattr(counting, "_kasteleyn_signs", lambda region, edges: [1] * len(edges))
+    assert main(["bench", "--max-hex", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH H(B=[], D=[4], U=[1], x=2, y=1): determinant 0 != oracle 8" in out
 
 
 def test_bench_mismatch_exits_1(monkeypatch, capsys):

@@ -33,6 +33,7 @@ from denthex import (
     pp,
     pprime_spec,
     quartered,
+    remove_forced_lozenges,
     rs_spec,
     semihex_spec,
     up,
@@ -173,6 +174,47 @@ def test_engine_signs_ignore_outer_faces_of_odd_components():
     assert _det_count(region) == 0 == count_tilings_oracle(region)
 
 
+def test_island_nested_in_a_hole_matches_oracle():
+    # a vertical lozenge cut loose by removing its four neighbours and one more
+    # cell, so the hole around it misses five triangles; a rim cell balances it
+    hexagon = build_region(hex_spec(3, 3, 3)).cells
+    island = {up(1, 5), down(2, 5)}
+    hole = {down(1, 4), down(1, 6), up(2, 4), up(2, 6), up(1, 3)}
+    assert island | hole | {down(4, 1)} <= hexagon
+    region = Region(cells=hexagon - hole - {down(4, 1)})
+    assert {(u, d) for u, d, _ in lozenges(region) if u in island} == {(up(1, 5), down(2, 5))}
+    assert count_tilings(region) == count_tilings_oracle(region) == 30
+
+
+@st.composite
+def hand_built_regions(draw):
+    """Hex(a,b,c), a, b, c <= 3, minus a random balanced cell set, with random
+    lozenges barred and random lozenges of weight 1/2."""
+    a, b, c = (draw(st.integers(1, 3)) for _ in range(3))
+    hexagon = build_region(hex_spec(a, b, c))
+    k = draw(st.integers(0, 3))
+    gone = set()
+    for cells in (hexagon.up_cells, hexagon.down_cells):
+        gone |= draw(st.sets(st.sampled_from(sorted(cells)), min_size=k, max_size=k))
+    cells = hexagon.cells - gone
+    edges = [(u, d) for u, d, _ in lozenges(Region(cells=cells))]
+    barred, halves = set(), set()
+    if edges:
+        barred = draw(st.sets(st.sampled_from(edges), max_size=2))
+        halves = draw(st.sets(st.sampled_from(edges), max_size=4))
+    return Region(
+        cells=cells,
+        weights=tuple((e, Fraction(1, 2)) for e in sorted(halves)),
+        barred=frozenset(barred),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(hand_built_regions())
+def test_engine_matches_oracle_on_random_hand_built_regions(region):
+    assert count_tilings(region) == count_tilings_oracle(region)
+
+
 def test_large_hexagons_match_macmahon():
     for k in (10, 12):
         assert count_tilings(build_region(hex_spec(k, k, k))) == pp(k, k, k)
@@ -196,6 +238,33 @@ def test_counts_match_golden_fixture():
         region = build_region(parse_spec(record["spec"]))
         got = _reflective_fold(region) if record["fold"] else count_tilings(region)
         assert got == Fraction(record["count"]), record
+
+
+def test_forced_reduction_agrees_with_engine_on_golden_regions():
+    # the engine takes its determinant over the whole region, so the reduction
+    # is a second route to every count; barring one lozenge at a forced cell
+    # adds regions whose reduction runs into an uncoverable cell
+    lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
+    checked = {"reduced": 0, "untileable": 0}
+    for record in map(json.loads, lines):
+        region = build_region(parse_spec(record["spec"]))
+        reduced, _ = remove_forced_lozenges(region)
+        variants = [region]
+        if reduced != region:
+            edge = next((u, d) for u, d, _ in lozenges(region) if u not in reduced.cells)
+            variants.append(
+                Region(cells=region.cells, weights=region.weights, barred=region.barred | {edge})
+            )
+        for variant in variants:
+            reduced, factor = remove_forced_lozenges(variant)
+            count = count_tilings(variant)
+            if reduced.untileable:
+                checked["untileable"] += 1
+                assert count == 0, record
+            else:
+                checked["reduced"] += reduced != variant
+                assert count == factor * count_tilings(reduced), record
+    assert checked["reduced"] >= 100 and checked["untileable"] >= 50
 
 
 @st.composite
