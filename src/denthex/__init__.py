@@ -4,7 +4,6 @@ shuffling ratios."""
 
 from .counting import (
     CapExceeded,
-    Tiling,
     clear_count_cache,
     count_reflective,
     count_tilings,
@@ -14,9 +13,6 @@ from .counting import (
     kuo_counts,
 )
 from .formulas import (
-    DELTA_KINDS,
-    QUARTERED_VARIANTS,
-    RATIO_FAMILIES,
     RatioSpec,
     ciucu,
     clp,
@@ -51,9 +47,7 @@ from .regions import (
     hex_spec,
     l_spec,
     lbar_spec,
-    mirror_cell,
     mirror_constant,
-    mirror_edge,
     p_spec,
     parse_spec,
     pprime_spec,
@@ -68,7 +62,6 @@ from .regions import (
 from .verify import (
     Cluster,
     ClusterSpec,
-    ProbeReport,
     VerificationReport,
     all_passed,
     asymptotic_probe,

@@ -44,6 +44,7 @@ from .regions import (
     mirror_constant,
     mirror_edge,
     reduce_reflective,
+    restrict,
 )
 
 ZERO = Fraction(0)
@@ -322,15 +323,7 @@ def _reflective_fold(region: Region) -> Fraction:
         pair not in admissible for pair in zip(column[::2], column[1::2])
     ):
         return ZERO
-    east = frozenset(c for c in region.cells if c.index > mid)
-    half = Region(
-        cells=east,
-        weights=tuple(
-            (e, w) for e, w in region.weights if e[0] in east and e[1] in east
-        ),
-        barred=frozenset(e for e in region.barred if e[0] in east and e[1] in east),
-    )
-    return count_tilings(half)
+    return count_tilings(restrict(region, (c for c in region.cells if c.index > mid)))
 
 
 def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) -> Fraction:
@@ -344,7 +337,6 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
     """
     if spec.family != "RS":
         raise InvalidSpec("count_reflective expects an RS spec")
-    method = method.lower()
     if method not in ("filter", "reduce"):
         raise InvalidSpec(f"unknown method {method!r} (want 'filter' or 'reduce')")
     if spec.x % 2 == 1:

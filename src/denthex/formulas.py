@@ -80,7 +80,9 @@ def h2(n: int) -> int:
     return out
 
 
-DELTA_KINDS = ("Squares", "OddShift", "EvenShift", "WeightedTri")
+# kind -> c in the pair factor (s_j - s_i)(s_j + s_i - c)
+_DELTA_SHIFTS = {"Squares": 0, "OddShift": 1, "EvenShift": 2, "WeightedTri": 1}
+DELTA_KINDS = tuple(_DELTA_SHIFTS)
 
 
 def delta(positions, kind: str) -> int:
@@ -90,30 +92,20 @@ def delta(positions, kind: str) -> int:
     OddShift     prod_{i<j} (s_j - s_i)(s_j + s_i - 1)
     EvenShift    prod_{i<j} (s_j - s_i)(s_j + s_i - 2)
     WeightedTri  prod_{i<j} (s_j - s_i) * prod_{i<=j} (s_i + s_j - 1)
+
+    All four are prod_{i<j} (s_j - s_i)(s_j + s_i - c) for the kind's shift
+    c; WeightedTri also carries the diagonal factors 2 s_i - 1.
     """
     s = normalize_positions(positions)
-    out = 1
-    if kind == "Squares":
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                out *= s[j] ** 2 - s[i] ** 2
-    elif kind == "OddShift":
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                out *= (s[j] - s[i]) * (s[j] + s[i] - 1)
-    elif kind == "EvenShift":
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                out *= (s[j] - s[i]) * (s[j] + s[i] - 2)
-    elif kind == "WeightedTri":
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                out *= s[j] - s[i]
-        for i in range(len(s)):
-            for j in range(i, len(s)):
-                out *= s[i] + s[j] - 1
-    else:
+    if kind not in _DELTA_SHIFTS:
         raise InvalidSpec(f"unknown delta kind {kind!r}; expected one of {DELTA_KINDS}")
+    c = _DELTA_SHIFTS[kind]
+    out = 1
+    for j, sj in enumerate(s):
+        for si in s[:j]:
+            out *= (sj - si) * (sj + si - c)
+    if kind == "WeightedTri":
+        out *= prod(2 * si - 1 for si in s)
     return out
 
 

@@ -55,23 +55,6 @@ from .lattice import Orient, TriangleCell, canonical_orient, neighbors
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
-FAMILIES = (
-    "Hex",
-    "DentedSemihex",
-    "H",
-    "RS",
-    "F",
-    "Fbar",
-    "W",
-    "Wbar",
-    "L",
-    "Lbar",
-    "P",
-    "Pprime",
-)
-
-_AXIS_FAMILIES = ("H", "RS", "F", "Fbar", "W", "Wbar")
-
 Edge = tuple[TriangleCell, TriangleCell]  # always (up cell, down cell)
 
 
@@ -149,7 +132,7 @@ class RegionSpec:
     def axis_length(self) -> int:
         if self.family == "RS":
             return self.x + self.y + 2 * self.n_removed
-        if self.family in _AXIS_FAMILIES:
+        if "U" in _FAMILY_TABLE[self.family][1]:
             return self.x + self.y + self.n_removed
         raise InvalidSpec(f"{self.family} has no dent axis")
 
@@ -215,82 +198,53 @@ def _validate_spec(s: RegionSpec) -> None:
     if s.family not in FAMILIES:
         raise InvalidSpec(f"unknown family {s.family!r}")
     set_attr = object.__setattr__
+    required, optional, _ = _FAMILY_TABLE[s.family]
+    for f in required:
+        set_attr(s, f, nonnegative_int(f, getattr(s, f)))
 
-    if s.family == "Hex":
-        for f in ("a", "b", "c"):
-            set_attr(s, f, nonnegative_int(f, getattr(s, f)))
-        return
-
-    if s.family in ("P", "Pprime"):
-        for f in ("a", "b", "c"):
-            set_attr(s, f, nonnegative_int(f, getattr(s, f)))
-        if s.a > s.b:
-            raise InvalidSpec("P/Pprime: the staircase cut requires a <= b")
-        return
-
-    if s.family == "DentedSemihex":
-        set_attr(s, "a", nonnegative_int("a", s.a))
-        set_attr(s, "b", nonnegative_int("b", s.b))
-        dents = normalize_positions(s.dents, "dents", upper=s.a + s.b)
-        if len(dents) != s.a:
-            raise InvalidSpec(
-                f"DentedSemihex: exactly a={s.a} dents required (got {len(dents)})"
-            )
-        set_attr(s, "dents", dents)
-        return
-
-    if s.family in ("L", "Lbar"):
-        set_attr(s, "m", nonnegative_int("m", s.m))
-        set_attr(s, "n", nonnegative_int("n", s.n))
-        k = (s.m + 1) // 2
-        dents = normalize_positions(s.dents, "dents", upper=s.n + k)
+    if s.family in ("P", "Pprime") and s.a > s.b:
+        raise InvalidSpec("P/Pprime: the staircase cut requires a <= b")
+    if "dents" in optional:
+        if s.family == "DentedSemihex":
+            k, upper, rule = s.a, s.a + s.b, f"a={s.a}"
+        else:  # L, Lbar
+            k = (s.m + 1) // 2
+            upper, rule = s.n + k, f"floor((m+1)/2)={k}"
+        dents = normalize_positions(s.dents, "dents", upper=upper)
         if len(dents) != k:
-            raise InvalidSpec(
-                f"{s.family}: exactly floor((m+1)/2)={k} dents required (got {len(dents)})"
-            )
+            raise InvalidSpec(f"{s.family}: exactly {rule} dents required (got {len(dents)})")
         set_attr(s, "dents", dents)
+    if "U" not in optional:
         return
-
-    # remaining: the axis families
-    set_attr(s, "x", nonnegative_int("x", s.x))
-    set_attr(s, "y", nonnegative_int("y", s.y))
     U = normalize_positions(s.U, "U")
     D = normalize_positions(s.D, "D")
     B = normalize_positions(s.B, "B")
     n = len(set(U) | set(D))
 
-    if s.family == "RS":
-        top = (s.x + s.y + 2 * n + 1) // 2  # = ceil((x+y+2n)/2)
-        if (s.x + s.y) % 2 == 1:
-            # ceil((x+y+2n)/2) coincides with the mirror-fixed position; a dent
-            # or barrier there cannot be mirrored consistently.
-            top -= 1
-        for name, tup in (("U", U), ("D", D), ("B", B)):
-            if tup and tup[-1] > top:
-                raise InvalidSpec(
-                    f"RS: {name} positions must be <= {top} "
-                    "(west half of the axis, excluding the mirror-fixed position)"
-                )
-        if set(B) & (set(U) | set(D)):
-            raise InvalidSpec("RS: B must be disjoint from U ∪ D")
-        if 2 * len(B) > s.x:
-            raise InvalidSpec("RS: barrier count must satisfy 2|B| <= x")
-    else:
-        axis = s.x + s.y + n
-        for name, tup in (("U", U), ("D", D), ("B", B)):
-            if tup and tup[-1] > axis:
-                raise InvalidSpec(
-                    f"{s.family}: {name} positions must be <= x+y+n = {axis}"
-                )
-        if set(B) & (set(U) | set(D)):
-            raise InvalidSpec(f"{s.family}: B must be disjoint from U ∪ D")
-        if len(B) > s.x:
-            raise InvalidSpec(f"{s.family}: barrier count must satisfy |B| <= x")
-        if s.family in ("Fbar", "Wbar") and (s.y + len(U) < 1 or s.y + len(D) < 1):
+    rs = s.family == "RS"
+    # RS sets name the west half of the axis; when x+y is odd,
+    # ceil((x+y+2n)/2) is the mirror-fixed position, which a dent or barrier
+    # cannot occupy consistently, so the floor is the bound either way
+    top = (s.x + s.y + 2 * n) // 2 if rs else s.x + s.y + n
+    for name, tup in (("U", U), ("D", D), ("B", B)):
+        if tup and tup[-1] > top:
             raise InvalidSpec(
-                f"{s.family}: need y + |U| >= 1 and y + |D| >= 1 "
-                "(a zigzag side would have negative length)"
+                f"RS: {name} positions must be <= {top} "
+                "(west half of the axis, excluding the mirror-fixed position)"
+                if rs
+                else f"{s.family}: {name} positions must be <= x+y+n = {top}"
             )
+    if set(B) & (set(U) | set(D)):
+        raise InvalidSpec(f"{s.family}: B must be disjoint from U ∪ D")
+    if (2 if rs else 1) * len(B) > s.x:
+        raise InvalidSpec(
+            f"{s.family}: barrier count must satisfy {'2|B|' if rs else '|B|'} <= x"
+        )
+    if s.family in ("Fbar", "Wbar") and (s.y + len(U) < 1 or s.y + len(D) < 1):
+        raise InvalidSpec(
+            f"{s.family}: need y + |U| >= 1 and y + |D| >= 1 "
+            "(a zigzag side would have negative length)"
+        )
     set_attr(s, "U", U)
     set_attr(s, "D", D)
     set_attr(s, "B", B)
@@ -298,38 +252,23 @@ def _validate_spec(s: RegionSpec) -> None:
 
 # -- JSON round trip --------------------------------------------------------
 
-_FIELDS_BY_FAMILY = {
-    "Hex": ({"a", "b", "c"}, set()),
-    "DentedSemihex": ({"a", "b"}, {"dents"}),
-    "H": ({"x", "y"}, {"U", "D", "B"}),
-    "RS": ({"x", "y"}, {"U", "D", "B"}),
-    "F": ({"x", "y"}, {"U", "D", "B"}),
-    "Fbar": ({"x", "y"}, {"U", "D", "B"}),
-    "W": ({"x", "y"}, {"U", "D", "B"}),
-    "Wbar": ({"x", "y"}, {"U", "D", "B"}),
-    "L": ({"m", "n"}, {"dents"}),
-    "Lbar": ({"m", "n"}, {"dents"}),
-    "P": ({"a", "b", "c"}, set()),
-    "Pprime": ({"a", "b", "c"}, set()),
-}
-
 
 def parse_spec(obj: dict) -> RegionSpec:
     """Strict parse of a JSON-style mapping into a RegionSpec."""
     if not isinstance(obj, dict):
         raise InvalidSpec(f"spec must be an object, got {type(obj).__name__}")
     fam = obj.get("family")
-    if fam not in _FIELDS_BY_FAMILY:
+    if fam not in _FAMILY_TABLE:
         raise InvalidSpec(f"unknown or missing family {fam!r}")
-    required, optional = _FIELDS_BY_FAMILY[fam]
+    required, optional, _ = _FAMILY_TABLE[fam]
     for key in obj:
         if key != "family" and key not in required and key not in optional:
             raise InvalidSpec(f"unknown field {key!r} for family {fam}")
-    missing = required - set(obj)
+    missing = set(required) - set(obj)
     if missing:
         raise InvalidSpec(f"family {fam} requires fields {sorted(missing)}")
     kwargs = {}
-    for key in required | optional:
+    for key in required + optional:
         if key in obj:
             val = obj[key]
             kwargs[key] = tuple(val) if isinstance(val, (list, tuple)) else val
@@ -338,8 +277,8 @@ def parse_spec(obj: dict) -> RegionSpec:
 
 def spec_to_dict(spec: RegionSpec) -> dict:
     out = {"family": spec.family}
-    required, optional = _FIELDS_BY_FAMILY[spec.family]
-    for key in sorted(required | optional):
+    required, optional, _ = _FAMILY_TABLE[spec.family]
+    for key in sorted(required + optional):
         val = getattr(spec, key)
         if val is not None:
             out[key] = list(val) if isinstance(val, tuple) else val
@@ -591,15 +530,19 @@ def _build_p(spec: RegionSpec) -> Region:
     return region
 
 
+def mirror_positions(positions: Iterable[int], t: int) -> tuple[int, ...]:
+    """The axis positions ``positions`` under the involution p -> t - p, sorted."""
+    return tuple(sorted(t - p for p in positions))
+
+
 def expand_rs(spec: RegionSpec) -> RegionSpec:
     """The doubly dented hexagon obtained by mirroring an RS description."""
     if spec.family != "RS":
         raise InvalidSpec("expand_rs expects an RS spec")
-    n = spec.n_removed
-    mirror = spec.x + spec.y + 2 * n + 1
+    t = spec.axis_length + 1
 
     def both(tup):
-        return tuple(sorted(set(tup) | {mirror - s for s in tup}))
+        return tuple(sorted(set(tup) | set(mirror_positions(tup, t))))
 
     return h_spec(spec.x, spec.y, both(spec.U), both(spec.D), both(spec.B))
 
@@ -611,25 +554,31 @@ def _build_rs(spec: RegionSpec) -> Region:
     return region
 
 
-_BUILDERS = {
-    "Hex": _build_hex,
-    "DentedSemihex": _build_semihex,
-    "H": _build_h,
-    "RS": _build_rs,
-    "F": _build_halved,
-    "Fbar": _build_halved,
-    "W": _build_halved,
-    "Wbar": _build_halved,
-    "L": _build_l,
-    "Lbar": _build_l,
-    "P": _build_p,
-    "Pprime": _build_p,
+_AXIS_FIELDS = ("x", "y"), ("U", "D", "B")
+
+# family -> (required fields, optional fields, builder); the one list of the
+# families, read by validation, the JSON round trip and build_region
+_FAMILY_TABLE = {
+    "Hex": (("a", "b", "c"), (), _build_hex),
+    "DentedSemihex": (("a", "b"), ("dents",), _build_semihex),
+    "H": (*_AXIS_FIELDS, _build_h),
+    "RS": (*_AXIS_FIELDS, _build_rs),
+    "F": (*_AXIS_FIELDS, _build_halved),
+    "Fbar": (*_AXIS_FIELDS, _build_halved),
+    "W": (*_AXIS_FIELDS, _build_halved),
+    "Wbar": (*_AXIS_FIELDS, _build_halved),
+    "L": (("m", "n"), ("dents",), _build_l),
+    "Lbar": (("m", "n"), ("dents",), _build_l),
+    "P": (("a", "b", "c"), (), _build_p),
+    "Pprime": (("a", "b", "c"), (), _build_p),
 }
+
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 def build_region(spec: RegionSpec) -> Region:
     """Construct the region described by ``spec``."""
-    return _BUILDERS[spec.family](spec)
+    return _FAMILY_TABLE[spec.family][2](spec)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -650,6 +599,17 @@ def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]
         for nb in neighbors(cell)
         if nb in cells and (cell, nb) not in barred
     ]
+
+
+def restrict(region: Region, cells: Iterable[TriangleCell]) -> Region:
+    """The region on ``cells``, a subset of ``region.cells``, with the weights
+    and barriers of the edges that have both cells in it."""
+    kept = frozenset(cells)
+    return Region(
+        cells=kept,
+        weights=tuple((e, w) for e, w in region.weights if e[0] in kept and e[1] in kept),
+        barred=frozenset(e for e in region.barred if e[0] in kept and e[1] in kept),
+    )
 
 
 def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
@@ -685,16 +645,8 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
             cells.discard(other)
             queue.extend(nb for nb, _ in partners[c] + partners[other] if nb in cells)
 
-    kept = frozenset(cells)
-    reduced = Region(
-        cells=kept,
-        weights=tuple(
-            (e, w) for e, w in region.weights if e[0] in kept and e[1] in kept
-        ),
-        barred=frozenset(e for e in region.barred if e[0] in kept and e[1] in kept),
-        untileable=untileable,
-        label=region.label,
-        axis=region.axis,
+    reduced = replace(
+        restrict(region, cells), untileable=untileable, label=region.label, axis=region.axis
     )
     return reduced, factor
 
@@ -726,16 +678,13 @@ def reduce_reflective(spec: RegionSpec) -> RegionSpec:
     if spec.x % 2 == 1:
         raise InvalidSpec("RS with odd x admits no reflectively symmetric tiling")
     t = axis_midpoint_mirror(spec)
-
-    def mirrored(tup):
-        return tuple(sorted(t - p for p in tup))
-
-    if spec.y % 2 == 1:
-        return f_spec(
-            spec.x // 2, (spec.y - 1) // 2, mirrored(spec.U), mirrored(spec.D), mirrored(spec.B)
-        )
-    return fbar_spec(
-        spec.x // 2, spec.y // 2, mirrored(spec.U), mirrored(spec.D), mirrored(spec.B)
+    return RegionSpec(
+        "F" if spec.y % 2 else "Fbar",
+        x=spec.x // 2,
+        y=spec.y // 2,
+        U=mirror_positions(spec.U, t),
+        D=mirror_positions(spec.D, t),
+        B=mirror_positions(spec.B, t),
     )
 
 
@@ -760,7 +709,7 @@ def mirror_constant(region: Region) -> int:
     if k % 2 == 1:
         raise InvalidSpec("region is not mirror-symmetric (odd mirror constant)")
     for c in region.cells:
-        if TriangleCell(c.layer, k - c.index, c.orient) not in region.cells:
+        if mirror_cell(c, k) not in region.cells:
             raise InvalidSpec(f"region is not mirror-symmetric (cell {c})")
     if frozenset(mirror_edge(e, k) for e in region.barred) != region.barred:
         raise InvalidSpec("barriers are not mirror-symmetric")

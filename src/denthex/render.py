@@ -124,14 +124,23 @@ def _svg_document(body: list[str], cells) -> str:
 def _shaded_core(a: TriangleCell, b: TriangleCell) -> str:
     # small diamond on the shared edge of a weight-1/2 lozenge
     shared_y = max(a.layer, b.layer) * _H
-    cx = (max(a.index, b.index) * _SIDE / 2) + (
-        _SIDE / 2 if a.layer != b.layer else 0.0
-    )
-    if a.layer != b.layer:
-        cx = a.index * _SIDE / 2 + _SIDE / 2
+    cx = max(a.index, b.index) * _SIDE / 2 + (_SIDE / 2 if a.layer != b.layer else 0.0)
     r = _SIDE / 6
     pts = [(cx - r, shared_y), (cx, shared_y - r), (cx + r, shared_y), (cx, shared_y + r)]
     return _polygon(pts, "#999999", stroke="none", width=0.0)
+
+
+def _barrier_lines(region: Region) -> list[str]:
+    """A bold bar along the shared edge of each barred vertical pair."""
+    lines = []
+    for up, _ in sorted(region.barred):
+        y = (up.layer + 1) * _H
+        x0 = up.index * _SIDE / 2
+        lines.append(
+            f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(x0 + _SIDE)}" '
+            f'y2="{_fmt(y)}" stroke="#c01010" stroke-width="4.00" />'
+        )
+    return lines
 
 
 def region_svg(region: Region) -> str:
@@ -147,13 +156,7 @@ def region_svg(region: Region) -> str:
             for cell in (up, downc):
                 if cell is not None and cell not in cells:
                     body.append(_polygon(_corners(cell), "#333333"))
-    for up, downc in sorted(region.barred):
-        y = (up.layer + 1) * _H
-        x0 = up.index * _SIDE / 2
-        body.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(x0 + _SIDE)}" '
-            f'y2="{_fmt(y)}" stroke="#c01010" stroke-width="4.00" />'
-        )
+    body.extend(_barrier_lines(region))
     for (up, downc), w in region.weights:
         if w == HALF:
             body.append(_shaded_core(up, downc))
@@ -177,11 +180,5 @@ def tiling_svg(region: Region, tiling: Tiling) -> str:
         body.append(_polygon(quad, fills[p.kind]))
         if p.weight != 1:
             body.append(_shaded_core(p.up, p.down))
-    for up, downc in sorted(region.barred):
-        y = (up.layer + 1) * _H
-        x0 = up.index * _SIDE / 2
-        body.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(x0 + _SIDE)}" '
-            f'y2="{_fmt(y)}" stroke="#c01010" stroke-width="4.00" />'
-        )
+    body.extend(_barrier_lines(region))
     return _svg_document(body, region.cells)

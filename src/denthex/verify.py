@@ -36,26 +36,14 @@ from .regions import (
     axis_midpoint_mirror,
     build_region,
     f_spec,
-    fbar_spec,
-    h_spec,
     l_spec,
-    lbar_spec,
+    mirror_positions,
     remove_forced_lozenges,
     rs_spec,
-    w_spec,
-    wbar_spec,
 )
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
-
-_REGION_MAKERS = {
-    "H": h_spec,
-    "F": f_spec,
-    "Fbar": fbar_spec,
-    "W": w_spec,
-    "Wbar": wbar_spec,
-}
 
 
 def _frac(x: Optional[Fraction]) -> Optional[str]:
@@ -215,19 +203,20 @@ def check_shuffling(rs: RatioSpec, x: int, B: Sequence[int] = ()) -> Verificatio
         f"{rs.family} x={x} y={rs.y} U={list(rs.U)} D={list(rs.D)} "
         f"U'={list(rs.Uprime)} D'={list(rs.Dprime)} B={list(B)}"
     )
+    pairs = ((rs.U, rs.D), (rs.Uprime, rs.Dprime))
     if rs.family in ("RS-odd", "RS-even"):
         # the involution maps the valid positions onto themselves, so the
         # center-anchored sets also form an RS spec, with the same mirror
         t = axis_midpoint_mirror(rs_spec(x, rs.y, rs.U, rs.D))
-        mirrored = lambda tup: tuple(sorted(t - p for p in tup))
-        num = count_reflective(rs_spec(x, rs.y, mirrored(rs.U), mirrored(rs.D), mirrored(B)))
-        den = count_reflective(
-            rs_spec(x, rs.y, mirrored(rs.Uprime), mirrored(rs.Dprime), mirrored(B))
+        num, den = (
+            count_reflective(rs_spec(x, rs.y, *(mirror_positions(p, t) for p in (U, D, B))))
+            for U, D in pairs
         )
     else:
-        make = _REGION_MAKERS[rs.family]
-        num = count_tilings(build_region(make(x, rs.y, rs.U, rs.D, B)))
-        den = count_tilings(build_region(make(x, rs.y, rs.Uprime, rs.Dprime, B)))
+        num, den = (
+            count_tilings(build_region(RegionSpec(rs.family, x=x, y=rs.y, U=U, D=D, B=B)))
+            for U, D in pairs
+        )
     if den == 0:
         return VerificationReport(
             "shuffling", inputs, None, shuffle_ratio(rs), True,
@@ -258,11 +247,6 @@ def check_kuo_recurrence(spec: RegionSpec) -> VerificationReport:
         lhs == rhs,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _quartered_variant(family: str, m: int) -> str:
-    base = "L" if family in ("F", "Fbar") else "Lbar"
-    return f"{base}-{'even' if m % 2 == 0 else 'odd'}"
 
 
 def check_base_cases(spec: RegionSpec) -> VerificationReport:
@@ -300,7 +284,7 @@ def check_base_cases(spec: RegionSpec) -> VerificationReport:
         cnt = count_tilings(build_region(l_spec(m, nn, dents)))
         rhs *= cnt
         if dents or m % 2 == 0:
-            closed = quartered(_quartered_variant(spec.family, m), dents)
+            closed = quartered(f"L-{'odd' if m % 2 else 'even'}", dents)
             if closed != cnt:
                 formulas_agree = False
                 note = f"closed form for m={m} dents={list(dents)} gives {closed} != {cnt}"
@@ -376,24 +360,16 @@ def check_fern_reduction(clusters: ClusterSpec, x: int, y: int) -> VerificationR
     )
 
 
-_PROBE_MAKERS = {
-    "F": (f_spec, l_spec, 0),
-    "Fbar": (fbar_spec, l_spec, 1),
-    "W": (w_spec, lbar_spec, 0),
-    "Wbar": (wbar_spec, lbar_spec, 1),
-}
-
-
 def _cluster_side_count(family: str, size: int, dents: tuple[int, ...]) -> Fraction:
     if size == 0:
         return ONE
-    _, lmaker, odd = _PROBE_MAKERS[family]
-    m = 2 * len(dents) - odd
+    m = 2 * len(dents) - family.endswith("bar")
     if m < 0:
         raise InvalidSpec(
             f"{family} probe needs at least one dent of each orientation per cluster"
         )
-    return count_tilings(build_region(lmaker(m, size - len(dents), dents)))
+    side = "L" if family in ("F", "Fbar") else "Lbar"
+    return count_tilings(build_region(RegionSpec(side, m=m, n=size - len(dents), dents=dents)))
 
 
 def asymptotic_probe(
@@ -414,7 +390,7 @@ def asymptotic_probe(
     shuffle is confined to a single cluster).
     """
     t0 = time.perf_counter()
-    if family not in _PROBE_MAKERS:
+    if family not in ("F", "Fbar", "W", "Wbar"):
         raise InvalidSpec(f"unknown probe family {family!r}")
     if clusters.gaps != shuffled.gaps or len(clusters.clusters) != len(shuffled.clusters):
         raise InvalidSpec("shuffled clusters must share layout with the originals")
@@ -429,7 +405,6 @@ def asymptotic_probe(
         limit /= _cluster_side_count(family, b.size, b.U)
         limit /= _cluster_side_count(family, b.size, b.D)
 
-    maker = _PROBE_MAKERS[family][0]
     ratios: list[Fraction] = []
     deviations: list[Fraction] = []
     truncated = False
@@ -443,8 +418,8 @@ def asymptotic_probe(
                 f"cluster layout spans {axis} positions at scale {scale}, "
                 f"expected N(x+y)+n = {scale * (x + y) + n}"
             )
-        spec_a = maker(scale * x, scale * y, U, D, B)
-        spec_b = maker(scale * x, scale * y, U2, D2, B2)
+        spec_a = RegionSpec(family, x=scale * x, y=scale * y, U=U, D=D, B=B)
+        spec_b = RegionSpec(family, x=scale * x, y=scale * y, U=U2, D=D2, B=B2)
         region_a = build_region(spec_a)
         if len(region_a) > cell_cap:
             truncated = True
@@ -532,7 +507,7 @@ def _random_shuffle_group(rng: random.Random, family: str):
         if bmax < 1 or len(free) < 2:
             continue
         variants = [(), (free[0],), (free[1],)]
-        if bmax >= 2 and len(free) >= 2 and rng.random() < 0.5:
+        if bmax >= 2 and rng.random() < 0.5:
             variants[2] = (free[0], free[1])
         return [(rs, x, bv) for bv in variants]
     raise RuntimeError(f"could not generate a shuffle case for family {family}")
@@ -570,7 +545,7 @@ def random_kuo_specs(seed: int, budget: int) -> list[RegionSpec]:
         downs = (set(chosen) - ups) | {v for v in ups if rng.random() < 0.2}
         if not downs and rng.random() < 0.5 and chosen:
             downs = {chosen[-1]}
-        U = tuple(sorted(ups | (set(chosen) - downs - ups)))
+        U = tuple(sorted(ups))
         D = tuple(sorted(downs))
         # the y-1 shifted regions keep D but lose a row pair, so Fbar needs
         # y + d >= 2 for all six condensation regions to exist
@@ -603,12 +578,10 @@ def random_base_case_specs(seed: int, budget: int) -> list[RegionSpec]:
             y = rng.randint(1, 2)
             x = rng.randint(0, 2)
         axis = x + y + n
-        if axis < n:
-            continue
         chosen = sorted(rng.sample(range(1, axis + 1), n))
         ups = {v for v in chosen if rng.random() < 0.5}
         downs = (set(chosen) - ups) | {v for v in ups if rng.random() < 0.2}
-        U = tuple(sorted(ups | (set(chosen) - set(downs))))
+        U = tuple(sorted(ups))
         D = tuple(sorted(downs))
         if family == "Fbar" and (y + len(U) < 1 or y + len(D) < 1):
             continue

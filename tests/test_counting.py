@@ -153,7 +153,7 @@ def test_engine_matches_oracle_on_small_sweep():
 
 
 def test_hand_built_regions_with_holes_match_oracle():
-    # no axis and no family: the signs must come from the faces alone
+    # no axis and no family: the signs must come from the missing cells alone
     hexagon = build_region(hex_spec(3, 3, 3)).cells
     # the six cells around the centre vertex, and a lozenge further south
     ring = {up(2, 4), down(2, 5), up(2, 6), down(3, 4), up(3, 5), down(3, 6)}
@@ -166,8 +166,9 @@ def test_hand_built_regions_with_holes_match_oracle():
 
 def test_engine_signs_ignore_outer_faces_of_odd_components():
     # balanced overall, but a unit hexagon with a pendant cell and a lone cell
-    # elsewhere each have odd size; the outer face of such a component would
-    # contradict the bounded-face parity rows, so it must be left out
+    # elsewhere each have odd size, so no tiling exists and the determinant
+    # must be 0 whatever the signs (the name dates from a face-based sign
+    # solve, whose outer faces such components broke)
     hexagon = build_region(hex_spec(1, 1, 1)).cells
     region = Region(cells=hexagon | {down(0, 3), up(4, 8)})
     assert region.balanced
@@ -431,6 +432,11 @@ def test_count_reflective_empty_region():
 def test_count_reflective_filter_cap():
     with pytest.raises(CapExceeded):
         count_reflective(rs_spec(4, 2, (1,)), "filter", cap=3)
+
+
+def test_count_reflective_method_is_not_coerced():
+    with pytest.raises(InvalidSpec):
+        count_reflective(rs_spec(2, 1, (1,)), "Filter")
 
 
 def test_count_reflective_rejects_non_rs():

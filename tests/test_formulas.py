@@ -92,6 +92,36 @@ def test_delta_values():
     assert delta((), "Squares") == 1
 
 
+@given(
+    st.lists(st.integers(1, 60), max_size=7, unique=True).map(sorted),
+    st.sampled_from(["Squares", "OddShift", "EvenShift", "WeightedTri"]),
+)
+def test_delta_matches_docstring_products(s, kind):
+    # the docstring's four products, written out pair by pair
+    pairs = [(s[i], s[j]) for i in range(len(s)) for j in range(i + 1, len(s))]
+    diffs = 1
+    for si, sj in pairs:
+        diffs *= sj - si
+    want = 1
+    if kind == "Squares":
+        for si, sj in pairs:
+            want *= sj**2 - si**2
+    elif kind == "OddShift":
+        want = diffs
+        for si, sj in pairs:
+            want *= sj + si - 1
+    elif kind == "EvenShift":
+        want = diffs
+        for si, sj in pairs:
+            want *= sj + si - 2
+    else:
+        want = diffs
+        for i in range(len(s)):
+            for j in range(i, len(s)):
+                want *= s[i] + s[j] - 1
+    assert delta(s, kind) == want
+
+
 def test_delta_unknown_kind():
     with pytest.raises(InvalidSpec):
         delta((1, 2), "Cubes")
