@@ -8,6 +8,7 @@ the schema is documented in the README.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -20,7 +21,7 @@ from .counting import (
     count_reflective,
     count_tilings,
     count_tilings_oracle,
-    enumerate_tilings,
+    iter_tilings,
 )
 from .formulas import RatioSpec, shuffle_ratio
 from .regions import (
@@ -180,12 +181,14 @@ def _cmd_render(args) -> int:
             else render.region_svg(region)
         )
     else:
-        tilings = enumerate_tilings(region, cap=args.cap)
+        if args.tiling < 0:
+            raise SpecFileError(f"tiling index {args.tiling} is negative")
+        tilings = list(itertools.islice(iter_tilings(region, cap=args.cap), args.tiling + 1))
         if args.tiling >= len(tilings):
             raise SpecFileError(
                 f"tiling index {args.tiling} out of range (region has {len(tilings)})"
             )
-        t = tilings[args.tiling]
+        t = tilings[-1]
         text = (
             render.tiling_ascii(region, t)
             if args.format == "ascii"

@@ -23,7 +23,8 @@ of ``count_reflective`` share one iterative backtracking search.
 
 Counts are memoized per region.  Everything here is pure; the memo table is
 a plain dict whose per-key updates are atomic under the GIL, so concurrent
-readers are safe after warm-up.
+callers are safe even while it fills: two threads that miss the same region
+both count it and store equal values.
 """
 
 from __future__ import annotations
@@ -104,10 +105,17 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
     which the elimination consumes.
 
     Fraction-free Bareiss elimination, column by column in index order, with
-    the row of fewest nonzeros as pivot.  A row without an entry in the pivot
-    column is only rescaled by Bareiss, so the rescaling is deferred until the
-    row is next touched: ``stamp[i]`` is the last step row i is current for,
-    and the factor pivot(k-1) / pivot(stamp) divides exactly.
+    the row of fewest nonzeros as pivot (lowest index on ties).  A row without
+    an entry in the pivot column is only rescaled by Bareiss, so the rescaling
+    is deferred until the row is next touched: ``stamp[i]`` is the last step
+    row i is current for.  A pivot row catches up by the exact factor
+    pivot(k-1) / pivot(stamp), skipped when the two are equal.  A row that is
+    updated folds its rescale into the update, whose exact division is then by
+    pivot(stamp) instead of pivot(k-1); by Sylvester's identity the quotient
+    is the same entry.  Multiplying by a unit pivot and dividing by a unit
+    divisor are skipped.  An entry outside the pivot row's columns is only
+    multiplied and divided by nonzero pivots, so zeros are pruned at the pivot
+    row's columns alone.
     """
     n = len(rows)
     by_col: list[set[int]] = [set() for _ in range(n)]
@@ -117,44 +125,46 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
     stamp = [-1] * n
     pivot = [1]  # pivot[t + 1] is the pivot of step t
 
-    def current(i: int, k: int) -> dict[int, int]:
-        row = rows[i]
-        if stamp[i] != k - 1:
-            num, den = pivot[k], pivot[stamp[i] + 1]
-            for j in row:
-                row[j] = row[j] * num // den
-        return row
-
     for k in range(n):
         hits = by_col[k]
         if not hits:
             return 0
-        p = min(hits, key=lambda i: (len(rows[i]), i))
-        prow = current(p, k)
+        p, fewest = n, n + 1
+        for i in hits:
+            m = len(rows[i])
+            if m < fewest or (m == fewest and i < p):
+                p, fewest = i, m
+        prow = rows[p]
+        num, den = pivot[k], pivot[stamp[p] + 1]
+        if num != den:
+            for j, v in prow.items():
+                prow[j] = v * num // den
         pv = prow.pop(k)
         for j in prow:
             by_col[j].discard(p)
-        prev = pivot[k]
         for i in hits:
             if i == p:
                 continue
-            row = current(i, k)
+            row = rows[i]
             a = row.pop(k)
-            for j, v in row.items():
-                row[j] = v * pv
+            if pv != 1:
+                for j, v in row.items():
+                    row[j] = v * pv
             for j, v in prow.items():
                 if j in row:
-                    row[j] -= a * v
+                    w = row[j] - a * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        by_col[j].discard(i)
                 else:
                     row[j] = -a * v
                     by_col[j].add(i)
-            for j in list(row):
-                v = row[j] // prev
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-                    by_col[j].discard(i)
+            den = pivot[stamp[i] + 1]
+            if den != 1:
+                for j, v in row.items():
+                    row[j] = v // den
             stamp[i] = k
         pivot.append(pv)
     return abs(pivot[-1])
@@ -163,25 +173,40 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
 def _det_count(region: Region) -> Fraction:
     """Weighted matching count as |det| of the Kasteleyn-signed up x down matrix.
 
-    Rows are up cells and columns down cells, both in sorted order.  A row
-    holding fractional weights is multiplied by the lcm of their denominators
-    so every entry is an integer; the product of those factors divides the
-    determinant at the end.
+    Rows are up cells and columns down cells, both in sorted order.  The rows
+    are built straight from the ``lozenges`` list, which comes grouped by up
+    cell in that order; an up cell with no lozenge leaves the matrix singular.
+    A weight with denominator 1 enters as the integer sign * weight, so the
+    plain regions never touch a ``Fraction``.  A row holding fractional
+    weights is multiplied by the lcm of their denominators so every entry is
+    an integer; the product of those factors divides the determinant at the
+    end.
     """
     if not region.cells:
         return ONE
     edges = lozenges(region)
-    row_of = {c: i for i, c in enumerate(sorted(region.up_cells))}
     col_of = {c: j for j, c in enumerate(sorted(region.down_cells))}
-    entries: list[list[tuple[int, int, Fraction]]] = [[] for _ in row_of]
+    rows: list[dict[int, int]] = []
+    fractional = []  # the rows holding a fractional weight, scaled below
+    last = None
     for (u, d, w), sign in zip(edges, _kasteleyn_signs(region, edges)):
-        entries[row_of[u]].append((col_of[d], sign, w))
-    rows = []
+        if u != last:
+            last, row = u, {}
+            rows.append(row)
+        if w.denominator == 1:
+            row[col_of[d]] = sign * w.numerator
+        else:
+            row[col_of[d]] = sign * w
+            if not fractional or fractional[-1] is not row:
+                fractional.append(row)
+    if len(rows) < len(region.up_cells):
+        return ZERO
     scale = 1
-    for entry in entries:
-        m = math.lcm(*(w.denominator for _, _, w in entry))
+    for row in fractional:
+        m = math.lcm(*(v.denominator for v in row.values()))
         scale *= m
-        rows.append({j: sign * w.numerator * (m // w.denominator) for j, sign, w in entry})
+        for j, v in row.items():
+            row[j] = (v * m).numerator
     return Fraction(_bareiss_abs_det(rows), scale)
 
 
@@ -288,16 +313,24 @@ def _capped(matchings: Iterator[tuple[int, ...]], cap: int) -> Iterator[tuple[in
         yield m
 
 
+def iter_tilings(region: Region, cap: int) -> Iterator[Tiling]:
+    """The tilings one at a time, in the order of ``enumerate_tilings``, so a
+    caller that wants the first few draws no more than those.
+
+    Raises CapExceeded on drawing tiling number ``cap + 1``.
+    """
+    edges = lozenges(region)
+    placements = [LozengePlacement(*edge) for edge in edges]
+    for m in _capped(_matchings(region, edges), cap):
+        yield Tiling(tuple(placements[e] for e in m))
+
+
 def enumerate_tilings(region: Region, cap: int) -> list[Tiling]:
     """All tilings in deterministic order (lexicographic by first free cell).
 
     Raises CapExceeded as soon as more than ``cap`` tilings exist.
     """
-    edges = lozenges(region)
-    placements = [LozengePlacement(*edge) for edge in edges]
-    return [
-        Tiling(tuple(placements[e] for e in m)) for m in _capped(_matchings(region, edges), cap)
-    ]
+    return list(iter_tilings(region, cap))
 
 
 # -- reflectively symmetric counting -------------------------------------------------

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .lattice import Orient, TriangleCell, canonical_orient, neighbors
+from .lattice import Orient, TriangleCell, canonical_orient
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -590,15 +590,26 @@ def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]
     cell in sorted order, then in ``neighbors`` order (west, east, vertical).
 
     The one place that decides which lozenges may be placed; the reduction,
-    the determinant and the exhaustive search all work from this list.
+    the determinant and the exhaustive search all work from this list.  The
+    three neighbours are looked up inline by (layer, index) among the down
+    cells, dropping addresses outside the first quadrant as ``neighbors``
+    does, and the down cells returned are the region's own.  Barriers and
+    weights are consulted only when the region has any.
     """
-    cells, barred, weights = region.cells, region.barred, region.weight_map
-    return [
-        (cell, nb, weights.get((cell, nb), ONE))
-        for cell in sorted(region.up_cells)
-        for nb in neighbors(cell)
-        if nb in cells and (cell, nb) not in barred
-    ]
+    get = {c[:2]: c for c in region.down_cells}.get
+    edges = []
+    for cell in sorted(region.up_cells):
+        layer, index, _ = cell
+        if index > 0 and (nb := get((layer, index - 1))):
+            edges.append((cell, nb, ONE))
+        if nb := get((layer, index + 1)):
+            edges.append((cell, nb, ONE))
+        if layer >= -1 and (nb := get((layer + 1, index))):
+            edges.append((cell, nb, ONE))
+    if region.barred or region.weights:
+        barred, weights = region.barred, region.weight_map
+        edges = [(u, d, weights.get((u, d), ONE)) for u, d, _ in edges if (u, d) not in barred]
+    return edges
 
 
 def restrict(region: Region, cells: Iterable[TriangleCell]) -> Region:

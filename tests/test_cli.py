@@ -123,6 +123,37 @@ def test_render_tiling_out_of_range(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_render_first_tiling_of_a_large_region(tmp_path, capsys):
+    # the README example has 341775 tilings, far past the default cap of
+    # 10000; tiling 0 needs only the first one drawn
+    spec = {"family": "RS", "x": 4, "y": 2, "U": [2], "D": [1], "B": [3]}
+    path = write(tmp_path, "spec.json", spec)
+    assert main(["render", path, "--tiling", "0"]) == 0
+    assert "tiling weight=1" in capsys.readouterr().out
+
+
+def test_render_tiling_follows_enumeration_order(tmp_path, capsys):
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 2, "b": 2, "c": 2})
+    region = build_region(hex_spec(2, 2, 2))
+    expected = tiling_ascii(region, enumerate_tilings(region, cap=20)[7])
+    assert main(["render", path, "--tiling", "7"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_render_tiling_cap_bounds_tilings_drawn(tmp_path, capsys):
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 2, "b": 2, "c": 2})
+    assert main(["render", path, "--tiling", "1", "--cap", "2"]) == 0
+    capsys.readouterr()
+    assert main(["render", path, "--tiling", "2", "--cap", "2"]) == 2
+    assert "cap 2 exceeded" in capsys.readouterr().err
+
+
+def test_render_negative_tiling_index(tmp_path, capsys):
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 1, "b": 1, "c": 1})
+    assert main(["render", path, "--tiling", "-1"]) == 2
+    assert "negative" in capsys.readouterr().err
+
+
 def test_bench_runs(capsys):
     assert main(["bench", "--max-hex", "2"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,8 @@
 import itertools
 import json
+import random
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,10 +42,17 @@ from denthex import (
     up,
     w_spec,
 )
-from denthex.counting import _det_count, _reflective_fold
+from denthex import counting
+from denthex.counting import _bareiss_abs_det, _det_count, _reflective_fold
+from denthex.lattice import neighbors
 from denthex.regions import lozenges
 
 DATA = Path(__file__).parent / "data"
+
+
+def golden_records():
+    lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines]
 
 
 # -- the dual graph: its edges are the admissible lozenges --------------------------
@@ -75,6 +85,81 @@ def test_dual_graph_empty_region():
 def test_dual_graph_edge_bound():
     region = build_region(hex_spec(2, 3, 1))
     assert len(lozenges(region)) <= 3 * len(region.up_cells)
+
+
+def test_dual_graph_follows_lattice_neighbors_on_golden_regions():
+    # lozenges looks the neighbours up inline; the list, order included, must
+    # stay the one lattice.neighbors defines, barred and weighted regions too
+    seen = {"barred": 0, "weighted": 0}
+    for record in golden_records():
+        region = build_region(parse_spec(record["spec"]))
+        cells, barred, weights = region.cells, region.barred, region.weight_map
+        reference = [
+            (c, nb, weights.get((c, nb), 1))
+            for c in sorted(region.up_cells)
+            for nb in neighbors(c)
+            if nb in cells and (c, nb) not in barred
+        ]
+        assert lozenges(region) == reference, record
+        seen["barred"] += bool(barred)
+        seen["weighted"] += bool(weights)
+    assert seen["barred"] >= 10 and seen["weighted"] >= 10
+
+
+# -- the elimination on its own ------------------------------------------------------
+
+
+def fraction_det(matrix: list[list[int]]) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals with row swaps."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    """Square matrices of order <= 8 with entries in [-3, 3], mostly zero;
+    some get an empty column, some a row that is twice another."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    matrix = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in matrix:
+            row[j] = 0
+    if n > 1 and draw(st.booleans()):
+        matrix[-1] = [2 * v for v in matrix[0]]
+    return matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_int_matrices())
+def test_bareiss_matches_fraction_elimination(matrix):
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    assert _bareiss_abs_det(rows) == abs(fraction_det(matrix))
+
+
+def test_bareiss_non_unit_pivots_and_deferred_rescale():
+    # every pivot is 3 or -3, so no division is by 1; rows 2 and 1 become
+    # pivots at steps 1 and 2 without being touched before, so each needs its
+    # deferred rescale, and row 0 is updated at step 1 having missed step 0's.
+    # Skipping the divisions gives 9, dropping a deferred rescale gives 1
+    matrix = [[0, -1, 3, 1], [0, 0, 1, 0], [0, -1, 0, 0], [3, 0, 0, 0]]
+    assert fraction_det(matrix) == -3
+    assert _bareiss_abs_det([{j: v for j, v in enumerate(r) if v} for r in matrix]) == 3
 
 
 def test_unit_hexagon_counts():
@@ -239,6 +324,50 @@ def test_counts_match_golden_fixture():
         region = build_region(parse_spec(record["spec"]))
         got = _reflective_fold(region) if record["fold"] else count_tilings(region)
         assert got == Fraction(record["count"]), record
+
+
+def test_count_memo_is_safe_under_concurrent_use(monkeypatch):
+    # four threads fill one empty memo, each counting every golden region in
+    # its own order from regions it builds itself, with frequent thread
+    # switches; every result must be the golden value, and the memo must end
+    # up as one thread alone fills it
+    records = golden_records()
+
+    def count(r: int) -> Fraction:
+        region = build_region(parse_spec(records[r]["spec"]))
+        return _reflective_fold(region) if records[r]["fold"] else count_tilings(region)
+
+    monkeypatch.setattr(counting, "_COUNT_CACHE", {})
+    for r in range(len(records)):
+        count(r)
+    serial = counting._COUNT_CACHE
+
+    monkeypatch.setattr(counting, "_COUNT_CACHE", {})
+    results: list[list[tuple[int, Fraction]]] = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def work(t: int) -> None:
+        order = list(range(len(records)))
+        random.Random(t).shuffle(order)
+        start.wait(timeout=60)
+        results[t] = [(r, count(r)) for r in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for done in results:
+        assert len(done) == len(records)
+        for r, got in done:
+            assert got == Fraction(records[r]["count"]), records[r]
+    assert counting._COUNT_CACHE == serial
 
 
 def test_forced_reduction_agrees_with_engine_on_golden_regions():
