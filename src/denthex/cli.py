@@ -235,6 +235,22 @@ def _cmd_bench(args) -> int:
     return status
 
 
+def _int_at_least(lowest: int):
+    """argparse type: an int no smaller than ``lowest``, so that a verify run
+    of no checks or a negative cap is refused before any work starts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest} (got {value})")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="denthex",
@@ -252,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("specfile")
     p.add_argument("--method", choices=("both", "filter", "reduce"), default="both")
-    p.add_argument("--cap", type=int, default=5000, help="filter enumeration cap")
+    p.add_argument("--cap", type=_int_at_least(0), default=5000, help="filter enumeration cap")
     p.set_defaults(fn=_cmd_count_symmetric)
 
     p = sub.add_parser("ratio", help="check one shuffle ratio against its closed form")
@@ -265,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("shuffling", "kuo", "base", "decomposition", "fern", "asymptotic", "all"),
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="number of cases")
+    p.add_argument("--budget", type=_int_at_least(1), default=None, help="number of cases")
     p.add_argument("--out", default=None, help="directory for report files")
     p.set_defaults(fn=_cmd_verify)
 
@@ -273,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specfile")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--tiling", type=int, default=None, help="render tiling #i instead")
-    p.add_argument("--cap", type=int, default=10000, help="tiling enumeration cap")
+    p.add_argument("--cap", type=_int_at_least(0), default=10000, help="tiling enumeration cap")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(fn=_cmd_render)
 

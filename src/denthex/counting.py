@@ -37,6 +37,7 @@ from functools import cached_property
 
 from .lattice import LozengePlacement, TriangleCell
 from .regions import (
+    ONE,
     InvalidSpec,
     Region,
     RegionSpec,
@@ -49,7 +50,6 @@ from .regions import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class CapExceeded(RuntimeError):
@@ -89,7 +89,7 @@ def _kasteleyn_signs(
     """
     odd = set()  # cells with an odd number of missing cells west of them in their layer
     prev = None
-    for c in sorted(region.cells):
+    for c in region.order:
         if prev is None or prev.layer != c.layer:
             parity = 0
         else:
@@ -173,11 +173,13 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
 def _det_count(region: Region) -> Fraction:
     """Weighted matching count as |det| of the Kasteleyn-signed up x down matrix.
 
-    Rows are up cells and columns down cells, both in sorted order.  The rows
-    are built straight from the ``lozenges`` list, which comes grouped by up
-    cell in that order; an up cell with no lozenge leaves the matrix singular.
-    A weight with denominator 1 enters as the integer sign * weight, so the
-    plain regions never touch a ``Fraction``.  A row holding fractional
+    Rows are up cells and columns down cells, both in the region's sorted
+    ``order``.  The rows are built straight from the ``lozenges`` list, which
+    comes grouped by up cell in that order; an up cell with no lozenge leaves
+    the matrix singular.  A unit lozenge carries the ``ONE`` that ``regions``
+    and this module share and enters as its sign alone; any other weight with
+    denominator 1 enters as the integer sign * weight, so the plain regions
+    never touch a ``Fraction``.  A row holding fractional
     weights is multiplied by the lcm of their denominators so every entry is
     an integer; the product of those factors divides the determinant at the
     end.
@@ -185,7 +187,7 @@ def _det_count(region: Region) -> Fraction:
     if not region.cells:
         return ONE
     edges = lozenges(region)
-    col_of = {c: j for j, c in enumerate(sorted(region.down_cells))}
+    col_of = {c: j for j, c in enumerate(c for c in region.order if c[2])}
     rows: list[dict[int, int]] = []
     fractional = []  # the rows holding a fractional weight, scaled below
     last = None
@@ -193,7 +195,9 @@ def _det_count(region: Region) -> Fraction:
         if u != last:
             last, row = u, {}
             rows.append(row)
-        if w.denominator == 1:
+        if w is ONE:
+            row[col_of[d]] = sign
+        elif w.denominator == 1:
             row[col_of[d]] = sign * w.numerator
         else:
             row[col_of[d]] = sign * w
@@ -243,7 +247,7 @@ def _matchings(
     """
     if region.untileable or not region.balanced:
         return
-    order = sorted(region.cells)
+    order = region.order
     n = len(order)
     pos = {c: i for i, c in enumerate(order)}
     later: list[list[tuple[int, int]]] = [[] for _ in order]  # (edge, other cell)

@@ -1,8 +1,11 @@
 """Builders for the dented, barriered and halved hexagon families.
 
 Each family is generated from a per-line table of west/east boundary
-positions (in half-unit steps) and then translated into the first quadrant of
-the cell grid.  Conventions shared by every family:
+positions (in half-unit steps).  ``_assemble`` turns the table into runs of
+cells, one run per row and orientation, decides dents, barriers and weighted
+teeth on those runs, and translates them into the first quadrant of the cell
+grid, checking the parity convention once per run.  Conventions shared by
+every family:
 
 * Dent and barrier positions along the horizontal axis are 1-based, counted
   west to east over the axis' unit segments.
@@ -48,6 +51,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Optional
 
 from .lattice import Orient, TriangleCell, canonical_orient
@@ -311,12 +315,17 @@ class Region:
         return dict(self.weights)
 
     @cached_property
+    def order(self) -> tuple[TriangleCell, ...]:
+        """The cells in sorted order, sorted once for every caller."""
+        return tuple(sorted(self.cells))
+
+    @cached_property
     def up_cells(self) -> frozenset[TriangleCell]:
-        return frozenset(c for c in self.cells if c.orient is Orient.UP)
+        return frozenset(c for c in self.cells if not c[2])
 
     @cached_property
     def down_cells(self) -> frozenset[TriangleCell]:
-        return frozenset(c for c in self.cells if c.orient is Orient.DOWN)
+        return frozenset(c for c in self.cells if c[2])
 
     @property
     def balanced(self) -> bool:
@@ -327,17 +336,6 @@ class Region:
 
 
 # -- geometry assembly -------------------------------------------------------
-
-
-def _grid_cells(nrows: int, lp: Callable[[int], int], rp: Callable[[int], int]):
-    """Geo cells (layer, pos, orient) of the row table; pos in half units."""
-    cells = set()
-    for r in range(nrows):
-        for p in range(lp(r), rp(r), 2):
-            cells.add((r, p, Orient.DOWN))
-        for p in range(lp(r + 1), rp(r + 1), 2):
-            cells.add((r, p, Orient.UP))
-    return cells
 
 
 def _assemble(
@@ -354,82 +352,120 @@ def _assemble(
     base_dents: Iterable[int] = (),
     teeth: bool = False,
 ) -> Region:
-    cells = _grid_cells(nrows, lp, rp)
+    """The region of a row table, built run by run.
+
+    Row r has its down cells on line r and its up cells on line r + 1, each a
+    run (layer, first pos, end pos, orient) of positions stepping by 2 from
+    ``lp`` to ``rp`` of that line.  Dents, barriers and teeth are decided on
+    the runs and a small ``removed`` set of geo cells, so no cell set is built
+    before translation.  The shift into the first quadrant is taken from the
+    first present cell of each run and the axis cells, dented or not; since a
+    run's positions share one parity, one ``canonical_orient`` call per run
+    checks the parity convention for every cell of it.
+    """
+    west = [lp(j) for j in range(nrows + 1)]
+    east = [rp(j) for j in range(nrows + 1)]
+    runs = [
+        run
+        for r in range(nrows)
+        for run in (
+            (r, west[r], east[r], Orient.DOWN),
+            (r, west[r + 1], east[r + 1], Orient.UP),
+        )
+        if run[1] < run[2]
+    ]
+    removed: set[tuple] = set()
 
     # axis positions -> (up, down) geo cells; sides missing when the region
-    # has no row on that side of the axis.
+    # has no row on that side of the axis.  Both sides lie on line axis_line.
     axis_pairs: list[tuple[Optional[tuple], Optional[tuple]]] = []
     if axis_line is not None:
-        base = lp(axis_line)
-        for pnum in range(1, axis_len + 1):
-            p = base + 2 * (pnum - 1)
-            up_cell = (axis_line - 1, p, Orient.UP) if axis_line >= 1 else None
-            dn_cell = (axis_line, p, Orient.DOWN) if axis_line < nrows else None
-            if up_cell is not None and up_cell not in cells:
-                up_cell = None
-            if dn_cell is not None and dn_cell not in cells:
-                dn_cell = None
-            axis_pairs.append((up_cell, dn_cell))
-
+        base, end = west[axis_line], east[axis_line]
+        has_up, has_down = axis_line >= 1, axis_line < nrows
+        for p in range(base, base + 2 * axis_len, 2):
+            inside = p < end
+            axis_pairs.append(
+                (
+                    (axis_line - 1, p, Orient.UP) if has_up and inside else None,
+                    (axis_line, p, Orient.DOWN) if has_down and inside else None,
+                )
+            )
         for p in dents_up:
             cell = axis_pairs[p - 1][0]
             if cell is None:
                 raise InvalidSpec(f"no up-pointing triangle at axis position {p}")
-            cells.remove(cell)
+            removed.add(cell)
         for p in dents_down:
             cell = axis_pairs[p - 1][1]
             if cell is None:
                 raise InvalidSpec(f"no down-pointing triangle at axis position {p}")
-            cells.remove(cell)
+            removed.add(cell)
 
-    barred = set()
+    barred = []
     for p in barriers:
         up_cell, dn_cell = axis_pairs[p - 1]
-        if up_cell in cells and dn_cell in cells:
-            barred.add((up_cell, dn_cell))
+        if up_cell and dn_cell and up_cell not in removed and dn_cell not in removed:
+            barred.append((up_cell, dn_cell))
         # otherwise the vertical lozenge is impossible anyway: vacuous barrier
 
     # base dents for the trapezoid families (dents on the south line)
     for s in base_dents:
-        cell = (nrows - 1, lp(nrows) + 2 * (s - 1), Orient.UP)
-        if cell not in cells:
+        p = west[nrows] + 2 * (s - 1)
+        cell = (nrows - 1, p, Orient.UP)
+        if nrows < 1 or p >= east[nrows] or cell in removed:
             raise InvalidSpec(f"no up-pointing triangle at base position {s}")
-        cells.remove(cell)
+        removed.add(cell)
 
-    weighted = {}
+    # a tooth is the vertical pair at pos -1 across an odd line; both of its
+    # cells lie on that line, so they are present when -1 is on its run
+    weighted = []
     if teeth:
-        for t in range(nrows // 2):
-            pair = ((2 * t, -1, Orient.UP), (2 * t + 1, -1, Orient.DOWN))
-            if pair[0] in cells and pair[1] in cells and pair not in barred:
-                weighted[pair] = HALF
+        for line in range(1, nrows, 2):
+            if west[line] <= -1 < east[line] and west[line] % 2:
+                pair = ((line - 1, -1, Orient.UP), (line, -1, Orient.DOWN))
+                if removed.isdisjoint(pair) and pair not in barred:
+                    weighted.append(pair)
 
     # translate into the first quadrant with the parity convention
-    refs = [p for (_, p, _) in cells]
-    refs.extend(p for pr in axis_pairs for cell in pr if cell for (_, p, _) in [cell])
+    refs = [cell[1] for pr in axis_pairs for cell in pr if cell]
+    for layer, p, end, o in runs:
+        while p < end and (layer, p, o) in removed:
+            p += 2
+        if p < end:
+            refs.append(p)
     if refs:
         mn = min(refs)
         shift = -mn if (-mn) % 2 == 1 else -mn + 1
     else:
         shift = 1
 
-    def tr(geo) -> TriangleCell:
-        r, p, o = geo
-        cell = TriangleCell(r, p + shift, o)
-        if canonical_orient(cell.layer, cell.index) is not o:
+    new = tuple.__new__
+    cells: list[TriangleCell] = []
+    for layer, first, end, o in runs:
+        if canonical_orient(layer, first + shift) is not o:
+            cell = TriangleCell(layer, first + shift, o)
             raise RuntimeError(f"translated cell {cell} breaks the parity convention")
-        return cell
-
-    region = Region(
-        cells=frozenset(tr(c) for c in cells),
-        weights=tuple(sorted((( (tr(e[0]), tr(e[1])), w) for e, w in weighted.items()))),
-        barred=frozenset((tr(e[0]), tr(e[1])) for e in barred),
-        label=spec,
-        axis=tuple(
-            (tr(a) if a else None, tr(b) if b else None) for a, b in axis_pairs
+        cells.extend(
+            map(
+                new,
+                repeat(TriangleCell),
+                zip(repeat(layer), range(first + shift, end + shift, 2), repeat(o)),
+            )
         )
-        or None,
+
+    def tr(geo) -> TriangleCell:
+        return TriangleCell(geo[0], geo[1] + shift, geo[2])
+
+    kept = frozenset(cells)
+    if removed:
+        kept = kept.difference(map(tr, removed))
+    return Region(
+        cells=kept,
+        weights=tuple(((tr(u), tr(d)), HALF) for u, d in weighted),
+        barred=frozenset((tr(u), tr(d)) for u, d in barred),
+        label=spec,
+        axis=tuple((a and tr(a), b and tr(b)) for a, b in axis_pairs) or None,
     )
-    return region
 
 
 # -- family tables -----------------------------------------------------------
@@ -596,10 +632,13 @@ def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]
     does, and the down cells returned are the region's own.  Barriers and
     weights are consulted only when the region has any.
     """
-    get = {c[:2]: c for c in region.down_cells}.get
+    order = region.order
+    get = {c[:2]: c for c in order if c[2]}.get
     edges = []
-    for cell in sorted(region.up_cells):
-        layer, index, _ = cell
+    for cell in order:
+        layer, index, orient = cell
+        if orient:
+            continue
         if index > 0 and (nb := get((layer, index - 1))):
             edges.append((cell, nb, ONE))
         if nb := get((layer, index + 1)):
@@ -640,7 +679,7 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
         partners[d].append((u, w))
     factor = ONE
     untileable = False
-    queue = deque(sorted(cells))
+    queue = deque(region.order)
     while queue:
         c = queue.popleft()
         if c not in cells:

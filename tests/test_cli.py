@@ -92,6 +92,42 @@ def test_verify_exit_code_and_reports(tmp_path, capsys):
     assert "fail=0" in stdout
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_verify_rejects_budget_below_one(budget, capsys):
+    # a verify run of no checks would print total=0 and report success
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "shuffling", "--budget", budget])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --budget: must be at least 1 (got {budget})" in captured.err
+    assert "total=" not in captured.out
+
+
+def test_verify_budget_one_runs_one_check(capsys):
+    assert main(["verify", "shuffling", "--budget", "1"]) == 0
+    assert "total=1" in capsys.readouterr().out
+
+
+def test_count_symmetric_rejects_negative_cap(tmp_path, capsys):
+    path = write(tmp_path, "rs.json", {"family": "RS", "x": 2, "y": 1, "U": [1]})
+    with pytest.raises(SystemExit) as exit_info:
+        main(["count-symmetric", path, "--cap", "-1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --cap: must be at least 0 (got -1)" in err
+    assert "exceeded" not in err
+
+
+def test_render_rejects_negative_cap(tmp_path, capsys):
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 1, "b": 1, "c": 1})
+    with pytest.raises(SystemExit) as exit_info:
+        main(["render", path, "--tiling", "0", "--cap", "-1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --cap: must be at least 0 (got -1)" in err
+    assert "exceeded" not in err
+
+
 def test_render_ascii_header_cell_count(tmp_path, capsys):
     path = write(tmp_path, "spec.json", {"family": "Hex", "a": 1, "b": 1, "c": 1})
     assert main(["render", path, "--format", "ascii"]) == 0

@@ -1,12 +1,19 @@
+import importlib.util
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from denthex import regions
 from denthex import (
+    FAMILIES,
     InvalidSpec,
     Orient,
+    RegionSpec,
     build_region,
     count_tilings,
     expand_rs,
@@ -29,6 +36,8 @@ from denthex import (
     w_spec,
     wbar_spec,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_unit_hexagon_cells():
@@ -208,6 +217,41 @@ def test_translation_parity_failure_is_an_error_not_an_assert(monkeypatch):
         build_region(hex_spec(1, 1, 1))
 
 
+@pytest.mark.parametrize("layer,parity", itertools.product(range(4), range(2)))
+def test_translation_parity_is_checked_on_every_run(monkeypatch, layer, parity):
+    # lying for one layer and one index parity breaks exactly one run of
+    # Hex(2,2,2): its up run or its down run in that layer
+    real = regions.canonical_orient
+
+    def lie(lay, index):
+        o = real(lay, index)
+        return o.opposite if (lay, index % 2) == (layer, parity) else o
+
+    monkeypatch.setattr(regions, "canonical_orient", lie)
+    with pytest.raises(RuntimeError, match="parity"):
+        build_region(hex_spec(2, 2, 2))
+
+
+def _load_digest_maker():
+    path = DATA / "make_region_digests.py"
+    spec = importlib.util.spec_from_file_location("make_region_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_region_digests_are_pinned():
+    # per family, a digest of every region of a sweep of small specs, written
+    # by the builder before it worked from runs; see
+    # tests/data/make_region_digests.py
+    maker = _load_digest_maker()
+    lines = (DATA / "region_digests.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [r["family"] for r in records] == list(FAMILIES)
+    for record in records:
+        assert maker.family_digest(record["family"]) == record
+
+
 def test_pprime_tooth_count_failure_is_an_error_not_an_assert(monkeypatch):
     real = regions._assemble
     monkeypatch.setattr(regions, "_assemble", lambda *a, **k: real(*a, **{**k, "teeth": False}))
@@ -322,3 +366,43 @@ def test_parse_spec_rejects_missing_field():
 def test_parse_spec_rejects_unknown_family():
     with pytest.raises(InvalidSpec, match="family"):
         parse_spec({"family": "Q", "x": 1})
+
+
+@st.composite
+def valid_specs(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    small = st.integers(0, 6)
+    if family in ("Hex", "P", "Pprime"):
+        b = draw(small)
+        a = draw(st.integers(0, b)) if family != "Hex" else draw(small)
+        return RegionSpec(family, a=a, b=b, c=draw(small))
+    if family in ("DentedSemihex", "L", "Lbar"):
+        if family == "DentedSemihex":
+            fields = {"a": draw(small), "b": draw(small)}
+            k, top = fields["a"], fields["a"] + fields["b"]
+        else:
+            fields = {"m": draw(st.integers(0, 9)), "n": draw(small)}
+            k = (fields["m"] + 1) // 2
+            top = fields["n"] + k
+        dents = draw(st.permutations(range(1, top + 1)))[:k]
+        return RegionSpec(family, dents=tuple(dents), **fields)
+    x, y, n = draw(small), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    top = (x + y + 2 * n) // 2 if family == "RS" else x + y + n
+    dented = draw(st.permutations(range(1, top + 1)))[:n]
+    sides = [draw(st.sampled_from(("U", "D", "UD"))) for _ in dented]
+    U = [p for p, side in zip(dented, sides) if "U" in side]
+    D = [p for p, side in zip(dented, sides) if "D" in side]
+    free = [p for p in range(1, top + 1) if p not in dented]
+    most = min(len(free), x // 2 if family == "RS" else x)
+    B = draw(st.lists(st.sampled_from(free), max_size=most, unique=True)) if most else []
+    if family in ("Fbar", "Wbar") and (y + len(U) < 1 or y + len(D) < 1):
+        y = 1
+    return RegionSpec(family, x=x, y=y, U=tuple(U), D=tuple(D), B=tuple(B))
+
+
+@given(valid_specs())
+def test_spec_dict_round_trip(spec):
+    d = spec_to_dict(spec)
+    assert parse_spec(d) == spec
+    assert spec_to_dict(parse_spec(d)) == d
+    assert parse_spec(json.loads(json.dumps(d))) == spec
