@@ -21,19 +21,23 @@ forms in ``formulas`` (MacMahon, Cohn-Larsen-Propp, Proctor, Ciucu, the
 quartered hexagons).  The oracle, ``enumerate_tilings`` and the filter route
 of ``count_reflective`` share one iterative backtracking search.
 
-Counts are memoized per region.  Everything here is pure; the memo table is
-a plain dict whose per-key updates are atomic under the GIL, so concurrent
-callers are safe even while it fills: two threads that miss the same region
-both count it and store equal values.
+Counts are memoized by an exact code of the region (``_memo_key``): its
+sorted cells, weighted and barred edges and untileable flag in plain ints and
+bytes.  Two regions share an entry exactly when they are equal, and the memo
+keeps no region, cell set or cell alive.  Everything here is pure; the memo
+table is a plain dict whose per-key updates are atomic under the GIL, so
+concurrent callers are safe even while it fills: two threads that miss the
+same region both count it and store equal values.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .lattice import LozengePlacement, TriangleCell
 from .regions import (
@@ -175,7 +179,8 @@ def _det_count(region: Region) -> Fraction:
 
     Rows are up cells and columns down cells, both in the region's sorted
     ``order``.  The rows are built straight from the ``lozenges`` list, which
-    comes grouped by up cell in that order; an up cell with no lozenge leaves
+    comes grouped by up cell in that order; an up cell with no lozenge gets no
+    row, and fewer rows than up cells (the cells that are not columns) leave
     the matrix singular.  A unit lozenge carries the ``ONE`` that ``regions``
     and this module share and enters as its sign alone; any other weight with
     denominator 1 enters as the integer sign * weight, so the plain regions
@@ -203,7 +208,7 @@ def _det_count(region: Region) -> Fraction:
             row[col_of[d]] = sign * w
             if not fractional or fractional[-1] is not row:
                 fractional.append(row)
-    if len(rows) < len(region.up_cells):
+    if len(rows) < len(region.order) - len(col_of):
         return ZERO
     scale = 1
     for row in fractional:
@@ -214,7 +219,36 @@ def _det_count(region: Region) -> Fraction:
     return Fraction(_bareiss_abs_det(rows), scale)
 
 
-_COUNT_CACHE: dict[Region, Fraction] = {}
+_LAYER, _INDEX, _ORIENT = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _cells_code(cells: Sequence[TriangleCell]) -> tuple[tuple[int, ...], tuple[int, ...], bytes]:
+    """The cells' layers and indices as tuples of plain ints, and their
+    orientations (0 or 1) as bytes."""
+    return tuple(map(_LAYER, cells)), tuple(map(_INDEX, cells)), bytes(map(_ORIENT, cells))
+
+
+def _memo_key(region: Region) -> tuple:
+    """An exact code of the fields that make up region equality, in plain ints
+    and bytes: the cells in sorted ``order``, the weighted edges in their
+    order with each weight as numerator and denominator, the barred edges
+    sorted, and the ``untileable`` flag.  Two keys are equal exactly when the
+    regions are, and a key holds no ``Region``, frozenset or cell, so the memo
+    keeps none of them alive and the garbage collector soon stops tracking
+    the keys.  The label is left out on purpose: a forced reduction carries
+    its spec's label onto a different region.
+    """
+    weights = region.weights
+    return (
+        _cells_code(region.order),
+        _cells_code([c for edge, _ in weights for c in edge]),
+        tuple(v for _, w in weights for v in (w.numerator, w.denominator)),
+        _cells_code([c for edge in sorted(region.barred) for c in edge]),
+        region.untileable,
+    )
+
+
+_COUNT_CACHE: dict[tuple, Fraction] = {}
 
 
 def clear_count_cache() -> None:
@@ -223,11 +257,12 @@ def clear_count_cache() -> None:
 
 def count_tilings(region: Region) -> Fraction:
     """Exact weighted number of lozenge tilings (matchings of the dual graph)."""
-    cached = _COUNT_CACHE.get(region)
+    key = _memo_key(region)
+    cached = _COUNT_CACHE.get(key)
     if cached is not None:
         return cached
     result = ZERO if region.untileable or not region.balanced else _det_count(region)
-    _COUNT_CACHE[region] = result
+    _COUNT_CACHE[key] = result
     return result
 
 

@@ -51,7 +51,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Callable, Iterable, Optional
 
 from .lattice import Orient, TriangleCell, canonical_orient
@@ -329,7 +329,9 @@ class Region:
 
     @property
     def balanced(self) -> bool:
-        return len(self.up_cells) == len(self.down_cells)
+        """As many up cells as down cells, counted from ``order`` without
+        building ``up_cells`` or ``down_cells``."""
+        return 2 * sum(map(operator.itemgetter(2), self.order)) == len(self.order)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -749,18 +751,25 @@ def mirror_constant(region: Region) -> int:
     """
     if not region.cells:
         return 0
-    by_layer = defaultdict(list)
-    for c in region.cells:
-        by_layer[c.layer].append(c.index)
-    ks = {min(v) + max(v) for v in by_layer.values()}
+    layers = [list(cells) for _, cells in groupby(region.order, operator.itemgetter(0))]
+    ks = {cells[0].index + cells[-1].index for cells in layers}
     if len(ks) != 1:
         raise InvalidSpec("region is not mirror-symmetric (layer spans disagree)")
     k = ks.pop()
     if k % 2 == 1:
         raise InvalidSpec("region is not mirror-symmetric (odd mirror constant)")
-    for c in region.cells:
-        if mirror_cell(c, k) not in region.cells:
-            raise InvalidSpec(f"region is not mirror-symmetric (cell {c})")
+    # a layer in sorted order is symmetric when, read backwards, its indices
+    # are k - index and its orients the same; when one is not, the cell-by-cell
+    # check decides exactly (it also admits two cells at one address, which
+    # reading backwards swaps) and names the offending cell
+    for cells in layers:
+        indices = [c[1] for c in cells]
+        orients = [c[2] for c in cells]
+        if [k - i for i in reversed(indices)] != indices or orients[::-1] != orients:
+            for c in region.cells:
+                if mirror_cell(c, k) not in region.cells:
+                    raise InvalidSpec(f"region is not mirror-symmetric (cell {c})")
+            break
     if frozenset(mirror_edge(e, k) for e in region.barred) != region.barred:
         raise InvalidSpec("barriers are not mirror-symmetric")
     if {mirror_edge(e, k): w for e, w in region.weights} != region.weight_map:

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import json
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from denthex import (
     count_tilings_oracle,
     down,
     enumerate_tilings,
+    expand_rs,
     f_spec,
     fbar_spec,
     free_axis_positions,
@@ -368,6 +371,86 @@ def test_count_memo_is_safe_under_concurrent_use(monkeypatch):
         for r, got in done:
             assert got == Fraction(records[r]["count"]), records[r]
     assert counting._COUNT_CACHE == serial
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_count_memo_keeps_no_region_alive(monkeypatch):
+    monkeypatch.setattr(counting, "_COUNT_CACHE", {})
+    region = build_region(h_spec(2, 1, (1,), (4,)))
+    refs = [weakref.ref(region), weakref.ref(region.cells)]
+    refs += [weakref.ref(region.up_cells), weakref.ref(region.down_cells)]
+    assert count_tilings(region) == 8
+    del region
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    # the key is plain ints, bytes and a bool: no cell, order or edge tuple
+    for key in counting._COUNT_CACHE:
+        assert {type(leaf) for leaf in _leaves(key)} <= {int, bytes, bool}, key
+
+
+def test_equal_regions_share_one_memo_entry(monkeypatch):
+    monkeypatch.setattr(counting, "_COUNT_CACHE", {})
+    spec = rs_spec(4, 2, (2,), (1,), (3,))
+    first, second = build_region(spec), build_region(spec)
+    expanded = build_region(expand_rs(spec))  # equal region, other label
+    assert first == second == expanded and first is not second
+    counts = {count_tilings(r) for r in (first, second, expanded)}
+    assert len(counts) == 1 and len(counting._COUNT_CACHE) == 1
+
+
+def test_memo_separates_barriers_weights_and_untileable(monkeypatch):
+    # the same cells, told apart only by one barred edge, by weights or by the
+    # untileable flag: each needs its own entry and its own count, whichever
+    # of them is counted first
+    plain = build_region(h_spec(2, 1, (1,), (4,)))
+    edges = [(u, d) for u, d, _ in lozenges(plain)]
+    cells = plain.cells
+    variants = [
+        plain,
+        Region(cells=cells, barred=frozenset({edges[0]})),
+        Region(cells=cells, barred=frozenset({edges[1]})),
+        Region(cells=cells, weights=((edges[0], Fraction(1, 2)),)),
+        Region(cells=cells, weights=((edges[0], Fraction(1, 3)),)),
+        Region(cells=cells, weights=((edges[1], Fraction(1, 2)),)),
+        Region(cells=cells, weights=((edges[0], Fraction(1, 2)), (edges[1], Fraction(1, 3)))),
+        Region(cells=cells, weights=((edges[1], Fraction(1, 3)), (edges[0], Fraction(1, 2)))),
+        Region(cells=cells, untileable=True),
+    ]
+    expected = [count_tilings_oracle(r) for r in variants[:-1]] + [0]
+    assert len(set(expected)) >= 6  # most variants differ in count from the plain one
+    pairs = list(zip(variants, expected))
+    for run in (pairs, pairs[::-1]):
+        monkeypatch.setattr(counting, "_COUNT_CACHE", {})
+        for region, want in run:
+            assert count_tilings(region) == want, region
+        assert len(counting._COUNT_CACHE) == len(variants)
+
+
+def test_memo_keys_are_equal_exactly_when_regions_are():
+    regions = []
+    for record in golden_records():
+        region = build_region(parse_spec(record["spec"]))
+        regions.append(region)
+        if region.cells:
+            edge = tuple(lozenges(region)[0][:2])
+            cells, weights, barred = region.cells, region.weights, region.barred
+            regions.append(Region(cells=cells, weights=weights, barred=barred | {edge}))
+            regions.append(Region(cells=cells, weights=weights, barred=barred, untileable=True))
+            if len(weights) > 1:
+                regions.append(Region(cells=cells, weights=weights[::-1], barred=barred))
+    # the same addresses with the orientations swapped (off the parity convention)
+    regions.append(Region(cells=frozenset({up(0, 0), down(0, 1)})))
+    regions.append(Region(cells=frozenset({down(0, 0), up(0, 1)})))
+    keys = [counting._memo_key(r) for r in regions]
+    for (a, ka), (b, kb) in itertools.combinations(zip(regions, keys), 2):
+        assert (ka == kb) == (a == b)
 
 
 def test_forced_reduction_agrees_with_engine_on_golden_regions():

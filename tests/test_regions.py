@@ -1,6 +1,8 @@
 import importlib.util
 import itertools
 import json
+import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,9 +15,11 @@ from denthex import (
     FAMILIES,
     InvalidSpec,
     Orient,
+    Region,
     RegionSpec,
     build_region,
     count_tilings,
+    down,
     expand_rs,
     f_spec,
     fbar_spec,
@@ -33,6 +37,7 @@ from denthex import (
     rs_spec,
     semihex_spec,
     spec_to_dict,
+    up,
     w_spec,
     wbar_spec,
 )
@@ -118,6 +123,74 @@ def test_rs_expansion_values():
 def test_rs_region_is_mirror_symmetric():
     region = build_region(rs_spec(4, 2, (2,), (1,), (3,)))
     mirror_constant(region)  # raises when asymmetric
+
+
+def literal_mirror_constant(region: Region) -> int:
+    # the definition read cell by cell: one K from every layer's span, and the
+    # mirror image of every cell, barred edge and weight is one of the region's
+    if not region.cells:
+        return 0
+    spans = {}
+    for layer, index, _ in region.cells:
+        lo, hi = spans.get(layer, (index, index))
+        spans[layer] = min(lo, index), max(hi, index)
+    ks = {lo + hi for lo, hi in spans.values()}
+    if len(ks) != 1:
+        raise InvalidSpec("region is not mirror-symmetric (layer spans disagree)")
+    k = ks.pop()
+    if k % 2 == 1:
+        raise InvalidSpec("region is not mirror-symmetric (odd mirror constant)")
+    for c in region.cells:
+        if regions.mirror_cell(c, k) not in region.cells:
+            raise InvalidSpec(f"region is not mirror-symmetric (cell {c})")
+    if frozenset(regions.mirror_edge(e, k) for e in region.barred) != region.barred:
+        raise InvalidSpec("barriers are not mirror-symmetric")
+    if {regions.mirror_edge(e, k): w for e, w in region.weights} != region.weight_map:
+        raise InvalidSpec("weights are not mirror-symmetric")
+    return k
+
+
+def mirror_outcome(find_k, region):
+    try:
+        return find_k(region)
+    except InvalidSpec as e:
+        return str(e)
+
+
+def test_mirror_constant_names_a_cell_that_breaks_symmetry_inside_the_spans():
+    region = build_region(rs_spec(4, 2, (2,), (1,), (3,)))
+    k = mirror_constant(region)
+    cell = up(3, 7)  # inside its layer's span and off the mirror column
+    layer = [c.index for c in region.cells if c.layer == cell.layer]
+    assert cell in region.cells and min(layer) < cell.index < max(layer) and 2 * cell.index != k
+    broken = replace(region, cells=region.cells - {cell})
+    for layer in {c.layer for c in broken.cells}:
+        indices = [c.index for c in broken.cells if c.layer == layer]
+        assert min(indices) + max(indices) == k
+    with pytest.raises(InvalidSpec, match=re.escape(f"(cell {regions.mirror_cell(cell, k)})")):
+        mirror_constant(broken)
+
+
+def test_mirror_constant_matches_the_cell_by_cell_definition():
+    # every single-cell removal from two RS regions, plus hand-built cases for
+    # each message, give the definition's constant or its exact message
+    cases = []
+    for spec in (rs_spec(4, 2, (2,), (1,), (3,)), rs_spec(2, 1, (1,))):
+        region = build_region(spec)
+        cases.append(region)
+        cases += [replace(region, cells=region.cells - {c}) for c in sorted(region.cells)]
+        edge = tuple(regions.lozenges(region)[0][:2])  # its mirror image is another edge
+        cases.append(replace(region, barred=frozenset({edge})))
+        cases.append(replace(region, weights=((edge, Fraction(1, 2)),)))
+    cases.append(Region(cells=frozenset({up(0, 0), down(0, 1)})))  # odd constant
+    cases.append(Region(cells=frozenset({up(0, 0), down(0, 2)})))  # mirrored indices only
+    # two cells at one address, off the parity convention: still symmetric
+    cases.append(Region(cells=frozenset({up(0, 1), down(0, 1)})))
+    outcomes = [mirror_outcome(mirror_constant, r) for r in cases]
+    assert outcomes == [mirror_outcome(literal_mirror_constant, r) for r in cases]
+    assert outcomes[-1] == 2
+    for message in ("spans disagree", "odd mirror constant", "(cell ", "barriers", "weights"):
+        assert any(isinstance(o, str) and message in o for o in outcomes), message
 
 
 def test_overlapping_dents_remove_both_triangles():
