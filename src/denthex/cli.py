@@ -101,7 +101,10 @@ def _cmd_count_symmetric(args) -> int:
         if spec.family != "RS":
             raise SpecFileError(f"line {lineno}: count-symmetric needs RS specs")
         if args.method in ("both", "filter"):
-            filtered = count_reflective(spec, "filter", cap=args.cap)
+            try:
+                filtered = count_reflective(spec, "filter", cap=args.cap)
+            except CapExceeded as e:
+                raise CapExceeded(f"line {lineno}: {e}") from None
         if args.method in ("both", "reduce"):
             reduced = count_reflective(spec, "reduce")
         if args.method == "filter":
@@ -172,7 +175,7 @@ def _cmd_render(args) -> int:
     specs = load_specs(args.specfile)
     if len(specs) != 1:
         raise SpecFileError("render expects exactly one region spec")
-    _, spec = specs[0]
+    lineno, spec = specs[0]
     region = build_region(spec)
     if args.tiling is None:
         text = (
@@ -183,7 +186,10 @@ def _cmd_render(args) -> int:
     else:
         if args.tiling < 0:
             raise SpecFileError(f"tiling index {args.tiling} is negative")
-        tilings = list(itertools.islice(iter_tilings(region, cap=args.cap), args.tiling + 1))
+        try:
+            tilings = list(itertools.islice(iter_tilings(region, cap=args.cap), args.tiling + 1))
+        except CapExceeded as e:
+            raise CapExceeded(f"line {lineno}: {e}") from None
         if args.tiling >= len(tilings):
             raise SpecFileError(
                 f"tiling index {args.tiling} out of range (region has {len(tilings)})"
@@ -294,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("bench", help="time the determinant against the oracle on a size ladder")
-    p.add_argument("--max-hex", type=int, default=4)
-    p.add_argument("--oracle-cap", type=int, default=60)
+    p.add_argument("--max-hex", type=_int_at_least(0), default=4)
+    p.add_argument("--oracle-cap", type=_int_at_least(0), default=60)
     p.set_defaults(fn=_cmd_bench)
 
     return parser

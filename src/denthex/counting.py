@@ -6,14 +6,17 @@ Kasteleyn's determinant (Kasteleyn 1961; Kenyon, *Lectures on dimers*, 2009):
 once the edges are signed so that every cycle of length 2k in the union of
 two matchings carries k-1 minus signs mod 2, the absolute determinant of the
 signed up x down biadjacency matrix is the weighted number of matchings.  The
-signs follow a closed-form rule read off the region's cells
-(``_kasteleyn_signs``), so dent holes, barriers, halved regions and hand-built
-regions need no special case.  The determinant is taken over the whole region
-by fraction-free Bareiss elimination in integers: rows holding fractional
-weights are scaled to integers and the scale is divided out at the end.  A
-lozenge forced in every tiling is a row or column with a single entry, which
-the elimination strips as it goes.  The matrix and the search below take their
-edges from ``regions.lozenges``.
+signs follow a closed-form ray rule read off the region's cells, so dent
+holes, barriers, halved regions and hand-built regions whose cells keep the
+parity convention need no special case.  ``regions.kasteleyn_rows`` emits the
+signed rows in one sweep over the region's integer cell codes
+(``Region.codes``); the same sweep with plain weights is ``regions.lozenges``,
+so adjacency is decided in one place, and the rule and its proof live there.
+The determinant is taken over the whole region by fraction-free Bareiss
+elimination in integers: rows holding fractional weights are scaled to
+integers and the scale is divided out at the end.  A lozenge forced in every
+tiling is a row or column with a single entry, which the elimination strips as
+it goes.  The search below takes its edges from ``regions.lozenges``.
 
 Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
@@ -21,18 +24,20 @@ forms in ``formulas`` (MacMahon, Cohn-Larsen-Propp, Proctor, Ciucu, the
 quartered hexagons).  The oracle, ``enumerate_tilings`` and the filter route
 of ``count_reflective`` share one iterative backtracking search.
 
-Counts are memoized by an exact code of the region (``_memo_key``): its
-sorted cells, weighted and barred edges and untileable flag in plain ints and
-bytes.  Two regions share an entry exactly when they are equal, and the memo
-keeps no region, cell set or cell alive.  Everything here is pure; the memo
-table is a plain dict whose per-key updates are atomic under the GIL, so
-concurrent callers are safe even while it fills: two threads that miss the
-same region both count it and store equal values.
+Counts are memoized by an exact code of the region (``_memo_key``): the
+integer cell codes packed as bytes with the stride and offsets that decode
+them, the weighted and barred edges and the untileable flag.  Two regions
+share an entry exactly when they are equal, and the memo keeps no region,
+cell set or cell alive.  Everything here is pure; the memo table is a plain
+dict whose per-key updates are atomic under the GIL, so concurrent callers
+are safe even while it fills: two threads that miss the same region both
+count it and store equal values.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +51,7 @@ from .regions import (
     Region,
     RegionSpec,
     build_region,
+    kasteleyn_rows,
     lozenges,
     mirror_constant,
     mirror_edge,
@@ -61,47 +67,6 @@ class CapExceeded(RuntimeError):
 
 
 # -- Kasteleyn determinant -------------------------------------------------------
-
-
-def _kasteleyn_signs(
-    region: Region, edges: list[tuple[TriangleCell, TriangleCell, Fraction]]
-) -> list[int]:
-    """Kasteleyn sign, +1 or -1, of each edge of ``edges``, the region's
-    ``lozenges`` list.
-
-    Vertical lozenges get +1.  A lozenge joining the cells at indices j and
-    j+1 of one layer gets -1 when an odd number of that layer's lattice cells
-    between its west-most region cell and j are missing from ``region.cells``.
-    Only cells are consulted, never edges, so a cell left isolated by barriers
-    still counts as present.
-
-    Why this is exact: all-plus signs on the full honeycomb are Kasteleyn,
-    because a hexagonal face (length 2k, k = 3) needs k-1 = 2, so 0 mod 2,
-    minus signs.  By Kasteleyn's lemma a simple cycle of length 2k enclosing
-    p lattice triangles then has k-1 = p (mod 2).  A horizontal ray drawn
-    east from the mid-height of each missing triangle crosses only same-layer
-    lozenge edges east of it, and the rule gives those edges one minus sign
-    per ray.  A cycle crosses a ray an odd number of times exactly when it
-    encloses the ray's start, so it carries (-1)^(missing triangles inside
-    it); triangles west of a layer's west-most region cell lie inside no
-    cycle, so they are not counted.  A cycle of the superposition of two
-    matchings encloses an even number of region cells, because the cells
-    inside are matched among themselves, so that product is (-1)^p =
-    (-1)^(k-1), which is the condition for |det| to count matchings.  No
-    axis, face or family is consulted, so fold halves and hand-built regions
-    are covered alike.
-    """
-    odd = set()  # cells with an odd number of missing cells west of them in their layer
-    prev = None
-    for c in region.order:
-        if prev is None or prev.layer != c.layer:
-            parity = 0
-        else:
-            parity ^= (c.index - prev.index - 1) & 1
-        if parity:
-            odd.add(c)
-        prev = c
-    return [-1 if u.layer == d.layer and min(u, d) in odd else 1 for u, d, _ in edges]
 
 
 def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
@@ -178,40 +143,20 @@ def _det_count(region: Region) -> Fraction:
     """Weighted matching count as |det| of the Kasteleyn-signed up x down matrix.
 
     Rows are up cells and columns down cells, both in the region's sorted
-    ``order``.  The rows are built straight from the ``lozenges`` list, which
-    comes grouped by up cell in that order; an up cell with no lozenge gets no
-    row, and fewer rows than up cells (the cells that are not columns) leave
-    the matrix singular.  A unit lozenge carries the ``ONE`` that ``regions``
-    and this module share and enters as its sign alone; any other weight with
-    denominator 1 enters as the integer sign * weight, so the plain regions
-    never touch a ``Fraction``.  A row holding fractional
-    weights is multiplied by the lcm of their denominators so every entry is
-    an integer; the product of those factors divides the determinant at the
-    end.
+    ``order``, as ``regions.kasteleyn_rows`` emits them: a unit lozenge enters
+    as its sign alone, so the plain regions never touch a ``Fraction``.  An up
+    cell without a lozenge, or unequal numbers of up and down cells, leave the
+    matrix singular.  A row holding weights is multiplied by the lcm of their
+    denominators so every entry is an integer; the product of those factors
+    divides the determinant at the end.
     """
     if not region.cells:
         return ONE
-    edges = lozenges(region)
-    col_of = {c: j for j, c in enumerate(c for c in region.order if c[2])}
-    rows: list[dict[int, int]] = []
-    fractional = []  # the rows holding a fractional weight, scaled below
-    last = None
-    for (u, d, w), sign in zip(edges, _kasteleyn_signs(region, edges)):
-        if u != last:
-            last, row = u, {}
-            rows.append(row)
-        if w is ONE:
-            row[col_of[d]] = sign
-        elif w.denominator == 1:
-            row[col_of[d]] = sign * w.numerator
-        else:
-            row[col_of[d]] = sign * w
-            if not fractional or fractional[-1] is not row:
-                fractional.append(row)
-    if len(rows) < len(region.order) - len(col_of):
+    rows, weighted = kasteleyn_rows(region)
+    if 2 * len(rows) != len(region.order) or not all(rows):
         return ZERO
     scale = 1
-    for row in fractional:
+    for row in weighted.values():
         m = math.lcm(*(v.denominator for v in row.values()))
         scale *= m
         for j, v in row.items():
@@ -230,17 +175,27 @@ def _cells_code(cells: Sequence[TriangleCell]) -> tuple[tuple[int, ...], tuple[i
 
 def _memo_key(region: Region) -> tuple:
     """An exact code of the fields that make up region equality, in plain ints
-    and bytes: the cells in sorted ``order``, the weighted edges in their
-    order with each weight as numerator and denominator, the barred edges
-    sorted, and the ``untileable`` flag.  Two keys are equal exactly when the
-    regions are, and a key holds no ``Region``, frozenset or cell, so the memo
-    keeps none of them alive and the garbage collector soon stops tracking
-    the keys.  The label is left out on purpose: a forced reduction carries
-    its spec's label onto a different region.
+    and bytes: the cells as ``Region.codes`` with the stride and offsets that
+    decode them (packed as 64-bit ints in bytes, or as a tuple of ints when
+    a region spans too far for 64 bits), the weighted edges in their order with each
+    weight as numerator and denominator, the barred edges sorted, and the
+    ``untileable`` flag.  Two keys are equal exactly when the regions are,
+    and a key holds no ``Region``, frozenset or cell, so the memo keeps none
+    of them alive and the garbage collector soon stops tracking the keys.
+    The label is left out on purpose: a forced reduction carries its spec's
+    label onto a different region.
     """
+    stride, layer0, index0, codes = region.codes
+    if codes and codes[-1] >= 1 << 63:
+        cells = tuple(codes)
+    else:
+        cells = struct.pack(f"{len(codes)}q", *codes)
     weights = region.weights
     return (
-        _cells_code(region.order),
+        stride,
+        layer0,
+        index0,
+        cells,
         _cells_code([c for edge, _ in weights for c in edge]),
         tuple(v for _, w in weights for v in (w.numerator, w.denominator)),
         _cells_code([c for edge in sorted(region.barred) for c in edge]),

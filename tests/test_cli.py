@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from denthex import build_region, cli, count_tilings, counting, hex_spec
+from denthex import build_region, cli, count_tilings, counting, hex_spec, regions
 from denthex.cli import main
 from denthex.render import region_ascii, region_svg, tiling_ascii, tiling_svg
 from denthex import enumerate_tilings, pprime_spec, h_spec
@@ -64,6 +64,16 @@ def test_count_symmetric_cap_named(tmp_path, capsys):
     path = write(tmp_path, "rs.json", {"family": "RS", "x": 4, "y": 2, "U": [1]})
     assert main(["count-symmetric", path, "--cap", "3"]) == 2
     assert "cap 3" in capsys.readouterr().err
+
+
+def test_count_symmetric_cap_names_the_line(tmp_path, capsys):
+    # line 1 has 3 tilings, within the cap; line 2 is over it
+    lines = [{"family": "RS", "x": 2, "y": 1}, {"family": "RS", "x": 4, "y": 2, "U": [1]}]
+    path = write(tmp_path, "rs.jsonl", "\n".join(map(json.dumps, lines)))
+    assert main(["count-symmetric", path, "--method", "filter", "--cap", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "filter=" in captured.out
+    assert "error: line 2: tiling enumeration cap 3 exceeded" in captured.err
 
 
 def test_ratio_noop(tmp_path, capsys):
@@ -184,6 +194,13 @@ def test_render_tiling_cap_bounds_tilings_drawn(tmp_path, capsys):
     assert "cap 2 exceeded" in capsys.readouterr().err
 
 
+def test_render_tiling_cap_names_the_line(tmp_path, capsys):
+    spec = json.dumps({"family": "Hex", "a": 2, "b": 2, "c": 2})
+    path = write(tmp_path, "spec.jsonl", "# a comment line\n" + spec)
+    assert main(["render", path, "--tiling", "2", "--cap", "2"]) == 2
+    assert "error: line 2: tiling enumeration cap 2 exceeded" in capsys.readouterr().err
+
+
 def test_render_negative_tiling_index(tmp_path, capsys):
     path = write(tmp_path, "spec.json", {"family": "Hex", "a": 1, "b": 1, "c": 1})
     assert main(["render", path, "--tiling", "-1"]) == 2
@@ -197,11 +214,25 @@ def test_bench_runs(capsys):
     assert "H(B=[], D=[4], U=[1], x=2, y=1)" in out
 
 
+@pytest.mark.parametrize("flag", ["--max-hex", "--oracle-cap"])
+def test_bench_rejects_negative_sizes(flag, capsys):
+    # a negative --oracle-cap used to skip every oracle comparison and exit 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", flag, "-1"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be at least 0 (got -1)" in capsys.readouterr().err
+
+
+def test_bench_oracle_cap_zero_is_accepted(capsys):
+    assert main(["bench", "--max-hex", "1", "--oracle-cap", "0"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+
+
 def test_bench_mismatch_covers_kasteleyn_signs(monkeypatch, capsys):
     # the dented H rung is the one whose count needs minus signs: with every
     # sign +1 its determinant is 0 and the oracle's count 8
     monkeypatch.setattr(counting, "_COUNT_CACHE", {})
-    monkeypatch.setattr(counting, "_kasteleyn_signs", lambda region, edges: [1] * len(edges))
+    monkeypatch.setattr(regions, "_RAY_SIGNS", (1, 1))
     assert main(["bench", "--max-hex", "1"]) == 1
     out = capsys.readouterr().out
     assert "MISMATCH H(B=[], D=[4], U=[1], x=2, y=1): determinant 0 != oracle 8" in out

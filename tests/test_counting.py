@@ -45,9 +45,9 @@ from denthex import (
     up,
     w_spec,
 )
-from denthex import counting
+from denthex import counting, regions
 from denthex.counting import _bareiss_abs_det, _det_count, _reflective_fold
-from denthex.lattice import neighbors
+from denthex.lattice import TriangleCell, neighbors
 from denthex.regions import lozenges
 
 DATA = Path(__file__).parent / "data"
@@ -107,6 +107,32 @@ def test_dual_graph_follows_lattice_neighbors_on_golden_regions():
         seen["barred"] += bool(barred)
         seen["weighted"] += bool(weights)
     assert seen["barred"] >= 10 and seen["weighted"] >= 10
+
+
+def test_kasteleyn_rows_follow_the_ray_rule_on_golden_regions():
+    # the rule written out cell by cell: a same-layer lozenge is negative when
+    # an odd number of its layer's cells between the layer's west-most region
+    # cell and the lozenge's west cell are missing; the sweep must give this
+    # very matrix, since other Kasteleyn signs change the elimination's work
+    for record in golden_records():
+        region = build_region(parse_spec(record["spec"]))
+        odd, prev = set(), None
+        for c in region.order:
+            if prev is None or prev.layer != c.layer:
+                parity = 0
+            else:
+                parity ^= (c.index - prev.index - 1) & 1
+            if parity:
+                odd.add(c)
+            prev = c
+        column = {c: j for j, c in enumerate(c for c in region.order if c.orient)}
+        reference: dict = {}
+        for u, d, w in lozenges(region):
+            sign = -1 if u.layer == d.layer and min(u, d) in odd else 1
+            reference.setdefault(u, {})[column[d]] = sign * w
+        rows, _ = regions.kasteleyn_rows(region)
+        ups = [c for c in region.order if not c.orient]
+        assert {u: row for u, row in zip(ups, rows) if row} == reference, record
 
 
 # -- the elimination on its own ------------------------------------------------------
@@ -451,6 +477,81 @@ def test_memo_keys_are_equal_exactly_when_regions_are():
     keys = [counting._memo_key(r) for r in regions]
     for (a, ka), (b, kb) in itertools.combinations(zip(regions, keys), 2):
         assert (ka == kb) == (a == b)
+
+
+def translate(region: Region, dl: int, di: int) -> Region:
+    def move(cell):
+        return TriangleCell(cell.layer + dl, cell.index + di, cell.orient)
+
+    return Region(
+        cells=frozenset(map(move, region.cells)),
+        weights=tuple(((move(u), move(d)), w) for (u, d), w in region.weights),
+        barred=frozenset((move(u), move(d)) for u, d in region.barred),
+        untileable=region.untileable,
+    )
+
+
+def lattice_lozenges(region: Region) -> list:
+    """The lozenge list written out from ``lattice.neighbors``."""
+    cells, barred, weights = region.cells, region.barred, region.weight_map
+    return [
+        (c, nb, weights.get((c, nb), 1))
+        for c in sorted(region.up_cells)
+        for nb in neighbors(c)
+        if nb in cells and (c, nb) not in barred
+    ]
+
+
+def test_cell_codes_hold_far_from_the_origin():
+    # the cell codes are taken from the region's own least layer and index,
+    # so a translate by a parity-preserving shift far past any fixed stride
+    # counts as its original does, and every translate keeps a key of its own
+    hexagon = build_region(hex_spec(2, 2, 2))
+    hand_built = [
+        Region(cells=hexagon.cells - {up(1, 3), down(2, 4)}),
+        Region(cells=hexagon.cells, barred=frozenset({lozenges(hexagon)[2][:2]})),
+        Region(cells=hexagon.cells, weights=((lozenges(hexagon)[4][:2], Fraction(1, 3)),)),
+        # two cells at one address, twice: an off-parity lozenge on the
+        # addresses (0, 2) and (0, 3) of two cells of the hexagon
+        Region(cells=hexagon.cells | {down(0, 2), up(0, 3)}),
+        Region(cells=frozenset({up(0, 1), down(0, 2), up(0, 2), down(1, 2)})),
+    ]
+    golden = [build_region(parse_spec(record["spec"])) for record in golden_records()]
+    shifts = [(2**40, 2**41), (1, 2**62 + 1), (3 * 10**20, 10**20 + 2)]
+    seen, counted = [], 0
+    for region in hand_built + golden:
+        want = count_tilings(region)
+        seen.append(region)
+        for dl, di in shifts:
+            moved = translate(region, dl, di)
+            assert count_tilings(moved) == want, (region, dl, di)
+            seen.append(moved)
+        counted += want != 0
+    assert counted >= 150
+    for region in hand_built:
+        assert count_tilings(region) == count_tilings_oracle(region)
+    # across the axes the first-quadrant rule of lattice.neighbors drops
+    # lozenges; the list and the determinant must follow it there too
+    for region in hand_built + golden[:40]:
+        for dl, di in [(-1, -1), (-2, 0), (0, -4), (-(2**41), -(2**40))]:
+            moved = translate(region, dl, di)
+            assert lozenges(moved) == lattice_lozenges(moved), (region, dl, di)
+            if len(moved.cells) <= 40:
+                assert count_tilings(moved) == count_tilings_oracle(moved), (region, dl, di)
+            seen.append(moved)
+    # wide spans, up to too wide for 64-bit codes: two vertical lozenges, and
+    # an up cell with a down cell as far east as a fixed stride would wrap to
+    for gap in sorted({2**k for k in range(1, 80)} | {10**k // 2 for k in range(1, 25)}):
+        wide = Region(cells=frozenset({up(0, 0), down(1, 0), up(0, gap), down(1, gap)}))
+        assert count_tilings(wide) == count_tilings_oracle(wide) == 1
+        apart = Region(cells=frozenset({up(0, 0), down(0, gap)}))
+        assert lozenges(apart) == lattice_lozenges(apart)
+        assert count_tilings(apart) == count_tilings_oracle(apart) == 0
+        seen += [wide, apart]
+    owner: dict[tuple, Region] = {}
+    for region in seen:
+        assert owner.setdefault(counting._memo_key(region), region) == region
+    assert len(owner) == len(set(seen))
 
 
 def test_forced_reduction_agrees_with_engine_on_golden_regions():
