@@ -6,6 +6,7 @@ from .counting import (
     CapExceeded,
     clear_count_cache,
     count_reflective,
+    count_spec,
     count_tilings,
     count_tilings_oracle,
     enumerate_tilings,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -38,6 +39,10 @@ from .verify import all_passed, check_shuffling, run_suite, summary_table, write
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+
+# ``bench`` reports the median of this many timed counts per rung: a single
+# timing of the same count can move by a factor of two on a busy host
+BENCH_REPEATS = 5
 
 
 class SpecFileError(ValueError):
@@ -221,9 +226,12 @@ def _cmd_bench(args) -> int:
     status = EXIT_OK
     for spec in ladder:
         region = build_region(spec)
-        t0 = time.perf_counter()
-        value = count_tilings(region)
-        det_ms = (time.perf_counter() - t0) * 1000
+        times = []
+        for _ in range(BENCH_REPEATS):
+            t0 = time.perf_counter()
+            value = count_tilings(region)
+            times.append(time.perf_counter() - t0)
+        det_ms = statistics.median(times) * 1000
         oracle = None
         if len(region.cells) <= args.oracle_cap:
             t0 = time.perf_counter()
@@ -312,13 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecFileError, InvalidSpec) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except CapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as e:
+    except (SpecFileError, InvalidSpec, CapExceeded, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -7,9 +7,11 @@ once the edges are signed so that every cycle of length 2k in the union of
 two matchings carries k-1 minus signs mod 2, the absolute determinant of the
 signed up x down biadjacency matrix is the weighted number of matchings.  The
 signs follow a closed-form ray rule read off the region's cells, so dent
-holes, barriers, halved regions and hand-built regions whose cells keep the
-parity convention need no special case.  ``regions.kasteleyn_rows`` emits the
-signed rows in one sweep over the region's integer cell codes
+holes, barriers, halved regions and hand-built regions need no special case;
+a region holding cells off the parity convention is counted as the product
+of its two parity classes, which no lozenge joins (see ``count_tilings``).
+``regions.kasteleyn_rows`` emits the signed rows in one sweep over the
+region's integer cell codes
 (``Region.codes``); the same sweep with plain weights is ``regions.lozenges``,
 so adjacency is decided in one place, and the rule and its proof live there.
 The determinant is taken over the whole region by fraction-free Bareiss
@@ -24,25 +26,24 @@ forms in ``formulas`` (MacMahon, Cohn-Larsen-Propp, Proctor, Ciucu, the
 quartered hexagons).  The oracle, ``enumerate_tilings`` and the filter route
 of ``count_reflective`` share one iterative backtracking search.
 
-Counts are memoized by an exact code of the region (``_memo_key``): the
-integer cell codes packed as bytes with the stride and offsets that decode
-them, the weighted and barred edges and the untileable flag.  Two regions
-share an entry exactly when they are equal, and the memo keeps no region,
-cell set or cell alive.  Everything here is pure; the memo table is a plain
-dict whose per-key updates are atomic under the GIL, so concurrent callers
-are safe even while it fills: two threads that miss the same region both
-count it and store equal values.
+Counts are memoized by spec: ``count_spec(spec)`` stores
+``count_tilings(build_region(spec))`` under the ``RegionSpec`` itself, so a
+repeated spec is neither built nor counted again.  Validation normalizes
+every spec field, so equal specs build equal regions and the key is exact;
+the memo holds specs and Fractions, never a region.  ``count_tilings`` is the
+plain engine entry and memoizes nothing.  Everything here is pure; the memo
+table is a plain dict whose per-key updates are atomic under the GIL, so
+concurrent callers are safe even while it fills: two threads that miss the
+same spec both count it and store equal values.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 
 from .lattice import LozengePlacement, TriangleCell
 from .regions import (
@@ -164,61 +165,39 @@ def _det_count(region: Region) -> Fraction:
     return Fraction(_bareiss_abs_det(rows), scale)
 
 
-_LAYER, _INDEX, _ORIENT = itemgetter(0), itemgetter(1), itemgetter(2)
+def count_tilings(region: Region) -> Fraction:
+    """Exact weighted number of lozenge tilings (matchings of the dual graph).
 
-
-def _cells_code(cells: Sequence[TriangleCell]) -> tuple[tuple[int, ...], tuple[int, ...], bytes]:
-    """The cells' layers and indices as tuples of plain ints, and their
-    orientations (0 or 1) as bytes."""
-    return tuple(map(_LAYER, cells)), tuple(map(_INDEX, cells)), bytes(map(_ORIENT, cells))
-
-
-def _memo_key(region: Region) -> tuple:
-    """An exact code of the fields that make up region equality, in plain ints
-    and bytes: the cells as ``Region.codes`` with the stride and offsets that
-    decode them (packed as 64-bit ints in bytes, or as a tuple of ints when
-    a region spans too far for 64 bits), the weighted edges in their order with each
-    weight as numerator and denominator, the barred edges sorted, and the
-    ``untileable`` flag.  Two keys are equal exactly when the regions are,
-    and a key holds no ``Region``, frozenset or cell, so the memo keeps none
-    of them alive and the garbage collector soon stops tracking the keys.
-    The label is left out on purpose: a forced reduction carries its spec's
-    label onto a different region.
+    A lozenge joins two cells of equal ``layer + index + orient`` parity, so
+    cells off the parity convention (odd parity) form a second honeycomb that
+    no lozenge joins to the first, and the matrix is block-diagonal.  The ray
+    rule's parity would count the missing addresses of both, so a region
+    holding such cells is counted as the product of its two parity classes.
     """
-    stride, layer0, index0, codes = region.codes
-    if codes and codes[-1] >= 1 << 63:
-        cells = tuple(codes)
-    else:
-        cells = struct.pack(f"{len(codes)}q", *codes)
-    weights = region.weights
-    return (
-        stride,
-        layer0,
-        index0,
-        cells,
-        _cells_code([c for edge, _ in weights for c in edge]),
-        tuple(v for _, w in weights for v in (w.numerator, w.denominator)),
-        _cells_code([c for edge in sorted(region.barred) for c in edge]),
-        region.untileable,
-    )
+    if region.untileable or not region.balanced:
+        return ZERO
+    order = region.order
+    if any(map((1).__and__, map(sum, order))):
+        on = [c for c in order if not sum(c) & 1]
+        off = [c for c in order if sum(c) & 1]
+        return _det_count(restrict(region, on)) * _det_count(restrict(region, off))
+    return _det_count(region)
 
 
-_COUNT_CACHE: dict[tuple, Fraction] = {}
+_COUNT_CACHE: dict[RegionSpec, Fraction] = {}
 
 
 def clear_count_cache() -> None:
     _COUNT_CACHE.clear()
 
 
-def count_tilings(region: Region) -> Fraction:
-    """Exact weighted number of lozenge tilings (matchings of the dual graph)."""
-    key = _memo_key(region)
-    cached = _COUNT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = ZERO if region.untileable or not region.balanced else _det_count(region)
-    _COUNT_CACHE[key] = result
-    return result
+def count_spec(spec: RegionSpec) -> Fraction:
+    """``count_tilings(build_region(spec))``, memoized by the spec, so a repeated
+    spec is neither built nor counted again."""
+    cached = _COUNT_CACHE.get(spec)
+    if cached is None:
+        cached = _COUNT_CACHE[spec] = count_tilings(build_region(spec))
+    return cached
 
 
 # -- exhaustive search -------------------------------------------------------------
@@ -383,7 +362,7 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
         halved = reduce_reflective(spec)
     except InvalidSpec:
         return _reflective_fold(build_region(spec))
-    return count_tilings(build_region(halved))
+    return count_spec(halved)
 
 
 # -- condensation counts ---------------------------------------------------------------
@@ -432,7 +411,7 @@ def kuo_counts(
             D=spec.D,
             B=spec.B,
         )
-        return count_tilings(build_region(sub))
+        return count_spec(sub)
 
     return (
         shifted(0, 0, ()),

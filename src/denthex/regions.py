@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import operator
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, repeat
@@ -147,6 +147,9 @@ class RegionSpec:
         return f"{fam}({inner})"
 
 
+_SPEC_FIELDS = tuple(f.name for f in fields(RegionSpec) if f.name != "family")
+
+
 # -- convenience constructors ---------------------------------------------
 
 
@@ -203,6 +206,11 @@ def _validate_spec(s: RegionSpec) -> None:
         raise InvalidSpec(f"unknown family {s.family!r}")
     set_attr = object.__setattr__
     required, optional, _ = _FAMILY_TABLE[s.family]
+    # every field is normalized or None, so equal specs build equal regions
+    # and a spec is an exact memo key
+    for f in _SPEC_FIELDS:
+        if getattr(s, f) is not None and f not in required and f not in optional:
+            raise InvalidSpec(f"unknown field {f!r} for family {s.family}")
     for f in required:
         set_attr(s, f, nonnegative_int(f, getattr(s, f)))
 
@@ -683,7 +691,8 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
     condition for |det| to count matchings.  Only cells are consulted, never
     edges, so a cell left isolated by barriers still counts as present, and
     no axis, face or family is consulted, so fold halves and hand-built
-    regions on the parity convention are covered alike.
+    regions on the parity convention are covered alike (``count_tilings``
+    splits any other region into its two parity classes first).
 
     The sweep reads the ray parity in codes.  The cells missing between w and
     the cell at rank r number (index - index_w) - (r - r_w), and ``code >> 1``

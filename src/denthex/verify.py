@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .counting import (
     count_reflective,
+    count_spec,
     count_tilings,
     free_axis_positions,
     kuo_counts,
@@ -214,8 +215,7 @@ def check_shuffling(rs: RatioSpec, x: int, B: Sequence[int] = ()) -> Verificatio
         )
     else:
         num, den = (
-            count_tilings(build_region(RegionSpec(rs.family, x=x, y=rs.y, U=U, D=D, B=B)))
-            for U, D in pairs
+            count_spec(RegionSpec(rs.family, x=x, y=rs.y, U=U, D=D, B=B)) for U, D in pairs
         )
     if den == 0:
         return VerificationReport(
@@ -281,14 +281,14 @@ def check_base_cases(spec: RegionSpec) -> VerificationReport:
     for m, nn, dents in sides:
         # both F and Fbar split into unweighted quartered hexagons; the
         # families differ only in the row parity m.
-        cnt = count_tilings(build_region(l_spec(m, nn, dents)))
+        cnt = count_spec(l_spec(m, nn, dents))
         rhs *= cnt
         if dents or m % 2 == 0:
             closed = quartered(f"L-{'odd' if m % 2 else 'even'}", dents)
             if closed != cnt:
                 formulas_agree = False
                 note = f"closed form for m={m} dents={list(dents)} gives {closed} != {cnt}"
-    lhs = count_tilings(build_region(spec))
+    lhs = count_spec(spec)
     return VerificationReport(
         "base-case-split",
         spec.describe(),
@@ -316,10 +316,10 @@ def check_decomposition(spec: RegionSpec) -> VerificationReport:
     for chosen in combinations(comp, y):
         du = tuple(sorted(set(spec.U) | set(chosen)))
         dd = tuple(sorted(set(spec.D) | set(chosen)))
-        rhs += count_tilings(build_region(l_spec(2 * (u + y), x + n - u, du))) * count_tilings(
-            build_region(l_spec(2 * (d + y), x + n - d, dd))
+        rhs += count_spec(l_spec(2 * (u + y), x + n - u, du)) * count_spec(
+            l_spec(2 * (d + y), x + n - d, dd)
         )
-    lhs = count_tilings(build_region(spec))
+    lhs = count_spec(spec)
     return VerificationReport(
         "decomposition-sum",
         spec.describe(),
@@ -369,7 +369,7 @@ def _cluster_side_count(family: str, size: int, dents: tuple[int, ...]) -> Fract
             f"{family} probe needs at least one dent of each orientation per cluster"
         )
     side = "L" if family in ("F", "Fbar") else "Lbar"
-    return count_tilings(build_region(RegionSpec(side, m=m, n=size - len(dents), dents=dents)))
+    return count_spec(RegionSpec(side, m=m, n=size - len(dents), dents=dents))
 
 
 def asymptotic_probe(
@@ -425,7 +425,7 @@ def asymptotic_probe(
             truncated = True
             note = f"truncated at N={scale - 1}: region would have {len(region_a)} cells"
             break
-        r = count_tilings(region_a) / count_tilings(build_region(spec_b))
+        r = count_tilings(region_a) / count_spec(spec_b)
         ratios.append(r)
         deviations.append(abs(r - limit))
 

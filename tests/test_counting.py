@@ -1,5 +1,4 @@
 import gc
-import itertools
 import json
 import random
 import sys
@@ -22,6 +21,7 @@ from denthex import (
     ciucu,
     clp,
     count_reflective,
+    count_spec,
     count_tilings,
     count_tilings_oracle,
     down,
@@ -42,6 +42,7 @@ from denthex import (
     remove_forced_lozenges,
     rs_spec,
     semihex_spec,
+    spec_to_dict,
     up,
     w_spec,
 )
@@ -330,6 +331,49 @@ def test_engine_matches_oracle_on_random_hand_built_regions(region):
     assert count_tilings(region) == count_tilings_oracle(region)
 
 
+def test_off_parity_cells_match_oracle():
+    # Hex(2,2,2) plus a down cell at an up cell's address and an up cell at a
+    # down cell's address, all 144 ways.  Cells off the parity convention form
+    # a second honeycomb that no lozenge joins to the first; a determinant over
+    # both at once counted 15 of these regions wrong
+    hexagon = build_region(hex_spec(2, 2, 2))
+    for u in sorted(hexagon.up_cells):
+        for d in sorted(hexagon.down_cells):
+            region = Region(cells=hexagon.cells | {down(u.layer, u.index), up(d.layer, d.index)})
+            assert count_tilings(region) == count_tilings_oracle(region), (u, d)
+    assert count_tilings(Region(cells=hexagon.cells | {down(0, 4), up(0, 3)})) == 20
+
+
+@st.composite
+def off_parity_regions(draw):
+    """A hand-built region plus one or two down cells at its up cells'
+    addresses and as many up cells at its down cells' addresses, with up to
+    one lozenge among the added cells barred and one weighted 1/2."""
+    region = draw(hand_built_regions())
+    ups, downs = sorted(region.up_cells), sorted(region.down_cells)
+    assume(ups and downs)
+    k = draw(st.integers(1, min(2, len(ups), len(downs))))
+    flipped = draw(st.sets(st.sampled_from(ups), min_size=k, max_size=k))
+    flipped |= draw(st.sets(st.sampled_from(downs), min_size=k, max_size=k))
+    cells = region.cells | {TriangleCell(c.layer, c.index, c.orient.opposite) for c in flipped}
+    off = [(u, d) for u, d, _ in lozenges(Region(cells=cells)) if sum(u) % 2]
+    barred, halves = set(), set()
+    if off:
+        barred = draw(st.sets(st.sampled_from(off), max_size=1))
+        halves = draw(st.sets(st.sampled_from(off), max_size=1))
+    return Region(
+        cells=cells,
+        weights=region.weights + tuple((e, Fraction(1, 2)) for e in halves),
+        barred=region.barred | barred,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(off_parity_regions())
+def test_engine_matches_oracle_on_random_off_parity_regions(region):
+    assert count_tilings(region) == count_tilings_oracle(region)
+
+
 def test_large_hexagons_match_macmahon():
     for k in (10, 12):
         assert count_tilings(build_region(hex_spec(k, k, k))) == pp(k, k, k)
@@ -356,20 +400,23 @@ def test_counts_match_golden_fixture():
 
 
 def test_count_memo_is_safe_under_concurrent_use(monkeypatch):
-    # four threads fill one empty memo, each counting every golden region in
-    # its own order from regions it builds itself, with frequent thread
-    # switches; every result must be the golden value, and the memo must end
-    # up as one thread alone fills it
+    # four threads fill one empty memo, each counting every golden spec in its
+    # own order through count_spec, with frequent thread switches; every
+    # result must be the golden value, and the memo must end up as one thread
+    # alone fills it
     records = golden_records()
+    specs = [parse_spec(record["spec"]) for record in records]
 
     def count(r: int) -> Fraction:
-        region = build_region(parse_spec(records[r]["spec"]))
-        return _reflective_fold(region) if records[r]["fold"] else count_tilings(region)
+        if records[r]["fold"]:
+            return _reflective_fold(build_region(specs[r]))
+        return count_spec(specs[r])
 
     monkeypatch.setattr(counting, "_COUNT_CACHE", {})
     for r in range(len(records)):
         count(r)
     serial = counting._COUNT_CACHE
+    assert len(serial) >= 150
 
     monkeypatch.setattr(counting, "_COUNT_CACHE", {})
     results: list[list[tuple[int, Fraction]]] = [[] for _ in range(4)]
@@ -399,42 +446,59 @@ def test_count_memo_is_safe_under_concurrent_use(monkeypatch):
     assert counting._COUNT_CACHE == serial
 
 
-def _leaves(value):
-    if isinstance(value, tuple):
-        for item in value:
-            yield from _leaves(item)
-    else:
-        yield value
-
-
 def test_count_memo_keeps_no_region_alive(monkeypatch):
     monkeypatch.setattr(counting, "_COUNT_CACHE", {})
-    region = build_region(h_spec(2, 1, (1,), (4,)))
-    refs = [weakref.ref(region), weakref.ref(region.cells)]
-    refs += [weakref.ref(region.up_cells), weakref.ref(region.down_cells)]
-    assert count_tilings(region) == 8
-    del region
+    refs = []
+
+    def build(spec):
+        region = build_region(spec)
+        refs.extend(weakref.ref(obj) for obj in (region, region.cells, region.up_cells))
+        return region
+
+    monkeypatch.setattr(counting, "build_region", build)
+    assert count_spec(h_spec(2, 1, (1,), (4,))) == 8
+    count_spec(w_spec(1, 1, (1,), (2,)))  # weighted edges too
+    assert len(refs) == 6
     gc.collect()
     assert all(ref() is None for ref in refs)
-    # the key is plain ints, bytes and a bool: no cell, order or edge tuple
-    for key in counting._COUNT_CACHE:
-        assert {type(leaf) for leaf in _leaves(key)} <= {int, bytes, bool}, key
+    # the memo holds specs and counts: no region, cell set or cell
+    assert all(type(key) is RegionSpec for key in counting._COUNT_CACHE)
+    assert all(type(value) is Fraction for value in counting._COUNT_CACHE.values())
 
 
-def test_equal_regions_share_one_memo_entry(monkeypatch):
+def test_count_spec_builds_each_spec_once(monkeypatch):
+    # a memo hit skips build_region: it returns what counting the built region
+    # gives, and a repeated spec makes no build at all
     monkeypatch.setattr(counting, "_COUNT_CACHE", {})
+    specs = [parse_spec(record["spec"]) for record in golden_records()]
+    for spec in specs:
+        assert count_spec(spec) == count_tilings(build_region(spec)), spec.describe()
+    builds = []
+
+    def build(spec):
+        builds.append(spec)
+        return build_region(spec)
+
+    monkeypatch.setattr(counting, "build_region", build)
+    for spec in specs:
+        count_spec(spec)
+        count_spec(parse_spec(spec_to_dict(spec)))  # an equal spec, built anew
+    assert builds == []
+
+
+def test_equal_regions_share_one_memo_entry():
     spec = rs_spec(4, 2, (2,), (1,), (3,))
     first, second = build_region(spec), build_region(spec)
     expanded = build_region(expand_rs(spec))  # equal region, other label
     assert first == second == expanded and first is not second
     counts = {count_tilings(r) for r in (first, second, expanded)}
-    assert len(counts) == 1 and len(counting._COUNT_CACHE) == 1
+    assert len(counts) == 1
 
 
-def test_memo_separates_barriers_weights_and_untileable(monkeypatch):
+def test_memo_separates_barriers_weights_and_untileable():
     # the same cells, told apart only by one barred edge, by weights or by the
-    # untileable flag: each needs its own entry and its own count, whichever
-    # of them is counted first
+    # untileable flag: each needs its own count, whichever of them is counted
+    # first
     plain = build_region(h_spec(2, 1, (1,), (4,)))
     edges = [(u, d) for u, d, _ in lozenges(plain)]
     cells = plain.cells
@@ -453,30 +517,8 @@ def test_memo_separates_barriers_weights_and_untileable(monkeypatch):
     assert len(set(expected)) >= 6  # most variants differ in count from the plain one
     pairs = list(zip(variants, expected))
     for run in (pairs, pairs[::-1]):
-        monkeypatch.setattr(counting, "_COUNT_CACHE", {})
         for region, want in run:
             assert count_tilings(region) == want, region
-        assert len(counting._COUNT_CACHE) == len(variants)
-
-
-def test_memo_keys_are_equal_exactly_when_regions_are():
-    regions = []
-    for record in golden_records():
-        region = build_region(parse_spec(record["spec"]))
-        regions.append(region)
-        if region.cells:
-            edge = tuple(lozenges(region)[0][:2])
-            cells, weights, barred = region.cells, region.weights, region.barred
-            regions.append(Region(cells=cells, weights=weights, barred=barred | {edge}))
-            regions.append(Region(cells=cells, weights=weights, barred=barred, untileable=True))
-            if len(weights) > 1:
-                regions.append(Region(cells=cells, weights=weights[::-1], barred=barred))
-    # the same addresses with the orientations swapped (off the parity convention)
-    regions.append(Region(cells=frozenset({up(0, 0), down(0, 1)})))
-    regions.append(Region(cells=frozenset({down(0, 0), up(0, 1)})))
-    keys = [counting._memo_key(r) for r in regions]
-    for (a, ka), (b, kb) in itertools.combinations(zip(regions, keys), 2):
-        assert (ka == kb) == (a == b)
 
 
 def translate(region: Region, dl: int, di: int) -> Region:
@@ -505,7 +547,7 @@ def lattice_lozenges(region: Region) -> list:
 def test_cell_codes_hold_far_from_the_origin():
     # the cell codes are taken from the region's own least layer and index,
     # so a translate by a parity-preserving shift far past any fixed stride
-    # counts as its original does, and every translate keeps a key of its own
+    # counts as its original does
     hexagon = build_region(hex_spec(2, 2, 2))
     hand_built = [
         Region(cells=hexagon.cells - {up(1, 3), down(2, 4)}),
@@ -518,14 +560,12 @@ def test_cell_codes_hold_far_from_the_origin():
     ]
     golden = [build_region(parse_spec(record["spec"])) for record in golden_records()]
     shifts = [(2**40, 2**41), (1, 2**62 + 1), (3 * 10**20, 10**20 + 2)]
-    seen, counted = [], 0
+    counted = 0
     for region in hand_built + golden:
         want = count_tilings(region)
-        seen.append(region)
         for dl, di in shifts:
             moved = translate(region, dl, di)
             assert count_tilings(moved) == want, (region, dl, di)
-            seen.append(moved)
         counted += want != 0
     assert counted >= 150
     for region in hand_built:
@@ -538,7 +578,6 @@ def test_cell_codes_hold_far_from_the_origin():
             assert lozenges(moved) == lattice_lozenges(moved), (region, dl, di)
             if len(moved.cells) <= 40:
                 assert count_tilings(moved) == count_tilings_oracle(moved), (region, dl, di)
-            seen.append(moved)
     # wide spans, up to too wide for 64-bit codes: two vertical lozenges, and
     # an up cell with a down cell as far east as a fixed stride would wrap to
     for gap in sorted({2**k for k in range(1, 80)} | {10**k // 2 for k in range(1, 25)}):
@@ -547,11 +586,6 @@ def test_cell_codes_hold_far_from_the_origin():
         apart = Region(cells=frozenset({up(0, 0), down(0, gap)}))
         assert lozenges(apart) == lattice_lozenges(apart)
         assert count_tilings(apart) == count_tilings_oracle(apart) == 0
-        seen += [wide, apart]
-    owner: dict[tuple, Region] = {}
-    for region in seen:
-        assert owner.setdefault(counting._memo_key(region), region) == region
-    assert len(owner) == len(set(seen))
 
 
 def test_forced_reduction_agrees_with_engine_on_golden_regions():

@@ -431,6 +431,18 @@ def test_parse_spec_rejects_unknown_field():
         parse_spec({"family": "Hex", "a": 1, "b": 1, "c": 1, "zz": 2})
 
 
+def test_spec_fields_are_normalized_or_refused():
+    # a spec is the count memo's key: equal inputs give equal, hashable specs,
+    # and a field its family does not take is refused rather than kept
+    loose = RegionSpec("H", x=2, y=1, U=[4, 1], D=(2,), B=None)
+    assert loose == h_spec(2, 1, (1, 4), (2,))
+    assert hash(loose) == hash(h_spec(2, 1, (1, 4), (2,)))
+    with pytest.raises(InvalidSpec, match="unknown field 'U' for family Hex"):
+        RegionSpec("Hex", a=1, b=1, c=1, U=[1])
+    with pytest.raises(InvalidSpec, match="unknown field 'dents' for family F"):
+        RegionSpec("F", x=1, y=1, dents=(1,))
+
+
 def test_parse_spec_rejects_missing_field():
     with pytest.raises(InvalidSpec, match="requires fields"):
         parse_spec({"family": "H", "x": 1})
