@@ -10,8 +10,6 @@ from .counting import (
     count_tilings,
     count_tilings_oracle,
     enumerate_tilings,
-    free_axis_positions,
-    kuo_counts,
 )
 from .formulas import (
     RatioSpec,
@@ -71,6 +69,8 @@ from .verify import (
     check_fern_reduction,
     check_kuo_recurrence,
     check_shuffling,
+    free_axis_positions,
+    kuo_counts,
     random_shuffle_cases,
     run_suite,
     summary_table,

@@ -29,10 +29,13 @@ from .regions import (
     InvalidSpec,
     RegionSpec,
     build_region,
+    f_spec,
+    h_spec,
     hex_spec,
     nonnegative_int,
     normalize_positions,
     parse_spec,
+    w_spec,
 )
 from .verify import all_passed, check_shuffling, run_suite, summary_table, write_reports
 
@@ -49,12 +52,22 @@ class SpecFileError(ValueError):
     pass
 
 
+def _read_text(path: str) -> str:
+    """The file decoded as UTF-8; a byte that is not is refused with its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise SpecFileError(f"line {line}: not UTF-8 text") from None
+
+
 def load_specs(path: str) -> list[tuple[int, RegionSpec]]:
     """Parse a spec file; returns (line, spec) pairs.
 
     Accepts a single JSON object, a JSON array of objects, or JSON lines.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     stripped = text.strip()
     if not stripped:
         raise SpecFileError("line 1: empty spec file")
@@ -126,7 +139,7 @@ def _cmd_count_symmetric(args) -> int:
 
 def _load_ratio(path: str) -> tuple[RatioSpec, int, tuple[int, ...]]:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise SpecFileError(f"line {e.lineno}: {e.msg}") from None
     if not isinstance(obj, dict):
@@ -214,8 +227,6 @@ def _cmd_render(args) -> int:
 
 def _cmd_bench(args) -> int:
     ladder = [hex_spec(k, k, k) for k in range(1, args.max_hex + 1)]
-    from .regions import f_spec, h_spec, w_spec
-
     ladder += [
         h_spec(2, 1, (1,), (4,)),  # interior dents: needs minus signs, small enough for the oracle
         f_spec(2, 1, (1,), (2,)),
@@ -320,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecFileError, InvalidSpec, CapExceeded, FileNotFoundError) as e:
+    except (SpecFileError, InvalidSpec, CapExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -364,60 +364,3 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
         return _reflective_fold(build_region(spec))
     return count_spec(halved)
 
-
-# -- condensation counts ---------------------------------------------------------------
-
-
-def free_axis_positions(spec: RegionSpec) -> list[int]:
-    """Axis positions carrying neither a dent nor a barrier."""
-    occupied = set(spec.U) | set(spec.D) | set(spec.B)
-    return [p for p in range(1, spec.axis_length + 1) if p not in occupied]
-
-
-def kuo_counts(
-    spec: RegionSpec, alpha: int, beta: int
-) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
-    """The six halved-hexagon counts entering the condensation identity.
-
-    For a halved hexagon with free positions alpha < beta (first and last in
-    the complement of U ∪ D ∪ B), returns the counts of::
-
-        (x,   y,   U),        (x-1, y-1, U+{a,b}),
-        (x-1, y,   U+{b}),    (x,   y-1, U+{a}),
-        (x-1, y,   U+{a}),    (x,   y-1, U+{b}),
-
-    which satisfy  M0*M1 == M2*M3 + M4*M5  exactly.
-    """
-    if spec.family not in ("F", "Fbar"):
-        raise InvalidSpec("kuo_counts expects an F or Fbar spec")
-    comp = free_axis_positions(spec)
-    if len(comp) < 2:
-        raise InvalidSpec("kuo_counts needs at least two free axis positions")
-    if alpha >= beta:
-        raise InvalidSpec("alpha must be strictly less than beta")
-    if alpha != comp[0] or beta != comp[-1]:
-        raise InvalidSpec(
-            f"alpha/beta must be the first and last free positions {comp[0]},{comp[-1]}"
-        )
-    if spec.x < 1 or spec.y < 1:
-        raise InvalidSpec("kuo_counts needs x >= 1 and y >= 1 for the shifted regions")
-
-    def shifted(dx: int, dy: int, extra: tuple[int, ...]) -> Fraction:
-        sub = RegionSpec(
-            spec.family,
-            x=spec.x - dx,
-            y=spec.y - dy,
-            U=tuple(sorted(set(spec.U) | set(extra))),
-            D=spec.D,
-            B=spec.B,
-        )
-        return count_spec(sub)
-
-    return (
-        shifted(0, 0, ()),
-        shifted(1, 1, (alpha, beta)),
-        shifted(1, 0, (beta,)),
-        shifted(0, 1, (alpha,)),
-        shifted(1, 0, (alpha,)),
-        shifted(0, 1, (beta,)),
-    )

@@ -148,13 +148,16 @@ def quartered(variant: str, dents) -> Fraction:
 
 RATIO_FAMILIES = ("H", "RS-odd", "RS-even", "F", "Fbar", "W", "Wbar")
 
-_DELTA_BY_FAMILY = {
-    "RS-odd": "Squares",
-    "RS-even": "OddShift",
-    "F": "Squares",
-    "Fbar": "OddShift",
-    "W": "WeightedTri",
-    "Wbar": "EvenShift",
+# family -> (delta kind, a, b): a dent set S enters the ratio as
+# delta(S, kind) / h2(2|S| + a*y + b), so the h2 shift is y for RS, 2y+1 for
+# F and W, and 2y for Fbar and Wbar
+_RATIO_TERMS = {
+    "RS-odd": ("Squares", 1, 0),
+    "RS-even": ("OddShift", 1, 0),
+    "F": ("Squares", 2, 1),
+    "Fbar": ("OddShift", 2, 0),
+    "W": ("WeightedTri", 2, 1),
+    "Wbar": ("EvenShift", 2, 0),
 }
 
 
@@ -189,24 +192,6 @@ class RatioSpec:
             raise InvalidSpec("RS-even requires even y")
 
 
-def _h2_ratio(spec: RatioSpec) -> Fraction:
-    u, d = len(spec.U), len(spec.D)
-    u2, d2 = len(spec.Uprime), len(spec.Dprime)
-    y = spec.y
-    if spec.family in ("RS-odd", "RS-even"):
-        args = (2 * u2 + y, 2 * d2 + y, 2 * u + y, 2 * d + y)
-    elif spec.family in ("F", "W"):
-        args = (
-            2 * u2 + 2 * y + 1,
-            2 * d2 + 2 * y + 1,
-            2 * u + 2 * y + 1,
-            2 * d + 2 * y + 1,
-        )
-    else:  # Fbar, Wbar
-        args = (2 * u2 + 2 * y, 2 * d2 + 2 * y, 2 * u + 2 * y, 2 * d + 2 * y)
-    return Fraction(h2(args[0]) * h2(args[1]), h2(args[2]) * h2(args[3]))
-
-
 def shuffle_ratio(spec: RatioSpec) -> Fraction:
     """Right-hand side of the shuffling theorem for the given family."""
     if spec.family == "H":
@@ -215,7 +200,10 @@ def shuffle_ratio(spec: RatioSpec) -> Fraction:
             len(spec.Uprime), len(spec.Dprime), spec.y
         )
         return num / den
-    kind = _DELTA_BY_FAMILY[spec.family]
+    kind, a, b = _RATIO_TERMS[spec.family]
+    shift = a * spec.y + b
     num = delta(spec.U, kind) * delta(spec.D, kind)
+    num *= h2(2 * len(spec.Uprime) + shift) * h2(2 * len(spec.Dprime) + shift)
     den = delta(spec.Uprime, kind) * delta(spec.Dprime, kind)
-    return Fraction(num, den) * _h2_ratio(spec)
+    den *= h2(2 * len(spec.U) + shift) * h2(2 * len(spec.D) + shift)
+    return Fraction(num, den)

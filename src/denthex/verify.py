@@ -11,6 +11,17 @@ Position conventions: region specs name axis positions from the west end;
 RatioSpec positions for the RS families are center-anchored (counted outward
 from the axis midpoint), the frame in which the reflective ratio formulas
 hold.  ``check_shuffling`` converts between the two.
+
+The halved-hexagon checks rest on one axis rule (``_quartered_side``): cutting
+an F, Fbar, W or Wbar region along its dent axis leaves two quartered
+hexagons, L (F, Fbar) or Lbar (W, Wbar) of 2|S| - [bar family] rows and
+size - |S| columns with dents S, one per side.  The decomposition sum splits
+an F region over every y-subset of its free axis positions, which carry the
+vertical lozenges; a base case is the split of one term, the empty set when
+y = 0 and all y free positions when x = |B|.  Both hold every quartered side
+to its closed form, and the asymptotic probe takes its exact limit from the
+same sides.  The condensation identity shifts the region at the first and
+last free positions.
 """
 
 from __future__ import annotations
@@ -23,13 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .counting import (
-    count_reflective,
-    count_spec,
-    count_tilings,
-    free_axis_positions,
-    kuo_counts,
-)
+from .counting import count_reflective, count_spec, count_tilings
 from .formulas import RATIO_FAMILIES, RatioSpec, quartered, shuffle_ratio
 from .regions import (
     InvalidSpec,
@@ -37,7 +42,6 @@ from .regions import (
     axis_midpoint_mirror,
     build_region,
     f_spec,
-    l_spec,
     mirror_positions,
     remove_forced_lozenges,
     rs_spec,
@@ -189,6 +193,84 @@ class ClusterSpec:
         )
 
 
+# -- the dent axis -----------------------------------------------------------------
+
+
+def free_axis_positions(spec: RegionSpec) -> list[int]:
+    """Axis positions carrying neither a dent nor a barrier."""
+    occupied = set(spec.U) | set(spec.D) | set(spec.B)
+    return [p for p in range(1, spec.axis_length + 1) if p not in occupied]
+
+
+# family -> the quartered hexagon a cut along the dent axis leaves on each
+# side: its family, the rows it has short of 2|S|, and its closed form
+_SIDES = {
+    "F": ("L", 0, "L-even"),
+    "Fbar": ("L", 1, "L-odd"),
+    "W": ("Lbar", 0, "Lbar-even"),
+    "Wbar": ("Lbar", 1, "Lbar-odd"),
+}
+
+
+def _quartered_side(family: str, size: int, dents: tuple[int, ...]) -> Fraction:
+    """Count of the quartered hexagon L or Lbar(2|S| - [bar family], size - |S|, S)
+    that a cut along the dent axis of a ``family`` region with ``size`` axis
+    positions leaves on the side whose dents are S = ``dents``."""
+    if size == 0:
+        return ONE
+    side, short, _ = _SIDES[family]
+    m = 2 * len(dents) - short
+    if m < 0:
+        raise InvalidSpec(
+            f"{family} probe needs at least one dent of each orientation per cluster"
+        )
+    return count_spec(RegionSpec(side, m=m, n=size - len(dents), dents=dents))
+
+
+def kuo_counts(
+    spec: RegionSpec,
+) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
+    """The six halved-hexagon counts entering the condensation identity.
+
+    With alpha < beta the first and last free positions (the complement of
+    U ∪ D ∪ B), returns the counts of::
+
+        (x,   y,   U),        (x-1, y-1, U+{a,b}),
+        (x-1, y,   U+{b}),    (x,   y-1, U+{a}),
+        (x-1, y,   U+{a}),    (x,   y-1, U+{b}),
+
+    which satisfy  M0*M1 == M2*M3 + M4*M5  exactly.
+    """
+    if spec.family not in ("F", "Fbar"):
+        raise InvalidSpec("kuo_counts expects an F or Fbar spec")
+    free = free_axis_positions(spec)
+    if len(free) < 2:
+        raise InvalidSpec("kuo_counts needs at least two free axis positions")
+    if spec.x < 1 or spec.y < 1:
+        raise InvalidSpec("kuo_counts needs x >= 1 and y >= 1 for the shifted regions")
+    alpha, beta = free[0], free[-1]
+
+    def shifted(dx: int, dy: int, extra: tuple[int, ...]) -> Fraction:
+        sub = RegionSpec(
+            spec.family,
+            x=spec.x - dx,
+            y=spec.y - dy,
+            U=tuple(sorted(set(spec.U) | set(extra))),
+            D=spec.D,
+            B=spec.B,
+        )
+        return count_spec(sub)
+
+    return (
+        shifted(0, 0, ()),
+        shifted(1, 1, (alpha, beta)),
+        shifted(1, 0, (beta,)),
+        shifted(0, 1, (alpha,)),
+        shifted(1, 0, (alpha,)),
+        shifted(0, 1, (beta,)),
+    )
+
+
 # -- individual checks ------------------------------------------------------------
 
 
@@ -233,18 +315,46 @@ def check_shuffling(rs: RatioSpec, x: int, B: Sequence[int] = ()) -> Verificatio
 def check_kuo_recurrence(spec: RegionSpec) -> VerificationReport:
     """Bilinear condensation identity among the six shifted halved hexagons."""
     t0 = time.perf_counter()
-    comp = free_axis_positions(spec)
-    if len(comp) < 2:
-        raise InvalidSpec("need at least two free axis positions")
-    m = kuo_counts(spec, comp[0], comp[-1])
+    m = kuo_counts(spec)
+    free = free_axis_positions(spec)
     lhs = m[0] * m[1]
     rhs = m[2] * m[3] + m[4] * m[5]
     return VerificationReport(
         "kuo-recurrence",
-        f"{spec.describe()} alpha={comp[0]} beta={comp[-1]}",
+        f"{spec.describe()} alpha={free[0]} beta={free[-1]}",
         lhs,
         rhs,
         lhs == rhs,
+        elapsed=time.perf_counter() - t0,
+    )
+
+
+def _split_report(check: str, spec: RegionSpec) -> VerificationReport:
+    """The count of ``spec`` against the sum, over the y-subsets S of its free
+    axis positions, of the products of its two quartered sides with dents
+    U ∪ S and D ∪ S.  Every side is also held to its closed form."""
+    t0 = time.perf_counter()
+    size, variant = spec.axis_length, _SIDES[spec.family][2]
+    rhs = ZERO
+    note = ""
+    for chosen in combinations(free_axis_positions(spec), spec.y):
+        term = ONE
+        for own in (spec.U, spec.D):
+            dents = tuple(sorted(set(own) | set(chosen)))
+            count = _quartered_side(spec.family, size, dents)
+            closed = quartered(variant, dents)
+            if closed != count:
+                note = f"closed form {variant} for dents={list(dents)} gives {closed} != {count}"
+            term *= count
+        rhs += term
+    lhs = count_spec(spec)
+    return VerificationReport(
+        check,
+        spec.describe(),
+        lhs,
+        rhs,
+        lhs == rhs and not note,
+        note=note,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -253,51 +363,15 @@ def check_base_cases(spec: RegionSpec) -> VerificationReport:
     """Splitting of a base-case halved hexagon into two quartered hexagons.
 
     Applies when y = 0 (split along the axis) or x = |B| (every free axis
-    position is forced to carry a vertical lozenge).  Each quartered factor
-    is counted by the engine and cross-checked against its closed form.
+    position is forced to carry a vertical lozenge): the split sum of one
+    term.  Each quartered factor is counted by the engine and cross-checked
+    against its closed form.
     """
-    t0 = time.perf_counter()
     if spec.family not in ("F", "Fbar"):
         raise InvalidSpec("check_base_cases expects an F or Fbar spec")
-    odd = spec.family == "Fbar"
-    u, d, n, y, x = spec.u, spec.d, spec.n_removed, spec.y, spec.x
-    if y == 0:
-        sides = [
-            (2 * u - (1 if odd else 0), x + n - u, spec.U),
-            (2 * d - (1 if odd else 0), x + n - d, spec.D),
-        ]
-    elif len(spec.B) == x:
-        comp = tuple(free_axis_positions(spec))
-        sides = [
-            (2 * (y + u) - (1 if odd else 0), x + n - u, tuple(sorted(set(spec.U) | set(comp)))),
-            (2 * (y + d) - (1 if odd else 0), x + n - d, tuple(sorted(set(spec.D) | set(comp)))),
-        ]
-    else:
+    if spec.y and len(spec.B) != spec.x:
         raise InvalidSpec("not a base case: need y = 0 or x = |B|")
-
-    rhs = ONE
-    note = ""
-    formulas_agree = True
-    for m, nn, dents in sides:
-        # both F and Fbar split into unweighted quartered hexagons; the
-        # families differ only in the row parity m.
-        cnt = count_spec(l_spec(m, nn, dents))
-        rhs *= cnt
-        if dents or m % 2 == 0:
-            closed = quartered(f"L-{'odd' if m % 2 else 'even'}", dents)
-            if closed != cnt:
-                formulas_agree = False
-                note = f"closed form for m={m} dents={list(dents)} gives {closed} != {cnt}"
-    lhs = count_spec(spec)
-    return VerificationReport(
-        "base-case-split",
-        spec.describe(),
-        lhs,
-        rhs,
-        lhs == rhs and formulas_agree,
-        note=note,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _split_report("base-case-split", spec)
 
 
 def check_decomposition(spec: RegionSpec) -> VerificationReport:
@@ -305,29 +379,12 @@ def check_decomposition(spec: RegionSpec) -> VerificationReport:
 
     Every tiling places exactly y vertical lozenges on the free axis
     positions; summing the products of the two quartered-hexagon counts over
-    all y-subsets reproduces the tiling count.
+    all y-subsets reproduces the tiling count.  Each quartered factor is
+    cross-checked against its closed form.
     """
-    t0 = time.perf_counter()
     if spec.family != "F":
         raise InvalidSpec("check_decomposition expects an F spec")
-    u, d, n, y, x = spec.u, spec.d, spec.n_removed, spec.y, spec.x
-    comp = free_axis_positions(spec)
-    rhs = ZERO
-    for chosen in combinations(comp, y):
-        du = tuple(sorted(set(spec.U) | set(chosen)))
-        dd = tuple(sorted(set(spec.D) | set(chosen)))
-        rhs += count_spec(l_spec(2 * (u + y), x + n - u, du)) * count_spec(
-            l_spec(2 * (d + y), x + n - d, dd)
-        )
-    lhs = count_spec(spec)
-    return VerificationReport(
-        "decomposition-sum",
-        spec.describe(),
-        lhs,
-        rhs,
-        lhs == rhs,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _split_report("decomposition-sum", spec)
 
 
 def check_fern_reduction(clusters: ClusterSpec, x: int, y: int) -> VerificationReport:
@@ -360,18 +417,6 @@ def check_fern_reduction(clusters: ClusterSpec, x: int, y: int) -> VerificationR
     )
 
 
-def _cluster_side_count(family: str, size: int, dents: tuple[int, ...]) -> Fraction:
-    if size == 0:
-        return ONE
-    m = 2 * len(dents) - family.endswith("bar")
-    if m < 0:
-        raise InvalidSpec(
-            f"{family} probe needs at least one dent of each orientation per cluster"
-        )
-    side = "L" if family in ("F", "Fbar") else "Lbar"
-    return count_spec(RegionSpec(side, m=m, n=size - len(dents), dents=dents))
-
-
 def asymptotic_probe(
     clusters: ClusterSpec,
     shuffled: ClusterSpec,
@@ -390,7 +435,7 @@ def asymptotic_probe(
     shuffle is confined to a single cluster).
     """
     t0 = time.perf_counter()
-    if family not in ("F", "Fbar", "W", "Wbar"):
+    if family not in _SIDES:
         raise InvalidSpec(f"unknown probe family {family!r}")
     if clusters.gaps != shuffled.gaps or len(clusters.clusters) != len(shuffled.clusters):
         raise InvalidSpec("shuffled clusters must share layout with the originals")
@@ -400,10 +445,10 @@ def asymptotic_probe(
 
     limit = ONE
     for a, b in zip(clusters.clusters, shuffled.clusters):
-        limit *= _cluster_side_count(family, a.size, a.U)
-        limit *= _cluster_side_count(family, a.size, a.D)
-        limit /= _cluster_side_count(family, b.size, b.U)
-        limit /= _cluster_side_count(family, b.size, b.D)
+        limit *= _quartered_side(family, a.size, a.U)
+        limit *= _quartered_side(family, a.size, a.D)
+        limit /= _quartered_side(family, b.size, b.U)
+        limit /= _quartered_side(family, b.size, b.D)
 
     ratios: list[Fraction] = []
     deviations: list[Fraction] = []

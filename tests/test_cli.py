@@ -47,6 +47,26 @@ def test_count_malformed_line_reports_lineno(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_count_directory_is_an_error(tmp_path, capsys):
+    assert main(["count", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_spec_file_not_utf8_reports_lineno(tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    good = json.dumps({"family": "Hex", "a": 1, "b": 1, "c": 1}).encode()
+    path.write_bytes(good + b"\n" + good + b"\n# caf\xe9\n")
+    for argv in (["count", str(path)], ["render", str(path)], ["ratio", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
+
+
+def test_verify_out_onto_a_file_is_an_error(tmp_path, capsys):
+    path = write(tmp_path, "taken", "")
+    assert main(["verify", "all", "--out", path]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_count_unknown_field_rejected(tmp_path, capsys):
     path = write(tmp_path, "bad.json", {"family": "Hex", "a": 1, "b": 1, "c": 1, "q": 9})
     assert main(["count", path]) == 2

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,10 @@ from denthex import (
     run_suite,
     summary_table,
 )
+from denthex import verify
 from denthex.verify import all_passed, fern_cases, probe_cases, write_reports
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_check_shuffling_noop_is_one():
@@ -99,6 +104,17 @@ def test_check_decomposition_forced_boundary():
     report = check_decomposition(spec)
     assert report.passed
     assert report.lhs == report.rhs
+
+
+def test_decomposition_checks_closed_forms(monkeypatch):
+    # every quartered factor of the sum is held to its closed form, as the
+    # base cases' factors are
+    real = verify.quartered
+    monkeypatch.setattr(verify, "quartered", lambda variant, dents: real(variant, dents) + 1)
+    report = check_decomposition(f_spec(1, 1, (1,), (2,)))
+    assert report.lhs == report.rhs
+    assert not report.passed
+    assert "closed form L-even" in report.note
 
 
 def test_cluster_validation():
@@ -230,3 +246,17 @@ def test_run_suite_and_reports(tmp_path):
 def test_run_suite_unknown_name():
     with pytest.raises(InvalidSpec):
         run_suite("nonsense")
+
+
+def test_suite_digests_are_pinned():
+    # per suite, a digest of every report record but its elapsed_ms, each
+    # suite run from an empty memo; see tests/data/make_verify_digests.py
+    path = DATA / "make_verify_digests.py"
+    spec = importlib.util.spec_from_file_location("make_verify_digests", path)
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    lines = (DATA / "verify_digests.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [r["suite"] for r in records] == list(verify.SUITES)
+    for record in records:
+        assert maker.suite_digest(record["suite"]) == record
