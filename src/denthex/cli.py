@@ -80,7 +80,8 @@ def load_specs(path: str) -> list[tuple[int, RegionSpec]]:
     if isinstance(whole, list):
         return [(i + 1, _parse_or_raise(obj, i + 1)) for i, obj in enumerate(whole)]
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line, as in _read_text and _load_ratio (not a form feed)
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,26 +115,24 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_count_symmetric(args) -> int:
+    methods = ("filter", "reduce") if args.method == "both" else (args.method,)
     status = EXIT_OK
     for lineno, spec in load_specs(args.specfile):
         if spec.family != "RS":
             raise SpecFileError(f"line {lineno}: count-symmetric needs RS specs")
-        if args.method in ("both", "filter"):
+        counts = []
+        for method in methods:
             try:
-                filtered = count_reflective(spec, "filter", cap=args.cap)
+                counts.append(count_reflective(spec, method, cap=args.cap))
             except CapExceeded as e:
                 raise CapExceeded(f"line {lineno}: {e}") from None
-        if args.method in ("both", "reduce"):
-            reduced = count_reflective(spec, "reduce")
-        if args.method == "filter":
-            print(f"filter={filtered}  [{spec.describe()}]")
-        elif args.method == "reduce":
-            print(f"reduce={reduced}  [{spec.describe()}]")
-        else:
-            agree = filtered == reduced
-            print(f"filter={filtered} reduce={reduced} agree={agree}  [{spec.describe()}]")
+        fields = [f"{method}={count}" for method, count in zip(methods, counts)]
+        if len(counts) == 2:
+            agree = counts[0] == counts[1]
+            fields.append(f"agree={agree}")
             if not agree:
                 status = EXIT_CHECK_FAILED
+        print(" ".join(fields) + f"  [{spec.describe()}]")
     return status
 
 
@@ -176,11 +175,12 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(args.suite, seed=args.seed, budget=args.budget)
-    print(summary_table(reports))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
+    reports = run_suite(args.suite, seed=args.seed, budget=args.budget)
+    print(summary_table(reports))
+    if args.out:
         write_reports(reports, outdir / f"{args.suite}.jsonl")
         (outdir / f"{args.suite}-summary.txt").write_text(
             summary_table(reports) + "\n", encoding="utf-8"

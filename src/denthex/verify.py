@@ -22,6 +22,13 @@ y = 0 and all y free positions when x = |B|.  Both hold every quartered side
 to its closed form, and the asymptotic probe takes its exact limit from the
 same sides.  The condensation identity shifts the region at the first and
 last free positions.
+
+The seeded F and Fbar cases draw their dents through one helper
+(``_draw_dents``), and every generated case meets the spec rules by
+construction, so a generator that broke one would raise rather than skip the
+case.  A clustered case becomes a region spec only through
+``ClusterSpec.region_spec``, which places the clusters and checks that they
+fill the N(x+y)+n axis positions at scale N.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .counting import count_reflective, count_spec, count_tilings
 from .formulas import RATIO_FAMILIES, RatioSpec, quartered, shuffle_ratio
@@ -172,25 +179,25 @@ class ClusterSpec:
         if any(g < 1 for g in self.gaps):
             raise InvalidSpec("gaps must be positive")
 
-    def absolute_sets(self, scale: int = 1):
-        """Absolute (U, D, B, axis_length) with gaps multiplied by ``scale``."""
+    def region_spec(self, family: str, x: int, y: int, scale: int = 1) -> RegionSpec:
+        """The ``family`` region with x, y and the gaps multiplied by ``scale``
+        and the clusters placed on its dent axis, which they must fill."""
         U: list[int] = []
         D: list[int] = []
         B: list[int] = []
-        start = 1
-        for i, cl in enumerate(self.clusters):
-            U.extend(start - 1 + p for p in cl.U)
-            D.extend(start - 1 + p for p in cl.D)
-            B.extend(start - 1 + p for p in cl.B)
-            start += cl.size
-            if i < len(self.gaps):
-                start += scale * self.gaps[i]
-        return (
-            tuple(sorted(set(U))),
-            tuple(sorted(set(D))),
-            tuple(sorted(B)),
-            start - 1,
-        )
+        end = 0
+        for cl, gap in zip(self.clusters, (*self.gaps, 0)):
+            U.extend(end + p for p in cl.U)
+            D.extend(end + p for p in cl.D)
+            B.extend(end + p for p in cl.B)
+            end += cl.size + scale * gap
+        expected = scale * (x + y) + len(set(U) | set(D))
+        if end != expected:
+            raise InvalidSpec(
+                f"cluster layout spans {end} axis positions at scale {scale}, "
+                f"but N(x+y)+n = {expected}"
+            )
+        return RegionSpec(family, x=scale * x, y=scale * y, U=U, D=D, B=B)
 
 
 # -- the dent axis -----------------------------------------------------------------
@@ -395,13 +402,7 @@ def check_fern_reduction(clusters: ClusterSpec, x: int, y: int) -> VerificationR
             raise InvalidSpec("fern clusters need U and D disjoint")
         if cl.B:
             raise InvalidSpec("fern clusters carry no barriers")
-    U, D, B, axis = clusters.absolute_sets()
-    if axis != x + y + len(set(U) | set(D)):
-        raise InvalidSpec(
-            f"cluster layout spans {axis} axis positions but x+y+n = "
-            f"{x + y + len(set(U) | set(D))}"
-        )
-    spec = f_spec(x, y, U, D)
+    spec = clusters.region_spec("F", x, y)
     region = build_region(spec)
     reduced, factor = remove_forced_lozenges(region)
     lhs = count_tilings(region)
@@ -455,16 +456,8 @@ def asymptotic_probe(
     truncated = False
     note = ""
     for scale in range(1, nmax + 1):
-        U, D, B, axis = clusters.absolute_sets(scale)
-        U2, D2, B2, _ = shuffled.absolute_sets(scale)
-        n = len(set(U) | set(D))
-        if axis != scale * (x + y) + n:
-            raise InvalidSpec(
-                f"cluster layout spans {axis} positions at scale {scale}, "
-                f"expected N(x+y)+n = {scale * (x + y) + n}"
-            )
-        spec_a = RegionSpec(family, x=scale * x, y=scale * y, U=U, D=D, B=B)
-        spec_b = RegionSpec(family, x=scale * x, y=scale * y, U=U2, D=D2, B=B2)
+        spec_a = clusters.region_spec(family, x, y, scale)
+        spec_b = shuffled.region_spec(family, x, y, scale)
         region_a = build_region(spec_a)
         if len(region_a) > cell_cap:
             truncated = True
@@ -543,10 +536,7 @@ def _random_shuffle_group(rng: random.Random, family: str):
             y + len(U) < 1 or y + len(D) < 1 or y + len(U2) < 1 or y + len(D2) < 1
         ):
             continue
-        try:
-            rs = RatioSpec(family, U, D, U2, D2, y)
-        except InvalidSpec:
-            continue
+        rs = RatioSpec(family, U, D, U2, D2, y)
         free = [p for p in universe if p not in chosen]
         bmax = x // 2 if rs_family else x
         if bmax < 1 or len(free) < 2:
@@ -558,21 +548,31 @@ def _random_shuffle_group(rng: random.Random, family: str):
     raise RuntimeError(f"could not generate a shuffle case for family {family}")
 
 
-def random_shuffle_cases(
-    seed: int, budget: int, families: Iterable[str] = RATIO_FAMILIES
-) -> list[tuple[RatioSpec, int, tuple[int, ...]]]:
+def random_shuffle_cases(seed: int, budget: int) -> list[tuple[RatioSpec, int, tuple[int, ...]]]:
     """Deterministic shuffle cases within the x+y+n <= 8 envelope.
 
     Cases come in groups of three sharing (U, D, U', D') and differing only
     in the barrier set.  Exactly ``budget`` cases are returned.
     """
     rng = random.Random(seed)
-    families = tuple(families)
     out: list[tuple[RatioSpec, int, tuple[int, ...]]] = []
     while len(out) < budget:
-        family = families[rng.randrange(len(families))]
+        family = RATIO_FAMILIES[rng.randrange(len(RATIO_FAMILIES))]
         out.extend(_random_shuffle_group(rng, family))
     return out[:budget]
+
+
+def _draw_dents(
+    rng: random.Random, axis: int, n: int, p_up: float
+) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """(U, D, free positions) for n dents drawn from ``axis`` positions: each
+    is an up dent with probability ``p_up`` and a down dent otherwise, and an
+    up dent is also a down dent with probability 0.2."""
+    chosen = sorted(rng.sample(range(1, axis + 1), n))
+    ups = {v for v in chosen if rng.random() < p_up}
+    downs = (set(chosen) - ups) | {v for v in ups if rng.random() < 0.2}
+    free = [p for p in range(1, axis + 1) if p not in chosen]
+    return tuple(sorted(ups)), tuple(sorted(downs)), free
 
 
 def random_kuo_specs(seed: int, budget: int) -> list[RegionSpec]:
@@ -584,27 +584,18 @@ def random_kuo_specs(seed: int, budget: int) -> list[RegionSpec]:
         y = rng.randint(1, 2)
         n = rng.randint(1, 3)
         x = rng.randint(1, max(1, 7 - y - n))
-        axis = x + y + n
-        chosen = sorted(rng.sample(range(1, axis + 1), n))
-        ups = {v for v in chosen if rng.random() < 0.6}
-        downs = (set(chosen) - ups) | {v for v in ups if rng.random() < 0.2}
-        if not downs and rng.random() < 0.5 and chosen:
-            downs = {chosen[-1]}
-        U = tuple(sorted(ups))
-        D = tuple(sorted(downs))
+        U, D, free = _draw_dents(rng, x + y + n, n, 0.6)
+        if not D and rng.random() < 0.5:
+            D = U[-1:]
         # the y-1 shifted regions keep D but lose a row pair, so Fbar needs
         # y + d >= 2 for all six condensation regions to exist
         if family == "Fbar" and (y + len(U) < 1 or y + len(D) < 2):
             continue
-        free = [p for p in range(1, axis + 1) if p not in set(U) | set(D)]
         if len(free) < 2:
             continue
         nb = rng.randint(0, min(x - 1, len(free) - 2))
         B = tuple(sorted(rng.sample(free[1:-1], nb))) if nb else ()
-        try:
-            out.append(RegionSpec(family, x=x, y=y, U=U, D=D, B=B))
-        except InvalidSpec:
-            continue
+        out.append(RegionSpec(family, x=x, y=y, U=U, D=D, B=B))
     return out
 
 
@@ -622,25 +613,16 @@ def random_base_case_specs(seed: int, budget: int) -> list[RegionSpec]:
         else:
             y = rng.randint(1, 2)
             x = rng.randint(0, 2)
-        axis = x + y + n
-        chosen = sorted(rng.sample(range(1, axis + 1), n))
-        ups = {v for v in chosen if rng.random() < 0.5}
-        downs = (set(chosen) - ups) | {v for v in ups if rng.random() < 0.2}
-        U = tuple(sorted(ups))
-        D = tuple(sorted(downs))
+        U, D, free = _draw_dents(rng, x + y + n, n, 0.5)
         if family == "Fbar" and (y + len(U) < 1 or y + len(D) < 1):
             continue
-        free = [p for p in range(1, axis + 1) if p not in set(U) | set(D)]
         if kind == "xb":
             if len(free) < x + y:  # need x barriers and y free spots
                 continue
             B = tuple(sorted(rng.sample(free, x)))
         else:
             B = tuple(sorted(rng.sample(free, rng.randint(0, min(x, len(free))))))
-        try:
-            out.append(RegionSpec(family, x=x, y=y, U=U, D=D, B=B))
-        except InvalidSpec:
-            continue
+        out.append(RegionSpec(family, x=x, y=y, U=U, D=D, B=B))
     return out
 
 
@@ -651,18 +633,10 @@ def random_decomposition_specs(seed: int, budget: int) -> list[RegionSpec]:
         y = rng.randint(1, 2)
         n = rng.randint(1, 3)
         x = rng.randint(1, max(1, 6 - y - n))
-        axis = x + y + n
-        chosen = sorted(rng.sample(range(1, axis + 1), n))
-        ups = {v for v in chosen if rng.random() < 0.5}
-        U = tuple(sorted(ups))
-        D = tuple(sorted((set(chosen) - ups) | {v for v in ups if rng.random() < 0.2}))
-        free = [p for p in range(1, axis + 1) if p not in set(U) | set(D)]
+        U, D, free = _draw_dents(rng, x + y + n, n, 0.5)
         nb = rng.randint(0, min(x, max(0, len(free) - y)))
         B = tuple(sorted(rng.sample(free, nb))) if nb else ()
-        try:
-            out.append(f_spec(x, y, U, D, B))
-        except InvalidSpec:
-            continue
+        out.append(f_spec(x, y, U, D, B))
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from denthex import build_region, cli, count_tilings, counting, hex_spec, regions
 from denthex.cli import main
 from denthex.render import region_ascii, region_svg, tiling_ascii, tiling_svg
-from denthex import enumerate_tilings, pprime_spec, h_spec
+from denthex import enumerate_tilings, pprime_spec, h_spec, w_spec
 
 
 def write(tmp_path, name, obj):
@@ -62,9 +62,38 @@ def test_spec_file_not_utf8_reports_lineno(tmp_path, capsys):
 
 
 def test_verify_out_onto_a_file_is_an_error(tmp_path, capsys):
+    # the --out directory is made before the suite runs, so no check is run
     path = write(tmp_path, "taken", "")
     assert main(["verify", "all", "--out", path]) == 2
-    assert "error: " in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: " in captured.err
+    assert captured.out == ""
+
+
+def test_count_form_feed_does_not_end_a_line(tmp_path, capsys):
+    # str.splitlines() would also break at the form feed and report line 3
+    good = json.dumps({"family": "Hex", "a": 1, "b": 1, "c": 1})
+    path = write(tmp_path, "ff.jsonl", good + "\x0c\n{oops\n")
+    assert main(["count", path]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def test_count_json_array(tmp_path, capsys):
+    specs = [{"family": "Hex", "a": 1, "b": 1, "c": 1}, {"family": "Hex", "a": 2, "b": 2, "c": 2}]
+    path = write(tmp_path, "specs.json", specs)
+    assert main(["count", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == ["2", "20"]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [(" \n\n", "line 1: empty spec file"), ("# a comment\n", "line 1: no region specs found")],
+)
+def test_count_spec_file_without_specs(tmp_path, capsys, text, message):
+    path = write(tmp_path, "empty.jsonl", text)
+    assert main(["count", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_count_unknown_field_rejected(tmp_path, capsys):
@@ -78,6 +107,21 @@ def test_count_symmetric(tmp_path, capsys):
     assert main(["count-symmetric", path]) == 0
     out = capsys.readouterr().out
     assert "filter=2" in out and "reduce=2" in out and "agree=True" in out
+
+
+def test_count_symmetric_reduce_alone(tmp_path, capsys):
+    path = write(tmp_path, "rs.json", {"family": "RS", "x": 2, "y": 1, "U": [1]})
+    assert main(["count-symmetric", path, "--method", "reduce"]) == 0
+    assert capsys.readouterr().out == "reduce=2  [RS(B=[], D=[], U=[1], x=2, y=1)]\n"
+
+
+def test_count_symmetric_disagreement_exits_1(tmp_path, capsys, monkeypatch):
+    fake = {"filter": Fraction(1), "reduce": Fraction(2)}
+    monkeypatch.setattr(cli, "count_reflective", lambda spec, method, cap=5000: fake[method])
+    path = write(tmp_path, "rs.json", {"family": "RS", "x": 2, "y": 1, "U": [1]})
+    assert main(["count-symmetric", path]) == 1
+    out = capsys.readouterr().out
+    assert out == "filter=1 reduce=2 agree=False  [RS(B=[], D=[], U=[1], x=2, y=1)]\n"
 
 
 def test_count_symmetric_cap_named(tmp_path, capsys):
@@ -111,6 +155,29 @@ def test_ratio_noop(tmp_path, capsys):
     assert main(["ratio", path]) == 0
     out = capsys.readouterr().out
     assert "lhs = 1" in out and "rhs = 1" in out and "pass" in out
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1, 2]", "line 1: ratio spec must be a JSON object"),
+        ('{"family": "F", "x": 1, "y": 0, "q": 1}', "line 1: unknown ratio field 'q'"),
+        ('{"family": "F", "y": 0}', "line 1: ratio spec requires 'x'"),
+    ],
+)
+def test_ratio_field_errors(tmp_path, capsys, text, message):
+    path = write(tmp_path, "ratio.json", text)
+    assert main(["ratio", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_ratio_vacuous(tmp_path, capsys):
+    # an RS region with odd x has no reflectively symmetric tiling
+    spec = {"family": "RS-odd", "x": 1, "y": 1, "U": [1], "Dprime": [1]}
+    path = write(tmp_path, "ratio.json", spec)
+    assert main(["ratio", path]) == 0
+    out = capsys.readouterr().out
+    assert out == "lhs = vacuous\nrhs = 1\nvacuous (denominator count is 0)\n"
 
 
 def test_verify_exit_code_and_reports(tmp_path, capsys):
@@ -221,6 +288,13 @@ def test_render_tiling_cap_names_the_line(tmp_path, capsys):
     assert "error: line 2: tiling enumeration cap 2 exceeded" in capsys.readouterr().err
 
 
+def test_render_two_specs_is_an_error(tmp_path, capsys):
+    spec = json.dumps({"family": "Hex", "a": 1, "b": 1, "c": 1})
+    path = write(tmp_path, "two.jsonl", spec + "\n" + spec + "\n")
+    assert main(["render", path]) == 2
+    assert capsys.readouterr().err == "error: render expects exactly one region spec\n"
+
+
 def test_render_negative_tiling_index(tmp_path, capsys):
     path = write(tmp_path, "spec.json", {"family": "Hex", "a": 1, "b": 1, "c": 1})
     assert main(["render", path, "--tiling", "-1"]) == 2
@@ -276,6 +350,25 @@ def test_region_svg_marks_barriers_and_dents():
     assert "#333333" in svg  # dent shading
 
 
+def test_region_ascii_barrier_row():
+    # the '=' row sits under the up cell of the barred pair (layer 1, index 5)
+    region = build_region(h_spec(2, 1, (1,), (2,), (3,)))
+    assert region_ascii(region).splitlines()[1:] == [
+        " ^v^v^v^",
+        " v^v^v^v^",
+        "    =",
+        "v^ ^v^v^v",
+        " v^v^v^v",
+    ]
+
+
+def test_region_svg_shades_each_half_weight_slot():
+    weighted = build_region(w_spec(2, 1, (1,), (2,)))
+    assert len(weighted.weights) == 4
+    assert region_svg(weighted).count("#999999") == 4
+    assert "#999999" not in region_svg(build_region(hex_spec(1, 1, 1)))
+
+
 def test_tiling_svg_weighted_core():
     region = build_region(pprime_spec(1, 1, 1))
     tilings = enumerate_tilings(region, cap=10)
@@ -290,6 +383,12 @@ def test_tiling_ascii_letters():
     text = tiling_ascii(region, t)
     body = "".join(text.splitlines()[2:])
     assert set(body) - {" "} <= set("ILR")
+
+
+def test_tiling_ascii_lowercases_half_weight_lozenges():
+    region = build_region(pprime_spec(1, 1, 1))
+    weighted = [t for t in enumerate_tilings(region, cap=10) if t.weight != 1][0]
+    assert tiling_ascii(region, weighted).splitlines()[1:] == ["tiling weight=1/2", "iLL", "iRR"]
 
 
 @pytest.mark.parametrize("field,value", [("x", True), ("x", 2.5), ("B", [4.0]), ("U", 1)])

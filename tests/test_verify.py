@@ -187,6 +187,19 @@ def test_probe_rejects_layout_mismatch():
         asymptotic_probe(a, b, "F", 0, 1)
 
 
+def test_cluster_layout_must_fill_the_axis():
+    # clusters of 2 and 0 positions with a gap of 2 span 4 axis positions, but
+    # F(1, 0) with two dents has 3
+    C = Cluster.from_pattern
+    message = r"spans {} axis positions at scale {}, but N\(x\+y\)\+n = {}"
+    with pytest.raises(InvalidSpec, match=message.format(4, 1, 3)):
+        check_fern_reduction(ClusterSpec((C("UU"), Cluster(0)), (2,)), 1, 0)
+    # the barrier fills the missing position at scale 1 only
+    cs = ClusterSpec((C("UDB"), C("U")), (1,))
+    with pytest.raises(InvalidSpec, match=message.format(6, 2, 7)):
+        asymptotic_probe(cs, cs, "F", 1, 1, nmax=3)
+
+
 def test_probe_truncates_on_cell_cap():
     a = ClusterSpec((Cluster.from_pattern("UDU"), Cluster(0)), (2,))
     report = asymptotic_probe(a, a, "F", 1, 1, nmax=3, cell_cap=40)
@@ -241,6 +254,21 @@ def test_run_suite_and_reports(tmp_path):
     assert "/" in rec["lhs"] or rec["lhs"].isdigit()
     table = summary_table(reports)
     assert "PASS" in table and f"total={len(reports)}" in table
+
+
+def test_summary_table_fail_and_vacuous_lines():
+    reports = [
+        verify.VerificationReport("kuo-recurrence", "case a", Fraction(1), Fraction(2), False),
+        verify.VerificationReport(
+            "shuffling", "case b", None, Fraction(1), True, vacuous=True
+        ),
+    ]
+    assert summary_table(reports).splitlines() == [
+        "FAIL     kuo-recurrence     case a",
+        "VACUOUS  shuffling          case b",
+        "total=2 pass=0 fail=1 vacuous=1",
+    ]
+    assert not all_passed(reports)
 
 
 def test_run_suite_unknown_name():
