@@ -106,9 +106,10 @@ def _cmd_count(args) -> int:
     for lineno, spec in load_specs(args.specfile):
         region = build_region(spec)
         value = count_tilings(region)
+        downs = region.down_count
         print(
-            f"{value}  [{spec.describe()} cells={len(region.cells)} "
-            f"up={len(region.up_cells)} down={len(region.down_cells)} "
+            f"{value}  [{spec.describe()} cells={len(region)} "
+            f"up={len(region) - downs} down={downs} "
             f"balanced={region.balanced}]"
         )
     return EXIT_OK
@@ -244,14 +245,14 @@ def _cmd_bench(args) -> int:
             times.append(time.perf_counter() - t0)
         det_ms = statistics.median(times) * 1000
         oracle = None
-        if len(region.cells) <= args.oracle_cap:
+        if len(region) <= args.oracle_cap:
             t0 = time.perf_counter()
             oracle = count_tilings_oracle(region, cap=args.oracle_cap)
             oracle_ms = f"{(time.perf_counter() - t0) * 1000:10.2f}"
         else:
             oracle_ms = f"{'-':>10s}"
         print(
-            f"{spec.describe():34s} {len(region.cells):6d} {str(value):>14s} "
+            f"{spec.describe():34s} {len(region):6d} {str(value):>14s} "
             f"{det_ms:9.2f} {oracle_ms}"
         )
         if oracle is not None and oracle != value:

@@ -11,9 +11,11 @@ holes, barriers, halved regions and hand-built regions need no special case;
 a region holding cells off the parity convention is counted as the product
 of its two parity classes, which no lozenge joins (see ``count_tilings``).
 ``regions.kasteleyn_rows`` emits the signed rows in one sweep over the
-region's integer cell codes
-(``Region.codes``); the same sweep with plain weights is ``regions.lozenges``,
-so adjacency is decided in one place, and the rule and its proof live there.
+region's integer cell codes (``Region.codes``); the same sweep with plain
+weights is ``regions.lozenges``, so adjacency is decided in one place, and
+the rule and its proof live there.  The codes are a region's stored form and
+its cells a view of them: a count of a built region reads only the codes and
+makes no cell view.
 The determinant is taken over the whole region by fraction-free Bareiss
 elimination in integers: rows holding fractional weights are scaled to
 integers and the scale is divided out at the end.  A lozenge forced in every
@@ -151,10 +153,10 @@ def _det_count(region: Region) -> Fraction:
     denominators so every entry is an integer; the product of those factors
     divides the determinant at the end.
     """
-    if not region.cells:
+    if not len(region):
         return ONE
     rows, weighted = kasteleyn_rows(region)
-    if 2 * len(rows) != len(region.order) or not all(rows):
+    if 2 * len(rows) != len(region) or not all(rows):
         return ZERO
     scale = 1
     for row in weighted.values():
@@ -173,13 +175,15 @@ def count_tilings(region: Region) -> Fraction:
     no lozenge joins to the first, and the matrix is block-diagonal.  The ray
     rule's parity would count the missing addresses of both, so a region
     holding such cells is counted as the product of its two parity classes.
+    Both tests read ``Region.codes``; only such a split makes cells.
     """
     if region.untileable or not region.balanced:
         return ZERO
-    order = region.order
-    if any(map((1).__and__, map(sum, order))):
-        on = [c for c in order if not sum(c) & 1]
-        off = [c for c in order if sum(c) & 1]
+    stride, layer0, index0, codes = region.codes
+    # the parity of layer + index + orient, the orient being a code's low bit
+    if any((layer0 + c // stride + index0 + (c % stride >> 1) + c) & 1 for c in codes):
+        on = [c for c in region.order if not sum(c) & 1]
+        off = [c for c in region.order if sum(c) & 1]
         return _det_count(restrict(region, on)) * _det_count(restrict(region, off))
     return _det_count(region)
 
@@ -254,7 +258,7 @@ def _matchings(
 
 def count_tilings_oracle(region: Region, cap: int = 60) -> Fraction:
     """Exhaustive matching enumeration; refuses regions with more than ``cap`` cells."""
-    ncells = len(region.cells)
+    ncells = len(region)
     if ncells > cap:
         raise CapExceeded(f"oracle cell cap {cap} exceeded ({ncells} cells)")
     edges = lozenges(region)

@@ -3,9 +3,13 @@
 Each family is generated from a per-line table of west/east boundary
 positions (in half-unit steps).  ``_assemble`` turns the table into runs of
 cells, one run per row and orientation, decides dents, barriers and weighted
-teeth on those runs, and translates them into the first quadrant of the cell
-grid, checking the parity convention once per run.  Conventions shared by
-every family:
+teeth on those runs, and translates each run into the first quadrant of the
+cell grid as one range of integer cell codes, checking the parity convention
+once per run.  The codes are a region's stored form (``Region.codes``):
+counting reads only them, and ``cells``, ``order``, ``up_cells`` and
+``down_cells`` are views made from them when the renderer, the search,
+``restrict`` or the forced reduction asks.  Conventions shared by every
+family:
 
 * Dent and barrier positions along the horizontal axis are 1-based, counted
   west to east over the axis' unit segments.
@@ -47,11 +51,12 @@ suite; they are the single source of truth for geometry.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import chain, groupby
 from typing import Callable, Iterable, Optional
 
 from .lattice import Orient, TriangleCell, canonical_orient
@@ -300,69 +305,136 @@ def spec_to_dict(spec: RegionSpec) -> dict:
 # -- regions ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Region:
     """An immutable finite cell set with lozenge weights and barred edges.
 
-    ``axis`` records, for families with a dent axis, the (up, down) cell pair
-    of every axis position after translation; dented cells still appear here
-    even though they are absent from ``cells``.
+    The stored form is ``codes``, the cells as sorted integers: ``_assemble``
+    emits them straight from its row runs, and counting reads nothing else of
+    the cell set.  ``cells``, ``order``, ``up_cells`` and ``down_cells`` are
+    views made from the codes the first time a caller asks for one (the
+    renderer, the search, ``restrict``, the forced reduction).  A hand-built
+    region passes its cells, which become its ``cells`` view, and its codes
+    are derived from them once.
+
+    Two regions are equal, and hash equally, when they hold the same cells,
+    weights, barred edges and untileable flag; ``label`` and ``axis`` do not
+    take part.  ``axis`` records, for families with a dent axis, the (up,
+    down) cell pair of every axis position after translation; dented cells
+    still appear here even though they are absent from ``cells``.
     """
 
-    cells: frozenset[TriangleCell]
-    weights: tuple[tuple[Edge, Fraction], ...] = ()
-    barred: frozenset[Edge] = frozenset()
-    untileable: bool = False
-    label: Optional[RegionSpec] = field(default=None, compare=False, repr=False)
-    axis: Optional[tuple[tuple[Optional[TriangleCell], Optional[TriangleCell]], ...]] = field(
-        default=None, compare=False, repr=False
-    )
+    def __init__(
+        self,
+        cells: Iterable[TriangleCell],
+        weights: tuple[tuple[Edge, Fraction], ...] = (),
+        barred: frozenset[Edge] = frozenset(),
+        untileable: bool = False,
+        label: Optional[RegionSpec] = None,
+        axis: Optional[tuple[tuple[Optional[TriangleCell], Optional[TriangleCell]], ...]] = None,
+    ):
+        vars(self).update(
+            cells=frozenset(cells),
+            weights=weights,
+            barred=barred,
+            untileable=untileable,
+            label=label,
+            axis=axis,
+        )
 
-    @cached_property
-    def weight_map(self) -> dict[Edge, Fraction]:
-        return dict(self.weights)
+    @classmethod
+    def _coded(cls, codes, weights, barred, label, axis) -> Region:
+        """The region whose stored form is ``codes``, with no cell view made."""
+        region = cls.__new__(cls)
+        vars(region).update(
+            codes=codes, weights=weights, barred=barred, untileable=False, label=label, axis=axis
+        )
+        return region
 
-    @cached_property
-    def order(self) -> tuple[TriangleCell, ...]:
-        """The cells in sorted order, sorted once for every caller."""
-        return tuple(sorted(self.cells))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Region is immutable (cannot set {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Region is immutable (cannot delete {name!r})")
+
+    def _key(self) -> tuple:
+        stride, layer0, index0, codes = self.codes
+        return stride, layer0, index0, tuple(codes), self.weights, self.barred, self.untileable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Region(cells={self.cells!r}, weights={self.weights!r}, "
+            f"barred={self.barred!r}, untileable={self.untileable!r})"
+        )
 
     @cached_property
     def codes(self) -> tuple[int, int, int, list[int]]:
-        """``(stride, layer0, index0, codes)``: each cell of ``order`` as the
-        int ``(layer - layer0) * stride + 2 * (index - index0) + orient``, with
+        """``(stride, layer0, index0, codes)``: each cell as the int ``(layer -
+        layer0) * stride + 2 * (index - index0) + orient``, sorted, with
         layer0 and index0 the least layer and index.  The codes sort like the
         cells and tell them apart, two cells at one address included.  The
         stride is twice the index span plus 4, so the west, east and vertical
         neighbours of an up cell are its code -1, +3 and +stride+1, and a
         neighbour address past either end of a layer's span is no cell's
-        code, however far the region lies from the origin."""
-        order = self.order
-        if not order:
+        code, however far the region lies from the origin.  Stored by
+        ``_assemble``; derived here, once, for a hand-built region."""
+        cells = self.cells
+        if not cells:
             return 4, 0, 0, []
-        indices = list(map(operator.itemgetter(1), order))
-        index0 = min(indices)
+        layers, indices, _ = zip(*cells)
+        layer0, index0 = min(layers), min(indices)
         stride = 2 * (max(indices) - index0) + 4
-        layer0 = order[0][0]
         base = layer0 * stride + 2 * index0
-        return stride, layer0, index0, [l * stride + 2 * i + o - base for l, i, o in order]
+        return stride, layer0, index0, sorted(l * stride + 2 * i + o - base for l, i, o in cells)
+
+    @cached_property
+    def order(self) -> tuple[TriangleCell, ...]:
+        """The cells in sorted order, decoded from ``codes``."""
+        stride, layer0, index0, codes = self.codes
+        new = tuple.__new__
+        return tuple(
+            new(TriangleCell, (layer0 + c // stride, index0 + (c % stride >> 1), _ORIENTS[c & 1]))
+            for c in codes
+        )
+
+    @cached_property
+    def cells(self) -> frozenset[TriangleCell]:
+        return frozenset(self.order)
 
     @cached_property
     def up_cells(self) -> frozenset[TriangleCell]:
-        return frozenset(c for c in self.cells if not c[2])
+        return frozenset(c for c in self.order if not c[2])
 
     @cached_property
     def down_cells(self) -> frozenset[TriangleCell]:
-        return frozenset(c for c in self.cells if c[2])
+        return frozenset(c for c in self.order if c[2])
+
+    @cached_property
+    def weight_map(self) -> dict[Edge, Fraction]:
+        return dict(self.weights)
+
+    @property
+    def down_count(self) -> int:
+        """The number of down cells, counted from ``codes``."""
+        return sum(map((1).__and__, self.codes[3]))
 
     @property
     def balanced(self) -> bool:
-        """As many up cells as down cells, counted from ``order`` without
-        building ``up_cells`` or ``down_cells``."""
-        return 2 * sum(map(operator.itemgetter(2), self.order)) == len(self.order)
+        """As many up cells as down cells, counted from ``codes``."""
+        return 2 * self.down_count == len(self)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.codes[3])
+
+
+_ORIENTS = (Orient.UP, Orient.DOWN)
 
 
 # -- geometry assembly -------------------------------------------------------
@@ -382,16 +454,20 @@ def _assemble(
     base_dents: Iterable[int] = (),
     teeth: bool = False,
 ) -> Region:
-    """The region of a row table, built run by run.
+    """The region of a row table, built run by run straight to its codes.
 
     Row r has its down cells on line r and its up cells on line r + 1, each a
     run (layer, first pos, end pos, orient) of positions stepping by 2 from
     ``lp`` to ``rp`` of that line.  Dents, barriers and teeth are decided on
-    the runs and a small ``removed`` set of geo cells, so no cell set is built
-    before translation.  The shift into the first quadrant is taken from the
-    first present cell of each run and the axis cells, dented or not; since a
-    run's positions share one parity, one ``canonical_orient`` call per run
-    checks the parity convention for every cell of it.
+    the runs and a small ``removed`` set of geo cells.  The shift into the
+    first quadrant is taken from the first present cell of each run and the
+    axis cells, dented or not.  Each run, trimmed to its present ends, is one
+    ``range`` of codes with step 4 (see ``Region.codes``); one sort merges
+    the runs and the removed cells are dropped by code, so no cell of the
+    region is made.  A run's positions share one parity, so one
+    ``canonical_orient`` call per run checks the parity convention for every
+    cell of it.  Only the axis pairs and the cells of barred and weighted
+    edges become ``TriangleCell``s.
     """
     west = [lp(j) for j in range(nrows + 1)]
     east = [rp(j) for j in range(nrows + 1)]
@@ -456,41 +532,57 @@ def _assemble(
                 if removed.isdisjoint(pair) and pair not in barred:
                     weighted.append(pair)
 
+    # trim each run to its first and last present cell; cells removed inside
+    # a run are dropped by code below
+    present = []
+    for layer, first, end, o in runs:
+        last = end - 2 + (end - first) % 2
+        if removed:
+            while first <= last and (layer, first, o) in removed:
+                first += 2
+            while last > first and (layer, last, o) in removed:
+                last -= 2
+        if first <= last:
+            present.append((layer, first, last, o))
+
     # translate into the first quadrant with the parity convention
     refs = [cell[1] for pr in axis_pairs for cell in pr if cell]
-    for layer, p, end, o in runs:
-        while p < end and (layer, p, o) in removed:
-            p += 2
-        if p < end:
-            refs.append(p)
+    refs += [run[1] for run in present]
     if refs:
         mn = min(refs)
         shift = -mn if (-mn) % 2 == 1 else -mn + 1
     else:
         shift = 1
 
-    new = tuple.__new__
-    cells: list[TriangleCell] = []
-    for layer, first, end, o in runs:
-        if canonical_orient(layer, first + shift) is not o:
-            cell = TriangleCell(layer, first + shift, o)
-            raise RuntimeError(f"translated cell {cell} breaks the parity convention")
-        cells.extend(
-            map(
-                new,
-                repeat(TriangleCell),
-                zip(repeat(layer), range(first + shift, end + shift, 2), repeat(o)),
-            )
-        )
+    # each run is one range of codes with step 4, and the runs come sorted,
+    # so one sort merges them; removed cells are then dropped by code
+    stride, layer0, index0, codes = 4, 0, 0, []
+    if present:
+        layer0 = present[0][0]
+        index0 = min(run[1] for run in present) + shift
+        stride = 2 * (max(run[2] for run in present) + shift - index0) + 4
+        base = layer0 * stride + 2 * (index0 - shift)
+        ranges = []
+        for layer, first, last, o in present:
+            if canonical_orient(layer, first + shift) is not o:
+                cell = TriangleCell(layer, first + shift, o)
+                raise RuntimeError(f"translated cell {cell} breaks the parity convention")
+            start = layer * stride + 2 * first + o - base
+            ranges.append(range(start, start + 2 * (last - first) + 1, 4))
+        codes = sorted(chain.from_iterable(ranges))
+        for layer, p, o in removed:
+            # a removed cell west or east of every present one has no code
+            if 0 <= 2 * (p + shift - index0) < stride - 2:
+                c = layer * stride + 2 * p + o - base
+                i = bisect_left(codes, c)
+                if i < len(codes) and codes[i] == c:
+                    del codes[i]
 
     def tr(geo) -> TriangleCell:
-        return TriangleCell(geo[0], geo[1] + shift, geo[2])
+        return tuple.__new__(TriangleCell, (geo[0], geo[1] + shift, geo[2]))
 
-    kept = frozenset(cells)
-    if removed:
-        kept = kept.difference(map(tr, removed))
-    return Region(
-        cells=kept,
+    return Region._coded(
+        (stride, layer0, index0, codes),
         weights=tuple(((tr(u), tr(d)), HALF) for u, d in weighted),
         barred=frozenset((tr(u), tr(d)) for u, d in barred),
         label=spec,
@@ -614,8 +706,8 @@ def expand_rs(spec: RegionSpec) -> RegionSpec:
 
 
 def _build_rs(spec: RegionSpec) -> Region:
-    region = _build_h(expand_rs(spec))
-    region = replace(region, label=spec)
+    h = _build_h(expand_rs(spec))
+    region = Region._coded(h.codes, h.weights, h.barred, spec, h.axis)
     mirror_constant(region)  # symmetry sanity check
     return region
 
@@ -666,7 +758,9 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
     the region and the edge not barred.  Neighbours are looked up by code in
     an int-keyed dict of the down cells; addresses outside the first quadrant
     are dropped as ``neighbors`` drops them.  Barriers and weights are applied
-    afterwards, edge by edge, and only when the region has any.
+    afterwards, edge by edge, and only when the region has any: each edge's
+    cells are looked up by code in the same dicts, so an edge naming a cell
+    outside the region changes nothing, and no cell view is made.
 
     ``signs`` is indexed by the ray parity of an up cell (see below) and gives
     the sign of its two same-layer lozenges; vertical lozenges take
@@ -735,24 +829,30 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
         rows.append(row)
     weighted: dict[int, dict] = {}
     if region.barred or region.weights:
-        cells, base = region.cells, layer0 * stride + 2 * index0
         ups = [c for c in codes if not c & 1]
         row_of = dict(zip(ups, range(len(ups))))
 
-        def entry(edge: Edge) -> tuple[int, int]:
-            # (row, column) of an edge between an up and a down region cell
-            (ul, ui, uo), (dl, di, do) = edge
-            if uo or not do or edge[0] not in cells or edge[1] not in cells:
-                return -1, -1
-            return row_of[ul * stride + 2 * ui - base], col[dl * stride + 2 * di + 1 - base]
+        def code(cell: TriangleCell) -> int:
+            # the cell's code, or -1 for an index outside the region's span
+            # (where a code would alias a cell of the layer above or below)
+            layer, index, orient = cell
+            offset = 2 * (index - index0)
+            return (layer - layer0) * stride + offset + orient if 0 <= offset < stride - 2 else -1
+
+        def lozenge(edge: Edge) -> tuple[int, int]:
+            # (row, column) of an edge that is one of the rows' lozenges, else
+            # (-1, -1); an up code is even and a down code odd, so row_of
+            # holds only up cells and col only down cells
+            i, j = row_of.get(code(edge[0]), -1), col.get(code(edge[1]), -1)
+            return (i, j) if i >= 0 and j in rows[i] else (-1, -1)
 
         for edge in region.barred:
-            i, j = entry(edge)
+            i, j = lozenge(edge)
             if i >= 0:
-                rows[i].pop(j, None)
+                del rows[i][j]
         for edge, w in region.weight_map.items():
-            i, j = entry(edge)
-            if i >= 0 and j in rows[i]:
+            i, j = lozenge(edge)
+            if i >= 0:
                 rows[i][j] *= w
                 weighted[i] = rows[i]
     return rows, weighted
@@ -823,9 +923,8 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
             cells.discard(other)
             queue.extend(nb for nb, _ in partners[c] + partners[other] if nb in cells)
 
-    reduced = replace(
-        restrict(region, cells), untileable=untileable, label=region.label, axis=region.axis
-    )
+    kept = restrict(region, cells)
+    reduced = Region(kept.cells, kept.weights, kept.barred, untileable, region.label, region.axis)
     return reduced, factor
 
 
@@ -873,29 +972,34 @@ def mirror_constant(region: Region) -> int:
     """Constant K of the horizontal mirror ``index -> K - index``.
 
     Raises InvalidSpec when the region (with its barriers and weights) is not
-    invariant under any such mirror.
+    invariant under any such mirror.  Read from ``codes``: every layer's least
+    and greatest index give one K, and then the mirror image of each code of
+    layer L is ``2 * (L * stride + K - 2 * index0) + 2 * orient - code``,
+    which lies in the same layer's span and must be a code too.  Codes are
+    checked in sorted order, so the error names the least cell whose mirror
+    image is missing.
     """
-    if not region.cells:
+    stride, layer0, index0, codes = region.codes
+    if not codes:
         return 0
-    layers = [list(cells) for _, cells in groupby(region.order, operator.itemgetter(0))]
-    ks = {cells[0].index + cells[-1].index for cells in layers}
+    layers = [(layer, list(run)) for layer, run in groupby(codes, lambda c: c // stride)]
+
+    def index(layer: int, code: int) -> int:  # layer is less layer0, as in the codes
+        return index0 + (code - layer * stride >> 1)
+
+    ks = {index(layer, run[0]) + index(layer, run[-1]) for layer, run in layers}
     if len(ks) != 1:
         raise InvalidSpec("region is not mirror-symmetric (layer spans disagree)")
     k = ks.pop()
     if k % 2 == 1:
         raise InvalidSpec("region is not mirror-symmetric (odd mirror constant)")
-    # a layer in sorted order is symmetric when, read backwards, its indices
-    # are k - index and its orients the same; when one is not, the cell-by-cell
-    # check decides exactly (it also admits two cells at one address, which
-    # reading backwards swaps) and names the offending cell
-    for cells in layers:
-        indices = [c[1] for c in cells]
-        orients = [c[2] for c in cells]
-        if [k - i for i in reversed(indices)] != indices or orients[::-1] != orients:
-            for c in region.cells:
-                if mirror_cell(c, k) not in region.cells:
-                    raise InvalidSpec(f"region is not mirror-symmetric (cell {c})")
-            break
+    members = set(codes)
+    for layer, run in layers:
+        turn = 2 * (layer * stride + k - 2 * index0)
+        for c in run:
+            if turn + 2 * (c & 1) - c not in members:
+                cell = TriangleCell(layer0 + layer, index(layer, c), _ORIENTS[c & 1])
+                raise InvalidSpec(f"region is not mirror-symmetric (cell {cell})")
     if frozenset(mirror_edge(e, k) for e in region.barred) != region.barred:
         raise InvalidSpec("barriers are not mirror-symmetric")
     if {mirror_edge(e, k): w for e, w in region.weights} != region.weight_map:

@@ -588,6 +588,112 @@ def test_cell_codes_hold_far_from_the_origin():
         assert count_tilings(apart) == count_tilings_oracle(apart) == 0
 
 
+CELL_VIEWS = ("cells", "order", "up_cells", "down_cells")
+
+# one spec of every family, with dents, barriers or weighted teeth where the
+# family takes them
+EVERY_FAMILY = [
+    hex_spec(2, 3, 2),
+    semihex_spec(2, 2, (1, 3)),
+    h_spec(2, 1, (1,), (4,), (3,)),
+    rs_spec(4, 2, (2,), (1,), (3,)),
+    f_spec(2, 1, (1,), (2,), (3,)),
+    fbar_spec(2, 1, (1,), (2,), (3,)),
+    w_spec(2, 1, (1,), (2,), (3,)),
+    RegionSpec("Wbar", x=2, y=1, U=(1,), D=(2,), B=(3,)),
+    l_spec(3, 2, (1, 3)),
+    lbar_spec(3, 2, (1, 3)),
+    RegionSpec("P", a=2, b=3, c=2),
+    pprime_spec(2, 3, 2),
+]
+
+
+def test_counts_of_built_regions_make_no_cell_view(monkeypatch):
+    # a built region stores its codes, and counting reads nothing else of its
+    # cells: neither count_spec nor count_tilings(build_region(spec)) makes
+    # the cells, their sorted order or the up and down cell sets
+    assert sorted({spec.family for spec in EVERY_FAMILY}) == sorted(FAMILIES)
+    monkeypatch.setattr(counting, "_COUNT_CACHE", {})
+    built = []
+
+    def build(spec):
+        built.append(build_region(spec))
+        return built[-1]
+
+    monkeypatch.setattr(counting, "build_region", build)
+    for spec in EVERY_FAMILY:
+        region = build_region(spec)
+        assert count_spec(spec) == count_tilings(region) != 0, spec.describe()
+        assert len(built) == 1
+        for r in (built.pop(), region):
+            assert not set(CELL_VIEWS) & vars(r).keys(), spec.describe()
+    # the views are still there for a caller that asks
+    region = build_region(EVERY_FAMILY[0])
+    assert region.cells == frozenset(region.order) == region.up_cells | region.down_cells
+    assert len(region) == len(region.cells) == 2 * len(region.down_cells)
+
+
+def test_hand_built_regions_rebuild_the_built_ones():
+    # every region of the region-digest sweep, rebuilt from its cells as a
+    # hand-built region, equals it, hashes equally and counts from the same
+    # codes and Kasteleyn rows
+    sys.path.insert(0, str(DATA))
+    try:
+        from make_region_digests import sweep_specs
+    finally:
+        sys.path.remove(str(DATA))
+    rebuilt = 0
+    for family in FAMILIES:
+        for spec in sweep_specs(family):
+            try:
+                region = build_region(spec)
+            except InvalidSpec:
+                continue
+            hand = Region(
+                cells=frozenset(sorted(region.cells)),
+                weights=region.weights,
+                barred=region.barred,
+                untileable=region.untileable,
+            )
+            assert "codes" not in vars(hand)
+            assert hand == region and hash(hand) == hash(region), spec.describe()
+            assert hand.codes == region.codes, spec.describe()
+            assert regions.kasteleyn_rows(hand) == regions.kasteleyn_rows(region)
+            rebuilt += 1
+    assert rebuilt >= 5000
+
+
+def test_edges_naming_cells_outside_the_region_change_nothing():
+    # barred and weighted edges are looked up by code; an edge naming a cell
+    # outside the region must not reach the region cell whose code it would
+    # alias without the span check: (layer + 1, index0 - 2) would land on
+    # (layer, index0 + span), the east end of the layer above
+    hexagon = build_region(hex_spec(2, 3, 2))
+    stride, layer0, index0, _ = hexagon.codes
+    east = index0 + (stride - 4) // 2
+    edges = [(u, d) for u, d, _ in lozenges(hexagon)]
+    layer = next(u.layer for u, d in edges if u.index == east and d == down(u.layer, east - 1))
+    phantom = (up(layer + 1, index0 - 2), down(layer + 1, index0 - 3))
+    assert not set(phantom) & hexagon.cells
+    elsewhere = [
+        phantom,
+        (up(layer0 - 1, index0), down(layer0 - 1, index0 + 1)),  # above the region
+        (up(layer, east + 2), down(layer, east + 1)),  # east of the span
+        (edges[0][0], down(layer0 + 40, index0)),  # one cell in, one out
+        (edges[1][1], edges[1][0]),  # down cell first: no lozenge
+    ]
+    plain = Region(cells=hexagon.cells)
+    region = Region(
+        cells=hexagon.cells,
+        weights=tuple((e, Fraction(1, 3)) for e in elsewhere),
+        barred=frozenset(elsewhere),
+    )
+    assert lozenges(region) == lattice_lozenges(region) == lozenges(plain)
+    for dl, di in [(0, 0), (3, 1), (2**41, 2**40)]:
+        moved = translate(region, dl, di)
+        assert count_tilings(moved) == count_tilings_oracle(moved) == pp(2, 3, 2)
+
+
 def test_forced_reduction_agrees_with_engine_on_golden_regions():
     # the engine takes its determinant over the whole region, so the reduction
     # is a second route to every count; barring one lozenge at a forced cell
