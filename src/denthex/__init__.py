@@ -37,7 +37,6 @@ from .regions import (
     InvalidSpec,
     Region,
     RegionSpec,
-    axis_midpoint_mirror,
     build_region,
     expand_rs,
     f_spec,
@@ -62,7 +61,6 @@ from .verify import (
     Cluster,
     ClusterSpec,
     VerificationReport,
-    all_passed,
     asymptotic_probe,
     check_base_cases,
     check_decomposition,

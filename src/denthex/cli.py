@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import statistics
 import sys
 import time
@@ -78,7 +79,7 @@ def load_specs(path: str) -> list[tuple[int, RegionSpec]]:
     if isinstance(whole, dict):
         return [(1, _parse_or_raise(whole, 1))]
     if isinstance(whole, list):
-        return [(i + 1, _parse_or_raise(obj, i + 1)) for i, obj in enumerate(whole)]
+        return [(line, _parse_or_raise(obj, line)) for line, obj in _array_items(text)]
     out = []
     # only "\n" ends a line, as in _read_text and _load_ratio (not a form feed)
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -92,6 +93,23 @@ def load_specs(path: str) -> list[tuple[int, RegionSpec]]:
         out.append((lineno, _parse_or_raise(obj, lineno)))
     if not out:
         raise SpecFileError("line 1: no region specs found")
+    return out
+
+
+# what may lie between two elements of a JSON array, or after its "["
+_JSON_SEPARATOR = re.compile(r"[ \t\n\r]*,?[ \t\n\r]*")
+
+
+def _array_items(text: str) -> list[tuple[int, object]]:
+    """(line, element) for each element of the JSON array ``text``, which is
+    known to parse, with the line the element starts on."""
+    decoder, out, line, seen = json.JSONDecoder(), [], 1, 0
+    pos = _JSON_SEPARATOR.match(text, text.index("[") + 1).end()
+    while text[pos] != "]":
+        line, seen = line + text.count("\n", seen, pos), pos
+        obj, end = decoder.raw_decode(text, pos)
+        out.append((line, obj))
+        pos = _JSON_SEPARATOR.match(text, end).end()
     return out
 
 
@@ -176,6 +194,8 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.suite in ("fern", "asymptotic") and (args.seed, args.budget) != (None, None):
+        raise SpecFileError(f"verify {args.suite} runs fixed cases: it takes no --seed or --budget")
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -306,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=("shuffling", "kuo", "base", "decomposition", "fern", "asymptotic", "all"),
     )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=_int_at_least(1), default=None, help="number of cases")
+    p.add_argument("--seed", type=int, default=None, help="case seed (not for fern, asymptotic)")
+    p.add_argument("--budget", type=_int_at_least(1), default=None, help="cases per seeded suite")
     p.add_argument("--out", default=None, help="directory for report files")
     p.set_defaults(fn=_cmd_verify)
 

@@ -7,9 +7,9 @@ once the edges are signed so that every cycle of length 2k in the union of
 two matchings carries k-1 minus signs mod 2, the absolute determinant of the
 signed up x down biadjacency matrix is the weighted number of matchings.  The
 signs follow a closed-form ray rule read off the region's cells, so dent
-holes, barriers, halved regions and hand-built regions need no special case;
-a region holding cells off the parity convention is counted as the product
-of its two parity classes, which no lozenge joins (see ``count_tilings``).
+holes, barriers, halved regions and hand-built regions need no special case:
+a region holds lattice cells only (``Region`` refuses any other), one
+honeycomb, where the rule is proved.
 ``regions.kasteleyn_rows`` emits the signed rows in one sweep over the
 region's integer cell codes (``Region.codes``); the same sweep with plain
 weights is ``regions.lozenges``, so adjacency is decided in one place, and
@@ -153,8 +153,6 @@ def _det_count(region: Region) -> Fraction:
     denominators so every entry is an integer; the product of those factors
     divides the determinant at the end.
     """
-    if not len(region):
-        return ONE
     rows, weighted = kasteleyn_rows(region)
     if 2 * len(rows) != len(region) or not all(rows):
         return ZERO
@@ -170,21 +168,10 @@ def _det_count(region: Region) -> Fraction:
 def count_tilings(region: Region) -> Fraction:
     """Exact weighted number of lozenge tilings (matchings of the dual graph).
 
-    A lozenge joins two cells of equal ``layer + index + orient`` parity, so
-    cells off the parity convention (odd parity) form a second honeycomb that
-    no lozenge joins to the first, and the matrix is block-diagonal.  The ray
-    rule's parity would count the missing addresses of both, so a region
-    holding such cells is counted as the product of its two parity classes.
-    Both tests read ``Region.codes``; only such a split makes cells.
+    Read from ``Region.codes`` alone, so a count makes no cell view.
     """
     if region.untileable or not region.balanced:
         return ZERO
-    stride, layer0, index0, codes = region.codes
-    # the parity of layer + index + orient, the orient being a code's low bit
-    if any((layer0 + c // stride + index0 + (c % stride >> 1) + c) & 1 for c in codes):
-        on = [c for c in region.order if not sum(c) & 1]
-        off = [c for c in region.order if sum(c) & 1]
-        return _det_count(restrict(region, on)) * _det_count(restrict(region, off))
     return _det_count(region)
 
 
@@ -321,8 +308,6 @@ def _reflective_fold(region: Region) -> Fraction:
     independently and mirror each other, so the count is the tiling count of
     one half.
     """
-    if not region.cells:
-        return ONE
     k = mirror_constant(region)
     mid = k // 2
     column = sorted(

@@ -59,7 +59,7 @@ from functools import cached_property
 from itertools import chain, groupby
 from typing import Callable, Iterable, Optional
 
-from .lattice import Orient, TriangleCell, canonical_orient
+from .lattice import Orient, TriangleCell, canonical_orient, is_canonical
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -314,7 +314,8 @@ class Region:
     views made from the codes the first time a caller asks for one (the
     renderer, the search, ``restrict``, the forced reduction).  A hand-built
     region passes its cells, which become its ``cells`` view, and its codes
-    are derived from them once.
+    are derived from them once, after any cell that is not a lattice cell
+    (``lattice.is_canonical``) is refused with ``InvalidSpec``.
 
     Two regions are equal, and hash equally, when they hold the same cells,
     weights, barred edges and untileable flag; ``label`` and ``axis`` do not
@@ -332,8 +333,11 @@ class Region:
         label: Optional[RegionSpec] = None,
         axis: Optional[tuple[tuple[Optional[TriangleCell], Optional[TriangleCell]], ...]] = None,
     ):
+        cells = frozenset(cells)
+        if bad := [c for c in cells if not is_canonical(c)]:
+            raise InvalidSpec(f"{min(bad)} is not a lattice cell (see lattice.is_canonical)")
         vars(self).update(
-            cells=frozenset(cells),
+            cells=cells,
             weights=weights,
             barred=barred,
             untileable=untileable,
@@ -379,11 +383,11 @@ class Region:
         """``(stride, layer0, index0, codes)``: each cell as the int ``(layer -
         layer0) * stride + 2 * (index - index0) + orient``, sorted, with
         layer0 and index0 the least layer and index.  The codes sort like the
-        cells and tell them apart, two cells at one address included.  The
-        stride is twice the index span plus 4, so the west, east and vertical
-        neighbours of an up cell are its code -1, +3 and +stride+1, and a
-        neighbour address past either end of a layer's span is no cell's
-        code, however far the region lies from the origin.  Stored by
+        cells and tell them apart.  The stride is twice the index span plus
+        4, so the west, east and vertical neighbours of an up cell are its
+        code -1, +3 and +stride+1, and a neighbour address past either end of
+        a layer's span is no cell's code, however far the region lies from
+        the origin.  Stored by
         ``_assemble``; derived here, once, for a hand-built region."""
         cells = self.cells
         if not cells:
@@ -756,8 +760,7 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
 
     The one place that decides which lozenges may be placed: both cells in
     the region and the edge not barred.  Neighbours are looked up by code in
-    an int-keyed dict of the down cells; addresses outside the first quadrant
-    are dropped as ``neighbors`` drops them.  Barriers and weights are applied
+    an int-keyed dict of the down cells.  Barriers and weights are applied
     afterwards, edge by edge, and only when the region has any: each edge's
     cells are looked up by code in the same dicts, so an edge naming a cell
     outside the region changes nothing, and no cell view is made.
@@ -785,8 +788,8 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
     condition for |det| to count matchings.  Only cells are consulted, never
     edges, so a cell left isolated by barriers still counts as present, and
     no axis, face or family is consulted, so fold halves and hand-built
-    regions on the parity convention are covered alike (``count_tilings``
-    splits any other region into its two parity classes first).
+    regions are covered alike: every region holds lattice cells only, one
+    honeycomb, which is where the lemma holds.
 
     The sweep reads the ray parity in codes.  The cells missing between w and
     the cell at rank r number (index - index_w) - (r - r_w), and ``code >> 1``
@@ -803,11 +806,7 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
     stride, layer0, index0, codes = region.codes
     downs = [c for c in codes if c & 1]
     col = dict(zip(downs, range(len(downs))))
-    east = west = vertical = col.get
-    if index0 < 0:
-        west = {c: j for c, j in col.items() if (c % stride >> 1) + index0 >= 0}.get
-    if layer0 < 0:
-        vertical = {c: j for c, j in col.items() if c // stride + layer0 >= 0}.get
+    neighbour = col.get
     plus, minus = signs
     below = stride + 1
     rows: list[dict] = []
@@ -820,11 +819,11 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
             continue
         s = minus if ((c >> 1) - r - ref) & 1 else plus
         row = {}
-        if (j := west(c - 1)) is not None:
+        if (j := neighbour(c - 1)) is not None:
             row[j] = s
-        if (j := east(c + 3)) is not None:
+        if (j := neighbour(c + 3)) is not None:
             row[j] = s
-        if (j := vertical(c + below)) is not None:
+        if (j := neighbour(c + below)) is not None:
             row[j] = plus
         rows.append(row)
     weighted: dict[int, dict] = {}

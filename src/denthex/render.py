@@ -13,16 +13,19 @@ HALF = Fraction(1, 2)
 
 
 def _bounds(cells):
+    # least and greatest layer and index; no cells span no layer and no index
+    if not cells:
+        return 0, -1, 0, -1
     layers = [c.layer for c in cells]
     idx = [c.index for c in cells]
     return min(layers), max(layers), min(idx), max(idx)
 
 
 def _header(region: Region) -> str:
-    ups, downs = len(region.up_cells), len(region.down_cells)
+    downs = region.down_count
     fam = region.label.family if region.label else "custom"
     return (
-        f"family={fam} cells={len(region.cells)} up={ups} down={downs} "
+        f"family={fam} cells={len(region)} up={len(region) - downs} down={downs} "
         f"balanced={region.balanced} barriers={len(region.barred)} "
         f"weighted_edges={len(region.weights)}"
     )
@@ -31,8 +34,6 @@ def _header(region: Region) -> str:
 def region_ascii(region: Region) -> str:
     """One character per cell ('^' up, 'v' down); barrier rows use '='."""
     lines = [_header(region)]
-    if not region.cells:
-        return "\n".join(lines)
     lo_l, hi_l, lo_i, hi_i = _bounds(region.cells)
     width = hi_i - lo_i + 1
     barrier_below: dict[int, set[int]] = {}
@@ -147,23 +148,18 @@ def region_svg(region: Region) -> str:
     """Region picture: dents shaded dark, barriers as bold horizontal bars,
     weight-1/2 lozenge slots marked with a shaded core."""
     body = [f"<!-- {_header(region)} -->"]
-    cells = set(region.cells)
-    for c in sorted(region.cells):
+    axis_cells = [c for pair in region.axis or () for c in pair if c is not None]
+    for c in region.order:
         fill = "#f4f0e8" if c.orient is Orient.UP else "#dde6f0"
         body.append(_polygon(_corners(c), fill))
-    if region.axis:
-        for up, downc in region.axis:
-            for cell in (up, downc):
-                if cell is not None and cell not in cells:
-                    body.append(_polygon(_corners(cell), "#333333"))
+    for cell in axis_cells:
+        if cell not in region.cells:
+            body.append(_polygon(_corners(cell), "#333333"))
     body.extend(_barrier_lines(region))
     for (up, downc), w in region.weights:
         if w == HALF:
             body.append(_shaded_core(up, downc))
-    ref_cells = set(region.cells)
-    if region.axis:
-        ref_cells |= {c for pair in region.axis for c in pair if c is not None}
-    return _svg_document(body, ref_cells)
+    return _svg_document(body, region.cells.union(axis_cells))
 
 
 def tiling_svg(region: Region, tiling: Tiling) -> str:

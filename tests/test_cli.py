@@ -86,6 +86,31 @@ def test_count_json_array(tmp_path, capsys):
     assert [line.split()[0] for line in out] == ["2", "20"]
 
 
+def test_json_array_errors_name_the_line_of_the_element(tmp_path, capsys):
+    # one line holding both elements: the bad second one is on line 1
+    one_line = '[{"family":"Hex","a":1,"b":1,"c":1}, {"family":"Hex","a":-1,"b":1,"c":1}]'
+    assert main(["count", write(tmp_path, "one.json", one_line)]) == 2
+    assert capsys.readouterr().err == "error: line 1: a must be a nonnegative integer (got -1)\n"
+    # pretty-printed: the RS element sits on line 2, the Hex one on lines 4-8
+    pretty = """[
+  {"family": "RS", "x": 2, "y": 1},
+
+  {
+    "family": "Hex",
+    "a": 1, "b": 1, "c": 1
+  }
+]
+"""
+    assert main(["count-symmetric", write(tmp_path, "pretty.json", pretty), "--method", "reduce"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("reduce=1  [RS(")
+    assert captured.err == "error: line 4: count-symmetric needs RS specs\n"
+    # the first element, on line 2, is the bad one
+    first = '\n[ {"family": "Hex", "a": 1, "b": 1, "c": 1},\n{"family": "RS", "x": 2, "y": 1}]'
+    assert main(["count-symmetric", write(tmp_path, "first.json", first)]) == 2
+    assert capsys.readouterr().err == "error: line 2: count-symmetric needs RS specs\n"
+
+
 @pytest.mark.parametrize(
     "text,message",
     [(" \n\n", "line 1: empty spec file"), ("# a comment\n", "line 1: no region specs found")],
@@ -200,6 +225,19 @@ def test_verify_rejects_budget_below_one(budget, capsys):
     assert "total=" not in captured.out
 
 
+@pytest.mark.parametrize("suite", ["fern", "asymptotic"])
+@pytest.mark.parametrize("flags", [["--seed", "3"], ["--budget", "3"], ["--seed", "0", "--budget", "1"]])
+def test_verify_fixed_suites_refuse_seed_and_budget(suite, flags, capsys, monkeypatch):
+    # fern and asymptotic run fixed cases, so a seed or budget would be ignored
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: ran.append(args) or [])
+    assert main(["verify", suite, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: verify {suite} runs fixed cases: it takes no --seed or --budget\n"
+    assert captured.out == "" and ran == []
+    assert main(["verify", "all", *flags]) == 0 and len(ran) == 1
+
+
 def test_verify_budget_one_runs_one_check(capsys):
     assert main(["verify", "shuffling", "--budget", "1"]) == 0
     assert "total=1" in capsys.readouterr().out
@@ -248,6 +286,24 @@ def test_render_tiling(tmp_path, capsys):
     assert main(["render", path, "--tiling", "0"]) == 0
     out = capsys.readouterr().out
     assert "tiling weight=1" in out
+
+
+@pytest.mark.parametrize(
+    "flags", [["--format", "svg"], ["--tiling", "0"], ["--tiling", "0", "--format", "svg"]]
+)
+def test_render_empty_region(tmp_path, capsys, flags):
+    # Hex(0,0,0) has no cells and one tiling, the empty one: its pictures hold
+    # only their header
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 0, "b": 0, "c": 0})
+    assert main(["render", path, *flags]) == 0
+    out = capsys.readouterr().out
+    header = "family=Hex cells=0 up=0 down=0 balanced=True barriers=0 weighted_edges=0"
+    if "svg" in flags:
+        body = out.splitlines()
+        assert body[0].startswith("<svg ") and body[2:] == ["</svg>"]
+        assert body[1] == f"<!-- {header}{' tiling weight=1' if '--tiling' in flags else ''} -->"
+    else:
+        assert out == f"{header}\ntiling weight=1\n"
 
 
 def test_render_tiling_out_of_range(tmp_path, capsys):

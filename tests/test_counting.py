@@ -331,47 +331,45 @@ def test_engine_matches_oracle_on_random_hand_built_regions(region):
     assert count_tilings(region) == count_tilings_oracle(region)
 
 
-def test_off_parity_cells_match_oracle():
+def refusal(cells) -> str:
+    """The message ``Region`` refuses ``cells`` with."""
+    with pytest.raises(InvalidSpec, match="is not a lattice cell") as info:
+        Region(cells=cells)
+    return str(info.value)
+
+
+def test_off_parity_cells_are_refused():
     # Hex(2,2,2) plus a down cell at an up cell's address and an up cell at a
-    # down cell's address, all 144 ways.  Cells off the parity convention form
-    # a second honeycomb that no lozenge joins to the first; a determinant over
-    # both at once counted 15 of these regions wrong
+    # down cell's address, all 144 ways: such cells would form a second
+    # honeycomb beside the lattice, and the region refuses them, naming the
+    # least of the two
     hexagon = build_region(hex_spec(2, 2, 2))
     for u in sorted(hexagon.up_cells):
         for d in sorted(hexagon.down_cells):
-            region = Region(cells=hexagon.cells | {down(u.layer, u.index), up(d.layer, d.index)})
-            assert count_tilings(region) == count_tilings_oracle(region), (u, d)
-    assert count_tilings(Region(cells=hexagon.cells | {down(0, 4), up(0, 3)})) == 20
+            added = {down(u.layer, u.index), up(d.layer, d.index)}
+            assert refusal(hexagon.cells | added).startswith(f"{min(added)} "), (u, d)
 
 
 @st.composite
 def off_parity_regions(draw):
-    """A hand-built region plus one or two down cells at its up cells'
-    addresses and as many up cells at its down cells' addresses, with up to
-    one lozenge among the added cells barred and one weighted 1/2."""
+    """The cells of a hand-built region plus one or two down cells at its up
+    cells' addresses and as many up cells at its down cells' addresses, and
+    the least added cell."""
     region = draw(hand_built_regions())
     ups, downs = sorted(region.up_cells), sorted(region.down_cells)
     assume(ups and downs)
     k = draw(st.integers(1, min(2, len(ups), len(downs))))
     flipped = draw(st.sets(st.sampled_from(ups), min_size=k, max_size=k))
     flipped |= draw(st.sets(st.sampled_from(downs), min_size=k, max_size=k))
-    cells = region.cells | {TriangleCell(c.layer, c.index, c.orient.opposite) for c in flipped}
-    off = [(u, d) for u, d, _ in lozenges(Region(cells=cells)) if sum(u) % 2]
-    barred, halves = set(), set()
-    if off:
-        barred = draw(st.sets(st.sampled_from(off), max_size=1))
-        halves = draw(st.sets(st.sampled_from(off), max_size=1))
-    return Region(
-        cells=cells,
-        weights=region.weights + tuple((e, Fraction(1, 2)) for e in halves),
-        barred=region.barred | barred,
-    )
+    added = {TriangleCell(c.layer, c.index, c.orient.opposite) for c in flipped}
+    return region.cells | added, min(added)
 
 
 @settings(max_examples=200, deadline=None)
 @given(off_parity_regions())
-def test_engine_matches_oracle_on_random_off_parity_regions(region):
-    assert count_tilings(region) == count_tilings_oracle(region)
+def test_random_off_parity_regions_are_refused(case):
+    cells, least = case
+    assert refusal(cells).startswith(f"{least} ")
 
 
 def test_large_hexagons_match_macmahon():
@@ -553,11 +551,10 @@ def test_cell_codes_hold_far_from_the_origin():
         Region(cells=hexagon.cells - {up(1, 3), down(2, 4)}),
         Region(cells=hexagon.cells, barred=frozenset({lozenges(hexagon)[2][:2]})),
         Region(cells=hexagon.cells, weights=((lozenges(hexagon)[4][:2], Fraction(1, 3)),)),
-        # two cells at one address, twice: an off-parity lozenge on the
-        # addresses (0, 2) and (0, 3) of two cells of the hexagon
-        Region(cells=hexagon.cells | {down(0, 2), up(0, 3)}),
-        Region(cells=frozenset({up(0, 1), down(0, 2), up(0, 2), down(1, 2)})),
     ]
+    # two cells at one address are not both lattice cells: refused
+    assert refusal(hexagon.cells | {down(0, 2), up(0, 3)}).startswith(f"{down(0, 2)} ")
+    assert refusal({up(0, 1), down(0, 2), up(0, 2), down(1, 2)}).startswith(f"{up(0, 1)} ")
     golden = [build_region(parse_spec(record["spec"])) for record in golden_records()]
     shifts = [(2**40, 2**41), (1, 2**62 + 1), (3 * 10**20, 10**20 + 2)]
     counted = 0
@@ -570,20 +567,19 @@ def test_cell_codes_hold_far_from_the_origin():
     assert counted >= 150
     for region in hand_built:
         assert count_tilings(region) == count_tilings_oracle(region)
-    # across the axes the first-quadrant rule of lattice.neighbors drops
-    # lozenges; the list and the determinant must follow it there too
+    # across the axes no cell is a lattice cell: a translate there is refused
     for region in hand_built + golden[:40]:
         for dl, di in [(-1, -1), (-2, 0), (0, -4), (-(2**41), -(2**40))]:
-            moved = translate(region, dl, di)
-            assert lozenges(moved) == lattice_lozenges(moved), (region, dl, di)
-            if len(moved.cells) <= 40:
-                assert count_tilings(moved) == count_tilings_oracle(moved), (region, dl, di)
+            with pytest.raises(InvalidSpec, match="is not a lattice cell"):
+                translate(region, dl, di)
     # wide spans, up to too wide for 64-bit codes: two vertical lozenges, and
     # an up cell with a down cell as far east as a fixed stride would wrap to
+    # (the far cells sit at index 2 * gap or 2 * gap + 1, where the lattice
+    # has an up or a down cell in layer 0)
     for gap in sorted({2**k for k in range(1, 80)} | {10**k // 2 for k in range(1, 25)}):
-        wide = Region(cells=frozenset({up(0, 0), down(1, 0), up(0, gap), down(1, gap)}))
+        wide = Region(cells=frozenset({up(0, 0), down(1, 0), up(0, 2 * gap), down(1, 2 * gap)}))
         assert count_tilings(wide) == count_tilings_oracle(wide) == 1
-        apart = Region(cells=frozenset({up(0, 0), down(0, gap)}))
+        apart = Region(cells=frozenset({up(0, 0), down(0, 2 * gap + 1)}))
         assert lozenges(apart) == lattice_lozenges(apart)
         assert count_tilings(apart) == count_tilings_oracle(apart) == 0
 

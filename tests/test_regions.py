@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from denthex import regions
+from denthex import counting, regions
 from denthex import (
     FAMILIES,
     InvalidSpec,
     Orient,
     Region,
     RegionSpec,
+    TriangleCell,
     build_region,
     count_tilings,
     down,
@@ -77,6 +78,57 @@ def test_all_cells_canonical_across_families():
     for spec in specs:
         region = build_region(spec)
         assert all(is_canonical(c) for c in region.cells), spec.describe()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        TriangleCell(-1, 1, Orient.UP),  # negative layer, parity kept
+        TriangleCell(1, -1, Orient.UP),  # negative index, parity kept
+        down(2, 4),  # wrong orientation for its address
+        up(0, 3),
+    ],
+)
+def test_region_refuses_cells_off_the_lattice(bad):
+    # any cell that is not a lattice cell is refused, whatever else the region
+    # holds; the message names the least such cell in sorted order
+    hexagon = build_region(hex_spec(2, 2, 2)).cells
+    assert not is_canonical(bad) and not is_canonical(down(5, 5))
+    for cells in ({bad}, hexagon | {bad}, hexagon | {down(5, 5), bad}):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(str(bad))} is not a lattice cell"):
+            Region(cells=cells)
+
+
+def test_built_reduced_and_folded_regions_hold_only_lattice_cells(monkeypatch):
+    # the builders make regions through Region._coded, which skips the
+    # constructor's lattice-cell check, and the engine's sign rule holds on
+    # lattice cells alone: every region of the digest sweep, and the forced
+    # reduction and the fold half of every golden RS region, must hold no
+    # other cell
+    def lattice_only(region: Region) -> bool:
+        return all(map(is_canonical, region.order))
+
+    maker = _load_digest_maker()
+    built = 0
+    for family in FAMILIES:
+        for spec in maker.sweep_specs(family):
+            try:
+                region = build_region(spec)
+            except InvalidSpec:
+                continue
+            assert lattice_only(region), spec.describe()
+            built += 1
+    assert built >= 5000
+    halves = []
+    monkeypatch.setattr(counting, "count_tilings", halves.append)
+    lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
+    rs = [parse_spec(r["spec"]) for r in map(json.loads, lines) if r["spec"]["family"] == "RS"]
+    for spec in rs:
+        region = build_region(spec)
+        assert lattice_only(remove_forced_lozenges(region)[0]), spec.describe()
+        counting._reflective_fold(region)
+    assert len(rs) >= 30 and len(halves) >= 20
+    assert all(map(lattice_only, halves))
 
 
 def test_h_example_is_dented_222_hexagon():
@@ -186,9 +238,10 @@ def test_mirror_constant_matches_the_cell_by_cell_definition():
         cases.append(Region(cells=cells, weights=weights, barred=frozenset({edge})))
         cases.append(Region(cells=cells, weights=((edge, Fraction(1, 2)),), barred=barred))
     cases.append(Region(cells=frozenset({up(0, 0), down(0, 1)})))  # odd constant
-    cases.append(Region(cells=frozenset({up(0, 0), down(0, 2)})))  # mirrored indices only
-    # two cells at one address, off the parity convention: still symmetric
-    cases.append(Region(cells=frozenset({up(0, 1), down(0, 1)})))
+    # the spans agree, but the mirror image of down(0, 3) is missing
+    cases.append(Region(cells=frozenset({up(0, 0), down(0, 3), up(0, 4)})))
+    # symmetric about the down cell on its mirror column
+    cases.append(Region(cells=frozenset({up(0, 0), down(0, 1), up(0, 2)})))
     outcomes = [mirror_outcome(mirror_constant, r) for r in cases]
     assert outcomes == [mirror_outcome(literal_mirror_constant, r) for r in cases]
     assert outcomes[-1] == 2
