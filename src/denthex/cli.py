@@ -25,7 +25,7 @@ from .counting import (
     count_tilings_oracle,
     iter_tilings,
 )
-from .formulas import RatioSpec, shuffle_ratio
+from .formulas import RatioSpec, pp, shuffle_ratio
 from .regions import (
     InvalidSpec,
     RegionSpec,
@@ -278,6 +278,10 @@ def _cmd_bench(args) -> int:
         if oracle is not None and oracle != value:
             print(f"MISMATCH {spec.describe()}: determinant {value} != oracle {oracle}")
             status = EXIT_CHECK_FAILED
+        # every Hex rung, past the oracle's cap too, has MacMahon's product
+        if spec.family == "Hex" and (product := pp(spec.a, spec.b, spec.c)) != value:
+            print(f"MISMATCH {spec.describe()}: determinant {value} != pp {product}")
+            status = EXIT_CHECK_FAILED
     return status
 
 
@@ -339,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(fn=_cmd_render)
 
-    p = sub.add_parser("bench", help="time the determinant against the oracle on a size ladder")
+    p = sub.add_parser(
+        "bench", help="time the determinant on a size ladder, checked against the oracle and pp"
+    )
     p.add_argument("--max-hex", type=_int_at_least(0), default=4)
     p.add_argument("--oracle-cap", type=_int_at_least(0), default=60)
     p.set_defaults(fn=_cmd_bench)

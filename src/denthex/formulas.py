@@ -1,10 +1,13 @@
-"""Closed-form products and shuffling ratios, evaluated in exact rationals.
+"""Closed-form products and shuffling ratios, in exact arithmetic.
 
 Every function mirrors one of the product formulas that the counting engine
 is verified against: MacMahon's boxed plane partition product, the
 Cohn-Larsen-Propp dented semihexagon product, Proctor's and Ciucu's staircase
 hexagon products, the quartered-hexagon closed forms, and the right-hand
 sides of the shuffling theorems for the H, RS, F, Fbar, W and Wbar families.
+Each product is multiplied out as an integer numerator and an integer
+denominator and divided once, in the one ``Fraction`` it returns, so no
+intermediate rational is reduced by a gcd.
 """
 
 from __future__ import annotations
@@ -12,54 +15,68 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 
 from .regions import InvalidSpec, nonnegative_int, normalize_positions
 
-ONE = Fraction(1)
-
 
 def pp(a: int, b: int, c: int) -> Fraction:
-    """MacMahon's product: tilings of the hexagon a, b, c, a, b, c."""
-    out = ONE
-    for i in range(1, a + 1):
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                out *= Fraction(i + j + k - 1, i + j + k - 2)
-    return out
+    """MacMahon's product: tilings of the hexagon a, b, c, a, b, c.
+
+    The product over k of (i+j+k-1)/(i+j+k-2) telescopes, which leaves
+    prod_{i<=a, j<=b} (i+j+c-1)/(i+j-1).
+    """
+    a, b, c = _sizes(a, b, c)
+    pairs = [i + j for i in range(1, a + 1) for j in range(1, b + 1)]
+    return Fraction(prod(s + c - 1 for s in pairs), prod(s - 1 for s in pairs))
 
 
 def clp(positions) -> Fraction:
-    """Cohn-Larsen-Propp product for a dented semihexagon, prod (s_j-s_i)/(j-i)."""
+    """Cohn-Larsen-Propp product for a dented semihexagon, prod (s_j-s_i)/(j-i).
+
+    The denominator prod_{i<j} (j-i) is 0! 1! ... (n-1)!.
+    """
     s = normalize_positions(positions)
-    out = ONE
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            out *= Fraction(s[j] - s[i], j - i)
-    return out
+    num = prod(sj - si for j, sj in enumerate(s) for si in s[:j])
+    return Fraction(num, prod(map(factorial, range(len(s)))))
 
 
 def proctor(a: int, b: int, c: int) -> Fraction:
     """Proctor's product for the staircase-cut hexagon P(a, b, c); needs a <= b."""
+    a, b, c = _sizes(a, b, c)
     if a > b:
         raise InvalidSpec("proctor requires a <= b")
-    out = ONE
-    for i in range(1, a + 1):
-        for j in range(1, b - a + 2):
-            out *= Fraction(c + i + j - 1, i + j - 1)
-        for j in range(b - a + 2, b - a + i + 1):
-            out *= Fraction(2 * c + i + j - 1, i + j - 1)
-    return out
+    return Fraction(*_proctor_terms(a, b, c))
 
 
 def ciucu(a: int, b: int, c: int) -> Fraction:
-    """Ciucu's weighted product for Pprime(a, b, c); needs a <= b."""
+    """Ciucu's weighted product for Pprime(a, b, c); needs a <= b.
+
+    It is 2^-a prod_{i<=a} (2c+b-a+i)/(c+b-a+i) times proctor(a, b, c).
+    """
+    a, b, c = _sizes(a, b, c)
     if a > b:
         raise InvalidSpec("ciucu requires a <= b")
-    out = Fraction(1, 2**a)
-    for i in range(1, a + 1):
-        out *= Fraction(2 * c + b - a + i, c + b - a + i)
-    return out * proctor(a, b, c)
+    num, den = _proctor_terms(a, b, c)
+    num *= prod(2 * c + b - a + i for i in range(1, a + 1))
+    den *= prod(c + b - a + i for i in range(1, a + 1)) << a
+    return Fraction(num, den)
+
+
+def _sizes(a, b, c) -> tuple[int, int, int]:
+    """a, b and c, each refused with ``InvalidSpec`` unless a nonnegative int."""
+    return nonnegative_int("a", a), nonnegative_int("b", b), nonnegative_int("c", c)
+
+
+def _proctor_terms(a: int, b: int, c: int) -> tuple[int, int]:
+    """Numerator and denominator of proctor(a, b, c): over i <= a, the factor
+    (c+i+j-1)/(i+j-1) for j <= b-a+1 and (2c+i+j-1)/(i+j-1) for the next
+    i-1 values of j."""
+    m = b - a + 1
+    num = prod(c + i + j - 1 for i in range(1, a + 1) for j in range(1, m + 1))
+    num *= prod(2 * c + i + j - 1 for i in range(1, a + 1) for j in range(m + 1, m + i))
+    den = prod(i + j - 1 for i in range(1, a + 1) for j in range(1, m + i))
+    return num, den
 
 
 @lru_cache(maxsize=None)

@@ -373,10 +373,11 @@ class Region:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return (
-            f"Region(cells={self.cells!r}, weights={self.weights!r}, "
-            f"barred={self.barred!r}, untileable={self.untileable!r})"
-        )
+        # only what is stored: a view made here would recurse on a region
+        # whose __init__ raised, which has neither cells nor codes
+        stored = vars(self)
+        names = ("cells" if "cells" in stored else "codes", "weights", "barred", "untileable")
+        return "Region(" + ", ".join(f"{k}={stored[k]!r}" for k in names if k in stored) + ")"
 
     @cached_property
     def codes(self) -> tuple[int, int, int, list[int]]:

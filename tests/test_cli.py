@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from denthex import build_region, cli, count_tilings, counting, hex_spec, regions
+from denthex import build_region, cli, count_tilings, counting, hex_spec, pp, regions
 from denthex.cli import main
 from denthex.render import region_ascii, region_svg, tiling_ascii, tiling_svg
 from denthex import enumerate_tilings, pprime_spec, h_spec, w_spec
@@ -393,6 +393,15 @@ def test_bench_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "count_tilings_oracle", lambda region, cap: Fraction(-1))
     assert main(["bench", "--max-hex", "1"]) == 1
     assert "MISMATCH Hex(a=1, b=1, c=1)" in capsys.readouterr().out
+
+
+def test_bench_checks_every_hex_rung_against_pp(monkeypatch, capsys):
+    # Hex(3) is past an oracle cap of 0, so only MacMahon's product checks it
+    monkeypatch.setattr(cli, "pp", lambda a, b, c: Fraction(981) if a == 3 else pp(a, b, c))
+    assert main(["bench", "--max-hex", "3", "--oracle-cap", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("MISMATCH") == 1
+    assert "MISMATCH Hex(a=3, b=3, c=3): determinant 980 != pp 981" in out
 
 
 # -- renderer internals -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -42,6 +43,82 @@ def test_pp_matches_oracle():
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 def test_pp_symmetric(a, b, c):
     assert pp(a, b, c) == pp(b, c, a) == pp(c, a, b) == pp(a, c, b)
+
+
+# The products as they were first written, one Fraction factor at a time; the
+# library forms multiply integers and divide once, and must agree exactly.
+
+
+def _pp_loop(a, b, c):
+    out = Fraction(1)
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            for k in range(1, c + 1):
+                out *= Fraction(i + j + k - 1, i + j + k - 2)
+    return out
+
+
+def _clp_loop(s):
+    out = Fraction(1)
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            out *= Fraction(s[j] - s[i], j - i)
+    return out
+
+
+def _proctor_loop(a, b, c):
+    out = Fraction(1)
+    for i in range(1, a + 1):
+        for j in range(1, b - a + 2):
+            out *= Fraction(c + i + j - 1, i + j - 1)
+        for j in range(b - a + 2, b - a + i + 1):
+            out *= Fraction(2 * c + i + j - 1, i + j - 1)
+    return out
+
+
+def _ciucu_loop(a, b, c):
+    out = Fraction(1, 2**a)
+    for i in range(1, a + 1):
+        out *= Fraction(2 * c + b - a + i, c + b - a + i)
+    return out * _proctor_loop(a, b, c)
+
+
+def test_pp_equals_fraction_loop():
+    for a, b, c in itertools.product(range(7), repeat=3):
+        got = pp(a, b, c)
+        assert type(got) is Fraction and got == _pp_loop(a, b, c), (a, b, c)
+
+
+def test_proctor_and_ciucu_equal_fraction_loops():
+    for b in range(7):
+        for a in range(b + 1):
+            for c in range(6):
+                assert proctor(a, b, c) == _proctor_loop(a, b, c), (a, b, c)
+                assert ciucu(a, b, c) == _ciucu_loop(a, b, c), (a, b, c)
+                assert type(proctor(a, b, c)) is type(ciucu(a, b, c)) is Fraction
+
+
+@given(position_sets)
+def test_clp_equals_fraction_loop(s):
+    got = clp(s)
+    assert type(got) is Fraction and got == _clp_loop(s)
+
+
+@pytest.mark.parametrize("fn", [pp, proctor, ciucu])
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((-1, 2, 2), "a"),
+        ((2, -3, 1), "b"),
+        ((1, 2, -5), "c"),
+        ((1, 2, True), "c"),
+        ((1.0, 2, 1), "a"),
+    ],
+)
+def test_closed_forms_refuse_negative_or_non_integer_sizes(fn, args, name):
+    # the loop forms returned 1, 1 and 6 for the first three, silently
+    with pytest.raises(InvalidSpec, match=f"{name} must be a nonnegative integer"):
+        fn(*args)
 
 
 def test_clp_values():

@@ -99,6 +99,18 @@ def test_region_refuses_cells_off_the_lattice(bad):
             Region(cells=cells)
 
 
+def test_half_made_and_refused_regions_repr():
+    # repr reads only what the region stores: a region whose __init__ raised
+    # holds nothing yet, and making its cell view used to recurse without end
+    assert repr(Region.__new__(Region)) == "Region()"
+    with pytest.raises(InvalidSpec) as refusal:
+        Region(cells=[down(2, 4)])
+    assert repr(refusal.traceback[-1].locals["self"]) == "Region()"
+    built = build_region(hex_spec(1, 1, 1))
+    assert repr(built).startswith("Region(codes=(8, 0, 0, [0, 3, 4, 9, 10, 13]), weights=()")
+    assert repr(Region(built.cells)).startswith("Region(cells=frozenset({TriangleCell(")
+
+
 def test_built_reduced_and_folded_regions_hold_only_lattice_cells(monkeypatch):
     # the builders make regions through Region._coded, which skips the
     # constructor's lattice-cell check, and the engine's sign rule holds on
