@@ -2,7 +2,9 @@
 
 Verbs: count, count-symmetric, ratio, verify, render, bench.  Region specs
 are JSON objects (one per line for JSONL files, or a single object / array);
-the schema is documented in the README.
+the schema is documented in the README.  Every verb that reads a spec, and
+``bench``, refuses a region of more than ``--max-cells`` cells, read from the
+spec in closed form (``regions.cell_count``) before any region is built.
 """
 
 from __future__ import annotations
@@ -25,17 +27,20 @@ from .counting import (
     count_tilings_oracle,
     iter_tilings,
 )
-from .formulas import RatioSpec, pp, shuffle_ratio
+from .formulas import RatioSpec, ciucu, pp, quartered, shuffle_ratio
 from .regions import (
     InvalidSpec,
     RegionSpec,
     build_region,
+    cell_count,
     f_spec,
     h_spec,
     hex_spec,
+    lbar_spec,
     nonnegative_int,
     normalize_positions,
     parse_spec,
+    pprime_spec,
     w_spec,
 )
 from .verify import all_passed, check_shuffling, run_suite, summary_table, write_reports
@@ -47,6 +52,12 @@ EXIT_ERROR = 2
 # ``bench`` reports the median of this many timed counts per rung: a single
 # timing of the same count can move by a factor of two on a busy host
 BENCH_REPEATS = 5
+
+# ``--max-cells`` default: room for Hex(48, 48, 48) (13 824 cells), far past
+# the README examples, ``verify all`` and the benchmark's largest rung (462
+# cells), while a spec such as Hex(99999999999, 1, 1) is refused at once
+# instead of building until it is killed
+MAX_CELLS = 20_000
 
 
 class SpecFileError(ValueError):
@@ -63,10 +74,11 @@ def _read_text(path: str) -> str:
         raise SpecFileError(f"line {line}: not UTF-8 text") from None
 
 
-def load_specs(path: str) -> list[tuple[int, RegionSpec]]:
+def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionSpec]]:
     """Parse a spec file; returns (line, spec) pairs.
 
-    Accepts a single JSON object, a JSON array of objects, or JSON lines.
+    Accepts a single JSON object, a JSON array of objects, or JSON lines.  A
+    spec of more than ``max_cells`` cells is refused with its line.
     """
     text = _read_text(path)
     stripped = text.strip()
@@ -77,9 +89,11 @@ def load_specs(path: str) -> list[tuple[int, RegionSpec]]:
     except json.JSONDecodeError:
         whole = None
     if isinstance(whole, dict):
-        return [(1, _parse_or_raise(whole, 1))]
+        return [(1, _parse_or_raise(whole, 1, max_cells))]
     if isinstance(whole, list):
-        return [(line, _parse_or_raise(obj, line)) for line, obj in _array_items(text)]
+        return [
+            (line, _parse_or_raise(obj, line, max_cells)) for line, obj in _array_items(text)
+        ]
     out = []
     # only "\n" ends a line, as in _read_text and _load_ratio (not a form feed)
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -90,7 +104,7 @@ def load_specs(path: str) -> list[tuple[int, RegionSpec]]:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise SpecFileError(f"line {lineno}: {e.msg}") from None
-        out.append((lineno, _parse_or_raise(obj, lineno)))
+        out.append((lineno, _parse_or_raise(obj, lineno, max_cells)))
     if not out:
         raise SpecFileError("line 1: no region specs found")
     return out
@@ -113,15 +127,25 @@ def _array_items(text: str) -> list[tuple[int, object]]:
     return out
 
 
-def _parse_or_raise(obj, lineno: int) -> RegionSpec:
+def _parse_or_raise(obj, lineno: int, max_cells: int) -> RegionSpec:
     try:
-        return parse_spec(obj)
+        spec = parse_spec(obj)
     except InvalidSpec as e:
         raise SpecFileError(f"line {lineno}: {e}") from None
+    _check_size(spec, f"line {lineno}", max_cells)
+    return spec
+
+
+def _check_size(spec: RegionSpec, where: str, max_cells: int) -> None:
+    cells = cell_count(spec)
+    if cells > max_cells:
+        raise SpecFileError(
+            f"{where}: {spec.describe()} has {cells} cells, more than --max-cells {max_cells}"
+        )
 
 
 def _cmd_count(args) -> int:
-    for lineno, spec in load_specs(args.specfile):
+    for lineno, spec in load_specs(args.specfile, args.max_cells):
         region = build_region(spec)
         value = count_tilings(region)
         downs = region.down_count
@@ -136,7 +160,7 @@ def _cmd_count(args) -> int:
 def _cmd_count_symmetric(args) -> int:
     methods = ("filter", "reduce") if args.method == "both" else (args.method,)
     status = EXIT_OK
-    for lineno, spec in load_specs(args.specfile):
+    for lineno, spec in load_specs(args.specfile, args.max_cells):
         if spec.family != "RS":
             raise SpecFileError(f"line {lineno}: count-symmetric needs RS specs")
         counts = []
@@ -182,6 +206,13 @@ def _load_ratio(path: str) -> tuple[RatioSpec, int, tuple[int, ...]]:
 
 def _cmd_ratio(args) -> int:
     rs, x, B = _load_ratio(args.specfile)
+    # each side of the ratio counts the region of one spec; an RS ratio's
+    # centre-anchored sets form an RS spec of the same size as the mirrored one
+    family = "RS" if rs.family.startswith("RS") else rs.family
+    for U, D in ((rs.U, rs.D), (rs.Uprime, rs.Dprime)):
+        _parse_or_raise(
+            {"family": family, "x": x, "y": rs.y, "U": U, "D": D, "B": B}, 1, args.max_cells
+        )
     report = check_shuffling(rs, x, B)
     lhs = "vacuous" if report.vacuous else str(report.lhs)
     print(f"lhs = {lhs}")
@@ -211,7 +242,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    specs = load_specs(args.specfile)
+    specs = load_specs(args.specfile, args.max_cells)
     if len(specs) != 1:
         raise SpecFileError("render expects exactly one region spec")
     lineno, spec = specs[0]
@@ -246,15 +277,36 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+def _closed_form(spec: RegionSpec) -> tuple[str, Fraction] | None:
+    """(name, value) of the closed form a bench rung is checked against:
+    MacMahon's ``pp`` for Hex, ``quartered`` for Lbar and ``ciucu`` for
+    Pprime; None for the dented rungs, which only the oracle checks."""
+    if spec.family == "Hex":
+        return "pp", pp(spec.a, spec.b, spec.c)
+    if spec.family == "Lbar":
+        return "quartered", quartered(f"Lbar-{'odd' if spec.m % 2 else 'even'}", spec.dents)
+    if spec.family == "Pprime":
+        return "ciucu", ciucu(spec.a, spec.b, spec.c)
+    return None
+
+
 def _cmd_bench(args) -> int:
-    ladder = [hex_spec(k, k, k) for k in range(1, args.max_hex + 1)]
+    sizes = range(1, args.max_hex + 1)
+    ladder = [hex_spec(k, k, k) for k in sizes]
     ladder += [
         h_spec(2, 1, (1,), (4,)),  # interior dents: needs minus signs, small enough for the oracle
         f_spec(2, 1, (1,), (2,)),
         f_spec(2, 2, (1, 4), (2,)),
         w_spec(2, 2, (1, 4), (2,)),
     ]
-    print(f"{'region':34s} {'cells':>6s} {'det value':>14s} {'det ms':>9s} {'oracle ms':>10s}")
+    # the weighted families, whose 1/2 teeth the determinant pivots out first:
+    # Lbar(3k, 2k) alternates the odd and even quartered variants
+    ladder += [lbar_spec(3 * k, 2 * k, range(1, 3 * k + 1, 2)) for k in sizes]
+    ladder += [pprime_spec(k, k + 2, k) for k in sizes]
+    for spec in ladder:
+        _check_size(spec, "bench", args.max_cells)
+    width = max(len(spec.describe()) for spec in ladder)
+    print(f"{'region':{width}s} {'cells':>6s} {'det value':>14s} {'det ms':>9s} {'oracle ms':>10s}")
     status = EXIT_OK
     for spec in ladder:
         region = build_region(spec)
@@ -272,15 +324,17 @@ def _cmd_bench(args) -> int:
         else:
             oracle_ms = f"{'-':>10s}"
         print(
-            f"{spec.describe():34s} {len(region):6d} {str(value):>14s} "
+            f"{spec.describe():{width}s} {len(region):6d} {str(value):>14s} "
             f"{det_ms:9.2f} {oracle_ms}"
         )
         if oracle is not None and oracle != value:
             print(f"MISMATCH {spec.describe()}: determinant {value} != oracle {oracle}")
             status = EXIT_CHECK_FAILED
-        # every Hex rung, past the oracle's cap too, has MacMahon's product
-        if spec.family == "Hex" and (product := pp(spec.a, spec.b, spec.c)) != value:
-            print(f"MISMATCH {spec.describe()}: determinant {value} != pp {product}")
+        # every Hex, Lbar and Pprime rung, past the oracle's cap too, has a
+        # closed form
+        closed = _closed_form(spec)
+        if closed is not None and closed[1] != value:
+            print(f"MISMATCH {spec.describe()}: determinant {value} != {closed[0]} {closed[1]}")
             status = EXIT_CHECK_FAILED
     return status
 
@@ -309,8 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def max_cells(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--max-cells",
+            type=_int_at_least(0),
+            default=MAX_CELLS,
+            help=f"refuse a region of more cells, before any is built (default {MAX_CELLS})",
+        )
+
     p = sub.add_parser("count", help="exact weighted tiling count of region specs")
     p.add_argument("specfile", help="JSON/JSONL region spec file")
+    max_cells(p)
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser(
@@ -319,10 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specfile")
     p.add_argument("--method", choices=("both", "filter", "reduce"), default="both")
     p.add_argument("--cap", type=_int_at_least(0), default=5000, help="filter enumeration cap")
+    max_cells(p)
     p.set_defaults(fn=_cmd_count_symmetric)
 
     p = sub.add_parser("ratio", help="check one shuffle ratio against its closed form")
     p.add_argument("specfile", help="JSON ratio spec with family,x,y,U,D,Uprime,Dprime,B")
+    max_cells(p)
     p.set_defaults(fn=_cmd_ratio)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -341,13 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiling", type=int, default=None, help="render tiling #i instead")
     p.add_argument("--cap", type=_int_at_least(0), default=10000, help="tiling enumeration cap")
     p.add_argument("-o", "--out", default=None)
+    max_cells(p)
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser(
-        "bench", help="time the determinant on a size ladder, checked against the oracle and pp"
+        "bench",
+        help="time the determinant on size ladders, checked against the oracle and closed forms",
     )
     p.add_argument("--max-hex", type=_int_at_least(0), default=4)
     p.add_argument("--oracle-cap", type=_int_at_least(0), default=60)
+    max_cells(p)
     p.set_defaults(fn=_cmd_bench)
 
     return parser

@@ -17,10 +17,14 @@ the rule and its proof live there.  The codes are a region's stored form and
 its cells a view of them: a count of a built region reads only the codes and
 makes no cell view.
 The determinant is taken over the whole region by fraction-free Bareiss
-elimination in integers: rows holding fractional weights are scaled to
-integers and the scale is divided out at the end.  A lozenge forced in every
-tiling is a row or column with a single entry, which the elimination strips as
-it goes.  The search below takes its edges from ``regions.lozenges``.
+elimination in integers.  First each weighted lozenge whose up cell has one
+other lozenge is pivoted out exactly, one column operation per lozenge (the
+degree-2 vertex contraction): its weight becomes a factor of the count and its
+row a unit singleton, and for the 1/2 teeth of the weighted families every
+entry stays an integer.  A row that still holds a fractional weight is scaled
+to integers and the scale is divided out at the end.  A lozenge forced in
+every tiling is a row or column with a single entry, which the elimination
+strips as it goes.  The search below takes its edges from ``regions.lozenges``.
 
 Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
@@ -142,6 +146,74 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
     return abs(pivot[-1])
 
 
+def _pivot_weighted(rows: list[dict], weighted: dict[int, dict]) -> tuple[int, int]:
+    """Pivot the weighted lozenges out of the signed matrix ``rows`` in place,
+    before it is made integral.
+
+    A weighted row u, in row order, that holds at most two entries, one of
+    them a non-integer v at column d with the other entry t at column e an
+    integer multiple f = t / v of it, is the up cell of a degree-2 vertex of
+    the dual graph.  The column operation col_e <- col_e - f * col_d clears
+    M[u][e] and changes the determinant by nothing; row u is then a
+    singleton, so |det| is |v| times the |det| of the matrix with row u set to
+    {d: 1} and column d cleared everywhere else, which is what is left here.
+    For a tooth of weight 1/2, f is 2 and the updated entries M[r][e] - 2 *
+    M[u][e] * M[r][d] of the integer rows stay integers, so its row needs no
+    scaling and the elimination meets no factor of 2.  A row the rule does
+    not fit (a numerator other than +-1 next to a unit entry, three entries)
+    is left as it is.
+
+    ``by_col`` holds the rows with an entry in each column that a weighted
+    row touches: every pivot column, and every column an update can fill, is
+    one of those.  It is kept exact as updates fill and cancel entries, so
+    no entry is read from a stale index; a cleared column d is never read
+    again, since only row u, now a unit singleton, holds it.  An update adds an integer multiple
+    of an entry of column d to the same row, so only a row that held a weight
+    can hold a non-integer afterwards.  Returns the product of the |v| as its
+    numerator and denominator.
+    """
+    by_col: dict[int, set[int]] = {j: set() for row in weighted.values() for j in row}
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in by_col:
+                by_col[j].add(i)
+    num = den = 1
+    for u in sorted(weighted):
+        row = rows[u]
+        if len(row) > 2:
+            continue
+        for d, v in row.items():
+            if v.denominator != 1 and all((t / v).denominator == 1 for t in row.values()):
+                break
+        else:
+            continue
+        for e, t in list(row.items()):
+            if e == d:
+                continue
+            f = (t / v).numerator
+            col_e = by_col[e]
+            for r in by_col[d]:
+                if r == u:
+                    continue
+                other = rows[r]
+                w = other.get(e, 0) - f * other[d]
+                if w:
+                    other[e] = w
+                    col_e.add(r)
+                elif e in other:
+                    del other[e]
+                    col_e.discard(r)
+            del row[e]
+            col_e.discard(u)
+        for r in by_col[d]:
+            if r != u:
+                del rows[r][d]
+        row[d] = 1
+        num *= abs(v.numerator)
+        den *= v.denominator
+    return num, den
+
+
 def _det_count(region: Region) -> Fraction:
     """Weighted matching count as |det| of the Kasteleyn-signed up x down matrix.
 
@@ -149,20 +221,23 @@ def _det_count(region: Region) -> Fraction:
     ``order``, as ``regions.kasteleyn_rows`` emits them: a unit lozenge enters
     as its sign alone, so the plain regions never touch a ``Fraction``.  An up
     cell without a lozenge, or unequal numbers of up and down cells, leave the
-    matrix singular.  A row holding weights is multiplied by the lcm of their
-    denominators so every entry is an integer; the product of those factors
-    divides the determinant at the end.
+    matrix singular.  ``_pivot_weighted`` first takes each weighted lozenge
+    whose up cell has one other lozenge out of the matrix as an exact factor,
+    which leaves every 1/2 tooth of the weighted families a unit singleton
+    row.  A row that still holds a non-integer is then multiplied by the lcm
+    of its denominators; the product of those factors divides the determinant
+    at the end.
     """
     rows, weighted = kasteleyn_rows(region)
     if 2 * len(rows) != len(region) or not all(rows):
         return ZERO
-    scale = 1
+    num, den = _pivot_weighted(rows, weighted) if weighted else (1, 1)
     for row in weighted.values():
         m = math.lcm(*(v.denominator for v in row.values()))
-        scale *= m
+        den *= m
         for j, v in row.items():
             row[j] = (v * m).numerator
-    return Fraction(_bareiss_abs_det(rows), scale)
+    return Fraction(_bareiss_abs_det(rows) * num, den)
 
 
 def count_tilings(region: Region) -> Fraction:

@@ -26,9 +26,13 @@ def pp(a: int, b: int, c: int) -> Fraction:
     The product over k of (i+j+k-1)/(i+j+k-2) telescopes, which leaves
     prod_{i<=a, j<=b} (i+j+c-1)/(i+j-1).
     """
-    a, b, c = _sizes(a, b, c)
+    return Fraction(*_pp_terms(*_sizes(a, b, c)))
+
+
+def _pp_terms(a: int, b: int, c: int) -> tuple[int, int]:
+    """Numerator and denominator of pp(a, b, c)."""
     pairs = [i + j for i in range(1, a + 1) for j in range(1, b + 1)]
-    return Fraction(prod(s + c - 1 for s in pairs), prod(s - 1 for s in pairs))
+    return prod(s + c - 1 for s in pairs), prod(s - 1 for s in pairs)
 
 
 def clp(positions) -> Fraction:
@@ -36,9 +40,13 @@ def clp(positions) -> Fraction:
 
     The denominator prod_{i<j} (j-i) is 0! 1! ... (n-1)!.
     """
-    s = normalize_positions(positions)
+    return Fraction(*_clp_terms(normalize_positions(positions)))
+
+
+def _clp_terms(s: tuple[int, ...]) -> tuple[int, int]:
+    """Numerator and denominator of clp(s), for normalized positions s."""
     num = prod(sj - si for j, sj in enumerate(s) for si in s[:j])
-    return Fraction(num, prod(map(factorial, range(len(s)))))
+    return num, prod(map(factorial, range(len(s))))
 
 
 def proctor(a: int, b: int, c: int) -> Fraction:
@@ -209,14 +217,20 @@ class RatioSpec:
             raise InvalidSpec("RS-even requires even y")
 
 
+def _h_terms(U: tuple[int, ...], D: tuple[int, ...], y: int) -> tuple[int, int]:
+    """Numerator and denominator of clp(U) clp(D) pp(|U|, |D|, y), the H
+    family's side of one dent configuration."""
+    (n1, d1), (n2, d2) = _clp_terms(U), _clp_terms(D)
+    n3, d3 = _pp_terms(len(U), len(D), y)
+    return n1 * n2 * n3, d1 * d2 * d3
+
+
 def shuffle_ratio(spec: RatioSpec) -> Fraction:
     """Right-hand side of the shuffling theorem for the given family."""
     if spec.family == "H":
-        num = clp(spec.U) * clp(spec.D) * pp(len(spec.U), len(spec.D), spec.y)
-        den = clp(spec.Uprime) * clp(spec.Dprime) * pp(
-            len(spec.Uprime), len(spec.Dprime), spec.y
-        )
-        return num / den
+        num, den = _h_terms(spec.U, spec.D, spec.y)
+        num2, den2 = _h_terms(spec.Uprime, spec.Dprime, spec.y)
+        return Fraction(num * den2, den * num2)
     kind, a, b = _RATIO_TERMS[spec.family]
     shift = a * spec.y + b
     num = delta(spec.U, kind) * delta(spec.D, kind)

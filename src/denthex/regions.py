@@ -210,7 +210,7 @@ def _validate_spec(s: RegionSpec) -> None:
     if s.family not in FAMILIES:
         raise InvalidSpec(f"unknown family {s.family!r}")
     set_attr = object.__setattr__
-    required, optional, _ = _FAMILY_TABLE[s.family]
+    required, optional = _FAMILY_TABLE[s.family][:2]
     # every field is normalized or None, so equal specs build equal regions
     # and a spec is an exact memo key
     for f in _SPEC_FIELDS:
@@ -277,7 +277,7 @@ def parse_spec(obj: dict) -> RegionSpec:
     fam = obj.get("family")
     if fam not in _FAMILY_TABLE:
         raise InvalidSpec(f"unknown or missing family {fam!r}")
-    required, optional, _ = _FAMILY_TABLE[fam]
+    required, optional = _FAMILY_TABLE[fam][:2]
     for key in obj:
         if key != "family" and key not in required and key not in optional:
             raise InvalidSpec(f"unknown field {key!r} for family {fam}")
@@ -294,7 +294,7 @@ def parse_spec(obj: dict) -> RegionSpec:
 
 def spec_to_dict(spec: RegionSpec) -> dict:
     out = {"family": spec.family}
-    required, optional, _ = _FAMILY_TABLE[spec.family]
+    required, optional = _FAMILY_TABLE[spec.family][:2]
     for key in sorted(required + optional):
         val = getattr(spec, key)
         if val is not None:
@@ -315,7 +315,8 @@ class Region:
     renderer, the search, ``restrict``, the forced reduction).  A hand-built
     region passes its cells, which become its ``cells`` view, and its codes
     are derived from them once, after any cell that is not a lattice cell
-    (``lattice.is_canonical``) is refused with ``InvalidSpec``.
+    (``lattice.is_canonical``), and any weight that is not a positive int or
+    ``Fraction``, is refused with ``InvalidSpec``.
 
     Two regions are equal, and hash equally, when they hold the same cells,
     weights, barred edges and untileable flag; ``label`` and ``axis`` do not
@@ -336,6 +337,11 @@ class Region:
         cells = frozenset(cells)
         if bad := [c for c in cells if not is_canonical(c)]:
             raise InvalidSpec(f"{min(bad)} is not a lattice cell (see lattice.is_canonical)")
+        for edge, w in weights:
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)) or w <= 0:
+                raise InvalidSpec(
+                    f"weight of lozenge {edge} must be a positive int or Fraction (got {w!r})"
+                )
         vars(self).update(
             cells=cells,
             weights=weights,
@@ -717,23 +723,95 @@ def _build_rs(spec: RegionSpec) -> Region:
     return region
 
 
+# -- cell counts from the spec ------------------------------------------------
+#
+# A row table puts c_j cells of each orientation on line j, and row r holds
+# the c_r down cells of line r and the c_(r+1) up cells of line r + 1, so a
+# table of N rows has sum_(r<N) (c_r + c_(r+1)) cells before any dent is
+# removed.  The sums below are those, in closed form, so the size of a spec
+# is known before any region is built, however large it is.
+
+
+def _hex_cells(spec: RegionSpec) -> int:
+    a, b, c = spec.a, spec.b, spec.c
+    return 2 * (a * b + b * c + c * a)
+
+
+def _semihex_cells(spec: RegionSpec) -> int:
+    # c_j = b + j for j <= a, less the a base dents
+    a, b = spec.a, spec.b
+    return 2 * a * b + a * a - a
+
+
+def _hexagon_cells(north: int, ne: int, se: int) -> int:
+    # c_j = north + j for j <= ne, then north + 2 ne - j down to line ne + se
+    return 2 * north * ne + ne * ne + 2 * (north + ne) * se - se * se
+
+
+def _h_cells(spec: RegionSpec) -> int:
+    u, d = spec.u, spec.d
+    return _hexagon_cells(spec.x + spec.n_removed - u, spec.y + u, spec.y + d) - u - d
+
+
+def _rs_cells(spec: RegionSpec) -> int:
+    # the H region of expand_rs, whose dent sets are twice as large
+    u, d = 2 * spec.u, 2 * spec.d
+    return _hexagon_cells(spec.x + 2 * spec.n_removed - u, spec.y + u, spec.y + d) - u - d
+
+
+def _zigzag_cells(north: int, turn: int, nrows: int) -> int:
+    """Cells of the table with a western zigzag: c_j = north + ceil(j / 2) up
+    to line ``turn`` and north + turn - floor(j / 2) after it, using
+    sum_(j<=m) ceil(j / 2) = floor((m + 1)^2 / 4) and sum_(j<=m) floor(j / 2)
+    = floor(m^2 / 4).  Needs turn <= nrows, which validation ensures."""
+    lines = (nrows + 1) * north + (turn + 1) ** 2 // 4
+    lines += (nrows - turn) * turn - nrows**2 // 4 + turn**2 // 4
+    return 2 * lines - north - (north + turn - nrows // 2)
+
+
+def _halved_cells(spec: RegionSpec) -> int:
+    u, d = spec.u, spec.d
+    odd = spec.family in ("Fbar", "Wbar")
+    turn = 2 * spec.y + 2 * u - odd
+    nrows = turn + 2 * spec.y + 2 * d - odd
+    return _zigzag_cells(spec.x + spec.n_removed - u, turn, nrows) - u - d
+
+
+def _l_cells(spec: RegionSpec) -> int:
+    return _zigzag_cells(spec.n, spec.m, spec.m) - (spec.m + 1) // 2
+
+
+def _p_cells(spec: RegionSpec) -> int:
+    # the hexagon c, b, a, c, b, a less the staircase, which takes
+    # floor(j / 2) cells of each orientation from line j <= a and a - ceil(j / 2)
+    # from line a <= j <= 2a: a(a - 1) cells in all
+    a = spec.a
+    return _hex_cells(spec) - a * (a - 1)
+
+
+def cell_count(spec: RegionSpec) -> int:
+    """``len(build_region(spec))``, from the spec's fields alone, in closed form."""
+    return _FAMILY_TABLE[spec.family][3](spec)
+
+
 _AXIS_FIELDS = ("x", "y"), ("U", "D", "B")
 
-# family -> (required fields, optional fields, builder); the one list of the
-# families, read by validation, the JSON round trip and build_region
+# family -> (required fields, optional fields, builder, cell count); the one
+# list of the families, read by validation, the JSON round trip, build_region
+# and cell_count
 _FAMILY_TABLE = {
-    "Hex": (("a", "b", "c"), (), _build_hex),
-    "DentedSemihex": (("a", "b"), ("dents",), _build_semihex),
-    "H": (*_AXIS_FIELDS, _build_h),
-    "RS": (*_AXIS_FIELDS, _build_rs),
-    "F": (*_AXIS_FIELDS, _build_halved),
-    "Fbar": (*_AXIS_FIELDS, _build_halved),
-    "W": (*_AXIS_FIELDS, _build_halved),
-    "Wbar": (*_AXIS_FIELDS, _build_halved),
-    "L": (("m", "n"), ("dents",), _build_l),
-    "Lbar": (("m", "n"), ("dents",), _build_l),
-    "P": (("a", "b", "c"), (), _build_p),
-    "Pprime": (("a", "b", "c"), (), _build_p),
+    "Hex": (("a", "b", "c"), (), _build_hex, _hex_cells),
+    "DentedSemihex": (("a", "b"), ("dents",), _build_semihex, _semihex_cells),
+    "H": (*_AXIS_FIELDS, _build_h, _h_cells),
+    "RS": (*_AXIS_FIELDS, _build_rs, _rs_cells),
+    "F": (*_AXIS_FIELDS, _build_halved, _halved_cells),
+    "Fbar": (*_AXIS_FIELDS, _build_halved, _halved_cells),
+    "W": (*_AXIS_FIELDS, _build_halved, _halved_cells),
+    "Wbar": (*_AXIS_FIELDS, _build_halved, _halved_cells),
+    "L": (("m", "n"), ("dents",), _build_l, _l_cells),
+    "Lbar": (("m", "n"), ("dents",), _build_l, _l_cells),
+    "P": (("a", "b", "c"), (), _build_p, _p_cells),
+    "Pprime": (("a", "b", "c"), (), _build_p, _p_cells),
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)

@@ -1,9 +1,11 @@
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from denthex import build_region, cli, count_tilings, counting, hex_spec, pp, regions
+from denthex import build_region, ciucu, cli, count_tilings, counting, hex_spec, pp, quartered, regions
 from denthex.cli import main
 from denthex.render import region_ascii, region_svg, tiling_ascii, tiling_svg
 from denthex import enumerate_tilings, pprime_spec, h_spec, w_spec
@@ -45,6 +47,78 @@ def test_count_malformed_line_reports_lineno(tmp_path, capsys):
     assert main(["count", path]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+HUGE = {"family": "Hex", "a": 99999999999, "b": 1, "c": 1}
+
+
+def test_huge_spec_exits_2_before_any_region_is_built(tmp_path, capsys, monkeypatch):
+    # this spec used to build until it was killed
+    built = []
+    monkeypatch.setattr(cli, "build_region", built.append)
+    lines = "\n".join(map(json.dumps, [{"family": "Hex", "a": 1, "b": 1, "c": 1}, HUGE]))
+    path = write(tmp_path, "huge.jsonl", lines)
+    t0 = time.perf_counter()
+    assert main(["count", path]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and built == []
+    assert captured.err == (
+        "error: line 2: Hex(a=99999999999, b=1, c=1) has 399999999998 cells, "
+        "more than --max-cells 20000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,spec,cells",
+    [
+        (["count"], {"family": "Hex", "a": 3, "b": 3, "c": 3}, 54),
+        (["count-symmetric"], {"family": "RS", "x": 4, "y": 2, "U": [1]}, 74),
+        (["render", "--tiling", "0"], {"family": "Pprime", "a": 2, "b": 4, "c": 3}, 50),
+        (
+            ["ratio"],
+            {"family": "W", "x": 3, "y": 1, "U": [1], "D": [2], "Uprime": [2], "Dprime": [1]},
+            82,
+        ),
+    ],
+)
+def test_max_cells_bounds_every_spec_verb(tmp_path, capsys, monkeypatch, argv, spec, cells):
+    built = []
+    monkeypatch.setattr(regions, "_assemble", lambda *a, **k: built.append(a))
+    path = write(tmp_path, "spec.json", spec)
+    assert main([argv[0], path, *argv[1:], "--max-cells", str(cells - 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ")
+    assert err.endswith(f" has {cells} cells, more than --max-cells {cells - 1}\n")
+    assert built == []
+
+
+def test_max_cells_default_leaves_wide_margin():
+    # every README example spec, and the 462 cells of the largest benchmark
+    # rung, sit far below the default; Hex(48, 48, 48) still fits
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Spec files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    specs = [regions.parse_spec(json.loads(line)) for line in block.splitlines()]
+    assert len(specs) >= 6
+    assert max(map(regions.cell_count, specs)) * 100 <= cli.MAX_CELLS
+    assert 462 * 40 <= cli.MAX_CELLS
+    assert regions.cell_count(hex_spec(48, 48, 48)) <= cli.MAX_CELLS
+
+
+def test_max_cells_admits_a_region_of_exactly_that_size(tmp_path, capsys):
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 2, "b": 2, "c": 2})
+    assert main(["count", path, "--max-cells", "24"]) == 0
+    assert capsys.readouterr().out.startswith("20 ")
+
+
+def test_bench_refuses_a_rung_past_max_cells(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_region", built.append)
+    assert main(["bench", "--max-hex", "3", "--max-cells", "53"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bench: Hex(a=3, b=3, c=3) has 54 cells, more than --max-cells 53\n"
+    )
+    assert built == []
 
 
 def test_count_directory_is_an_error(tmp_path, capsys):
@@ -362,6 +436,21 @@ def test_bench_runs(capsys):
     out = capsys.readouterr().out
     assert "Hex(a=2, b=2, c=2)" in out
     assert "H(B=[], D=[4], U=[1], x=2, y=1)" in out
+
+
+def test_bench_checks_weighted_rungs_against_closed_forms(monkeypatch, capsys):
+    # the Lbar ladder against the quartered hexagons, the Pprime rungs against
+    # Ciucu's product, past the oracle's cap too, as the Hex rungs against pp
+    assert main(["bench", "--max-hex", "2", "--oracle-cap", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "Lbar(dents=[1, 3, 5], m=6, n=4)" in out and "Pprime(a=2, b=4, c=2)" in out
+    monkeypatch.setattr(cli, "quartered", lambda v, d: quartered(v, d) + (v == "Lbar-even"))
+    monkeypatch.setattr(cli, "ciucu", lambda a, b, c: ciucu(a, b, c) + (a == 1))
+    assert main(["bench", "--max-hex", "2", "--oracle-cap", "0"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("MISMATCH") == 2
+    assert "MISMATCH Lbar(dents=[1, 3, 5], m=6, n=4): determinant 105/8 != quartered 113/8" in out
+    assert "MISMATCH Pprime(a=1, b=3, c=1): determinant 5/2 != ciucu 7/2" in out
 
 
 @pytest.mark.parametrize("flag", ["--max-hex", "--oracle-cap"])

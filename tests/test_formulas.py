@@ -268,6 +268,30 @@ def test_shuffle_ratio_singleton_swap_is_one():
         assert shuffle_ratio(rs) == 1
 
 
+@st.composite
+def h_shuffles(draw):
+    """An H shuffle: a union of up to six positions split into U and D twice,
+    with the intersection kept."""
+    union = draw(st.lists(st.integers(1, 20), max_size=6, unique=True))
+    both = [p for p in union if draw(st.booleans()) and draw(st.booleans())]
+    rest = [p for p in union if p not in both]
+
+    def split():
+        ups = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+        return both + ups, both + [p for p in rest if p not in ups]
+
+    return RatioSpec("H", *split(), *split(), draw(st.integers(0, 6)))
+
+
+@given(h_shuffles())
+def test_h_shuffle_ratio_equals_the_six_fraction_form(rs):
+    # the H branch builds one integer numerator and denominator; the form it
+    # replaced multiplied six Fractions
+    num = clp(rs.U) * clp(rs.D) * pp(len(rs.U), len(rs.D), rs.y)
+    den = clp(rs.Uprime) * clp(rs.Dprime) * pp(len(rs.Uprime), len(rs.Dprime), rs.y)
+    assert shuffle_ratio(rs) == num / den
+
+
 def test_shuffle_ratio_rs_odd_example():
     rs = RatioSpec("RS-odd", (1, 2), (), (1,), (2,), 1)
     # squares product 3, hyperfactorial ratio h2(3)^2/(h2(5) h2(1)) = 1/6

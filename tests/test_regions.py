@@ -99,6 +99,58 @@ def test_region_refuses_cells_off_the_lattice(bad):
             Region(cells=cells)
 
 
+@pytest.mark.parametrize("weight", [-2, 0, Fraction(0), Fraction(-1, 2), 0.5, "1/2", True, None])
+def test_region_refuses_weights_that_are_not_positive_rationals(weight):
+    # a weight of -2 once counted 1 against the oracle's -1, a float or str
+    # weight died inside the determinant, and a weight of 0 was accepted
+    region = build_region(hex_spec(1, 1, 1))
+    edge = _edges(region)[0]
+    with pytest.raises(InvalidSpec, match=re.escape(f"weight of lozenge {edge} must be")):
+        Region(cells=region.cells, weights=((edge, weight),))
+
+
+def test_region_accepts_positive_int_and_fraction_weights():
+    region = build_region(hex_spec(1, 1, 1))
+    edge = _edges(region)[0]
+    for weight in (1, 3, Fraction(2, 5)):
+        assert Region(cells=region.cells, weights=((edge, weight),)).weight_map[edge] == weight
+
+
+def _edges(region: Region):
+    return [(u, d) for u, d, _ in regions.lozenges(region)]
+
+
+def test_cell_count_matches_the_built_regions_on_the_digest_sweep():
+    # the closed form that --max-cells reads, against every region of the
+    # digest sweep and a few large ones
+    maker = _load_digest_maker()
+    built = 0
+    for family in FAMILIES:
+        for spec in maker.sweep_specs(family):
+            try:
+                region = build_region(spec)
+            except InvalidSpec:
+                continue
+            assert regions.cell_count(spec) == len(region), spec.describe()
+            built += 1
+    assert built >= 5000
+    for spec in (
+        hex_spec(9, 4, 7),
+        h_spec(5, 4, (1, 3, 8), (3, 5)),
+        rs_spec(6, 5, (2, 4), (4, 6)),
+        fbar_spec(5, 4, (2, 7), (1, 7)),
+        w_spec(12, 10, (3, 9, 14), (5, 12, 20)),
+        lbar_spec(24, 12, range(1, 24, 2)),
+        pprime_spec(8, 12, 8),
+    ):
+        assert regions.cell_count(spec) == len(build_region(spec)), spec.describe()
+
+
+def test_cell_count_of_a_huge_spec_is_immediate():
+    assert regions.cell_count(hex_spec(99999999999, 1, 1)) == 399999999998
+    assert regions.cell_count(w_spec(10**12, 2, (1,), (2,))) > 10**13
+
+
 def test_half_made_and_refused_regions_repr():
     # repr reads only what the region stores: a region whose __init__ raised
     # holds nothing yet, and making its cell view used to recurse without end
