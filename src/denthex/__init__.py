@@ -4,7 +4,6 @@ shuffling ratios."""
 
 from .counting import (
     CapExceeded,
-    clear_count_cache,
     count_reflective,
     count_spec,
     count_tilings,
@@ -23,29 +22,22 @@ from .formulas import (
     shuffle_ratio,
 )
 from .lattice import (
-    LozengePlacement,
-    Orient,
     TriangleCell,
-    canonical_orient,
     down,
     is_canonical,
-    neighbors,
     up,
 )
 from .regions import (
-    FAMILIES,
     InvalidSpec,
     Region,
     RegionSpec,
     build_region,
-    expand_rs,
     f_spec,
     fbar_spec,
     h_spec,
     hex_spec,
     l_spec,
     lbar_spec,
-    mirror_constant,
     p_spec,
     parse_spec,
     pprime_spec,
@@ -53,7 +45,6 @@ from .regions import (
     remove_forced_lozenges,
     rs_spec,
     semihex_spec,
-    spec_to_dict,
     w_spec,
     wbar_spec,
 )
@@ -67,7 +58,6 @@ from .verify import (
     check_fern_reduction,
     check_kuo_recurrence,
     check_shuffling,
-    free_axis_positions,
     kuo_counts,
     random_shuffle_cases,
     run_suite,

@@ -74,6 +74,19 @@ def _read_text(path: str) -> str:
         raise SpecFileError(f"line {line}: not UTF-8 text") from None
 
 
+def _loads(text: str, lineno: int):
+    """``json.loads``, refusing with ``lineno`` what it cannot parse or hold: nesting
+    past the recursion limit, or an integer literal past the int-string digit limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SpecFileError(f"line {lineno + e.lineno - 1}: {e.msg}") from None
+    except RecursionError:
+        raise SpecFileError(f"line {lineno}: JSON nested too deeply") from None
+    except ValueError:
+        raise SpecFileError(f"line {lineno}: integer literal too long") from None
+
+
 def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionSpec]]:
     """Parse a spec file; returns (line, spec) pairs.
 
@@ -86,7 +99,7 @@ def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionS
         raise SpecFileError("line 1: empty spec file")
     try:
         whole = json.loads(stripped)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # read again line by line below
         whole = None
     if isinstance(whole, dict):
         return [(1, _parse_or_raise(whole, 1, max_cells))]
@@ -100,11 +113,7 @@ def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionS
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SpecFileError(f"line {lineno}: {e.msg}") from None
-        out.append((lineno, _parse_or_raise(obj, lineno, max_cells)))
+        out.append((lineno, _parse_or_raise(_loads(line, lineno), lineno, max_cells)))
     if not out:
         raise SpecFileError("line 1: no region specs found")
     return out
@@ -180,10 +189,7 @@ def _cmd_count_symmetric(args) -> int:
 
 
 def _load_ratio(path: str) -> tuple[RatioSpec, int, tuple[int, ...]]:
-    try:
-        obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
-        raise SpecFileError(f"line {e.lineno}: {e.msg}") from None
+    obj = _loads(_read_text(path), 1)
     if not isinstance(obj, dict):
         raise SpecFileError("line 1: ratio spec must be a JSON object")
     known = {"family", "x", "y", "U", "D", "Uprime", "Dprime", "B"}
@@ -257,7 +263,8 @@ def _cmd_render(args) -> int:
         if args.tiling < 0:
             raise SpecFileError(f"tiling index {args.tiling} is negative")
         try:
-            tilings = list(itertools.islice(iter_tilings(region, cap=args.cap), args.tiling + 1))
+            drawn = min(args.tiling, args.cap) + 1  # the cap refuses a larger index
+            tilings = list(itertools.islice(iter_tilings(region, cap=args.cap), drawn))
         except CapExceeded as e:
             raise CapExceeded(f"line {lineno}: {e}") from None
         if args.tiling >= len(tilings):

@@ -384,16 +384,14 @@ def _reflective_fold(region: Region) -> Fraction:
     one half.
     """
     k = mirror_constant(region)
-    mid = k // 2
-    column = sorted(
-        (c for c in region.cells if c.index == mid), key=lambda c: c.layer
-    )
-    admissible = {(u, d) for u, d, _ in lozenges(region)}
-    if len(column) % 2 or any(
-        pair not in admissible for pair in zip(column[::2], column[1::2])
-    ):
+    stride, _, index0, codes = region.codes
+    mid = k // 2 - index0
+    column = [c for c in codes if c % stride >> 1 == mid]  # in layer order
+    barred = {(region.code(u), region.code(d)) for u, d in region.barred}
+    pairs = zip(column[::2], column[1::2])  # each a vertical lozenge: d is u's code + stride + 1
+    if len(column) % 2 or any(d != u + stride + 1 or (u, d) in barred for u, d in pairs):
         return ZERO
-    return count_tilings(restrict(region, (c for c in region.cells if c.index > mid)))
+    return count_tilings(restrict(region, (c for c in codes if c % stride >> 1 > mid)))
 
 
 def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) -> Fraction:

@@ -6,10 +6,9 @@ cells, one run per row and orientation, decides dents, barriers and weighted
 teeth on those runs, and translates each run into the first quadrant of the
 cell grid as one range of integer cell codes, checking the parity convention
 once per run.  The codes are a region's stored form (``Region.codes``):
-counting reads only them, and ``cells``, ``order``, ``up_cells`` and
-``down_cells`` are views made from them when the renderer, the search,
-``restrict`` or the forced reduction asks.  Conventions shared by every
-family:
+counting, ``restrict``, the forced reduction and the fold read only them,
+and ``cells`` and ``order`` are views made from them when the renderer or
+the search asks.  Conventions shared by every family:
 
 * Dent and barrier positions along the horizontal axis are 1-based, counted
   west to east over the axis' unit segments.
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -275,7 +274,7 @@ def parse_spec(obj: dict) -> RegionSpec:
     if not isinstance(obj, dict):
         raise InvalidSpec(f"spec must be an object, got {type(obj).__name__}")
     fam = obj.get("family")
-    if fam not in _FAMILY_TABLE:
+    if not isinstance(fam, str) or fam not in _FAMILY_TABLE:
         raise InvalidSpec(f"unknown or missing family {fam!r}")
     required, optional = _FAMILY_TABLE[fam][:2]
     for key in obj:
@@ -309,12 +308,12 @@ class Region:
     """An immutable finite cell set with lozenge weights and barred edges.
 
     The stored form is ``codes``, the cells as sorted integers: ``_assemble``
-    emits them straight from its row runs, and counting reads nothing else of
-    the cell set.  ``cells``, ``order``, ``up_cells`` and ``down_cells`` are
-    views made from the codes the first time a caller asks for one (the
-    renderer, the search, ``restrict``, the forced reduction).  A hand-built
-    region passes its cells, which become its ``cells`` view, and its codes
-    are derived from them once, after any cell that is not a lattice cell
+    emits them straight from its row runs, ``restrict`` selects and re-bases
+    them, and counting reads nothing else of the cell set.  ``cells`` and
+    ``order`` are views made from the codes the first time a caller asks for
+    one (the renderer, the search).  A hand-built region passes its cells,
+    which become its ``cells`` view, and its codes are derived from them
+    once, after any cell that is not a lattice cell
     (``lattice.is_canonical``), and any weight that is not a positive int or
     ``Fraction``, is refused with ``InvalidSpec``.
 
@@ -352,12 +351,11 @@ class Region:
         )
 
     @classmethod
-    def _coded(cls, codes, weights, barred, label, axis) -> Region:
+    def _coded(cls, codes, weights, barred, label, axis, untileable=False) -> Region:
         """The region whose stored form is ``codes``, with no cell view made."""
         region = cls.__new__(cls)
-        vars(region).update(
-            codes=codes, weights=weights, barred=barred, untileable=False, label=label, axis=axis
-        )
+        vars(region).update(codes=codes, weights=weights, barred=barred, label=label, axis=axis)
+        vars(region)["untileable"] = untileable
         return region
 
     def __setattr__(self, name, value):
@@ -405,6 +403,14 @@ class Region:
         base = layer0 * stride + 2 * index0
         return stride, layer0, index0, sorted(l * stride + 2 * i + o - base for l, i, o in cells)
 
+    def code(self, cell: TriangleCell) -> int:
+        """The code of ``cell`` (see ``codes``), or -1 for an index outside the
+        region's span, where a code would alias a cell of the layer above or below."""
+        stride, layer0, index0, _ = self.codes
+        layer, index, orient = cell
+        offset = 2 * (index - index0)
+        return (layer - layer0) * stride + offset + orient if 0 <= offset < stride - 2 else -1
+
     @cached_property
     def order(self) -> tuple[TriangleCell, ...]:
         """The cells in sorted order, decoded from ``codes``."""
@@ -418,14 +424,6 @@ class Region:
     @cached_property
     def cells(self) -> frozenset[TriangleCell]:
         return frozenset(self.order)
-
-    @cached_property
-    def up_cells(self) -> frozenset[TriangleCell]:
-        return frozenset(c for c in self.order if not c[2])
-
-    @cached_property
-    def down_cells(self) -> frozenset[TriangleCell]:
-        return frozenset(c for c in self.order if c[2])
 
     @cached_property
     def weight_map(self) -> dict[Edge, Fraction]:
@@ -882,7 +880,7 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
     DentedSemihex(12, 12) are -1 instead of +1, and it eliminated 2.3 times
     slower.
     """
-    stride, layer0, index0, codes = region.codes
+    stride, _, _, codes = region.codes
     downs = [c for c in codes if c & 1]
     col = dict(zip(downs, range(len(downs))))
     neighbour = col.get
@@ -910,18 +908,11 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
         ups = [c for c in codes if not c & 1]
         row_of = dict(zip(ups, range(len(ups))))
 
-        def code(cell: TriangleCell) -> int:
-            # the cell's code, or -1 for an index outside the region's span
-            # (where a code would alias a cell of the layer above or below)
-            layer, index, orient = cell
-            offset = 2 * (index - index0)
-            return (layer - layer0) * stride + offset + orient if 0 <= offset < stride - 2 else -1
-
         def lozenge(edge: Edge) -> tuple[int, int]:
             # (row, column) of an edge that is one of the rows' lozenges, else
             # (-1, -1); an up code is even and a down code odd, so row_of
             # holds only up cells and col only down cells
-            i, j = row_of.get(code(edge[0]), -1), col.get(code(edge[1]), -1)
+            i, j = row_of.get(region.code(edge[0]), -1), col.get(region.code(edge[1]), -1)
             return (i, j) if i >= 0 and j in rows[i] else (-1, -1)
 
         for edge in region.barred:
@@ -946,9 +937,9 @@ def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]
     """The admissible lozenges, i.e. the edges of the dual graph, as (up, down,
     weight), read from ``_sweep``.  They come by up cell in sorted order, then
     in ``neighbors`` order (west, east, vertical); the cells are the region's
-    own, and an unweighted lozenge carries ``ONE``.  The reduction, the
-    exhaustive search, the reflective filter and the renderer work from this
-    list, and the determinant from the same sweep's signed rows.
+    own, and an unweighted lozenge carries ``ONE``.  The exhaustive search,
+    the reflective filter and the renderer work from this list, and the
+    forced reduction and the determinant from the same sweep's rows.
     """
     rows, _ = _sweep(region, (ONE, ONE))
     order = region.order
@@ -957,15 +948,23 @@ def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]
     return [(u, downs[j], w) for u, row in zip(ups, rows) for j, w in row.items()]
 
 
-def restrict(region: Region, cells: Iterable[TriangleCell]) -> Region:
-    """The region on ``cells``, a subset of ``region.cells``, with the weights
-    and barriers of the edges that have both cells in it."""
-    kept = frozenset(cells)
-    return Region(
-        cells=kept,
-        weights=tuple((e, w) for e, w in region.weights if e[0] in kept and e[1] in kept),
-        barred=frozenset(e for e in region.barred if e[0] in kept and e[1] in kept),
-    )
+def restrict(region: Region, codes: Iterable[int], untileable: bool = False) -> Region:
+    """The region on ``codes``, a subset of ``region.codes[3]``, with the weights
+    and barriers of the edges that have both codes in it, and ``region``'s label
+    and axis.  The codes are re-based to the subset's own least layer, least index
+    and stride, so the result equals the hand-built region of its cells."""
+    stride, layer0, index0, _ = region.codes
+    kept = set(codes)
+    code = region.code
+    weights = tuple((e, w) for e, w in region.weights if code(e[0]) in kept and code(e[1]) in kept)
+    barred = frozenset(e for e in region.barred if code(e[0]) in kept and code(e[1]) in kept)
+    codes, frame = sorted(kept), (4, 0, 0)
+    if codes:
+        top, offsets = codes[0] // stride, [c % stride for c in codes]
+        west, east = min(offsets) & ~1, max(offsets) & ~1  # 2 * (index - index0)
+        frame = east - west + 4, layer0 + top, index0 + (west >> 1)
+        codes = [(c // stride - top) * frame[0] + o - west for c, o in zip(codes, offsets)]
+    return Region._coded((*frame, codes), weights, barred, region.label, region.axis, untileable)
 
 
 def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
@@ -975,35 +974,37 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
     the pair; the returned factor is the product of the forced weights, so
     ``count(region) == factor * count(reduced)``.  A cell with no admissible
     neighbor makes the region untileable; it is returned flagged as such.
+    The queue runs on codes, which sort like the cells.
     """
     if region.untileable:
         return region, ONE
-    cells = set(region.cells)
-    partners: dict[TriangleCell, list[tuple[TriangleCell, Fraction]]] = defaultdict(list)
-    for u, d, w in lozenges(region):
-        partners[u].append((d, w))
-        partners[d].append((u, w))
+    codes = region.codes[3]
+    ups = [c for c in codes if not c & 1]
+    downs = [c for c in codes if c & 1]
+    partners: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in codes}
+    for u, row in zip(ups, _sweep(region, (ONE, ONE))[0]):
+        for j, w in row.items():
+            partners[u].append((downs[j], w))
+            partners[downs[j]].append((u, w))
+    alive = set(codes)
     factor = ONE
     untileable = False
-    queue = deque(region.order)
+    queue = deque(codes)
     while queue:
         c = queue.popleft()
-        if c not in cells:
+        if c not in alive:
             continue
-        ps = [(nb, w) for nb, w in partners[c] if nb in cells]
+        ps = [(nb, w) for nb, w in partners[c] if nb in alive]
         if not ps:
             untileable = True
             break
         if len(ps) == 1:
             other, w = ps[0]
             factor *= w
-            cells.discard(c)
-            cells.discard(other)
-            queue.extend(nb for nb, _ in partners[c] + partners[other] if nb in cells)
-
-    kept = restrict(region, cells)
-    reduced = Region(kept.cells, kept.weights, kept.barred, untileable, region.label, region.axis)
-    return reduced, factor
+            alive.discard(c)
+            alive.discard(other)
+            queue.extend(nb for nb, _ in partners[c] + partners[other] if nb in alive)
+    return restrict(region, alive, untileable), factor
 
 
 def axis_midpoint_mirror(spec: RegionSpec) -> int:

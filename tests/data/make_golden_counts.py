@@ -19,16 +19,9 @@ import json
 import random
 import sys
 
-from denthex import (
-    FAMILIES,
-    InvalidSpec,
-    RegionSpec,
-    build_region,
-    count_tilings,
-    mirror_constant,
-    spec_to_dict,
-)
+from denthex import InvalidSpec, RegionSpec, build_region, count_tilings
 from denthex.counting import _reflective_fold
+from denthex.regions import FAMILIES, mirror_constant, spec_to_dict
 
 SEED = 20261018
 PER_FAMILY = 16

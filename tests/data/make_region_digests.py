@@ -21,7 +21,8 @@ import itertools
 import json
 import sys
 
-from denthex import FAMILIES, InvalidSpec, RegionSpec, build_region, spec_to_dict
+from denthex import InvalidSpec, RegionSpec, build_region
+from denthex.regions import FAMILIES, spec_to_dict
 
 
 def _subsets(positions, most: int):

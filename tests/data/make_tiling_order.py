@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import sys
 
-from denthex import build_region, enumerate_tilings, h_spec, pprime_spec, spec_to_dict
+from denthex import build_region, enumerate_tilings, h_spec, pprime_spec
+from denthex.regions import spec_to_dict
 
 SPECS = (
     h_spec(2, 1, (1, 4), (2,), (3,)),  # unweighted, with dents and a barrier

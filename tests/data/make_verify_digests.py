@@ -18,7 +18,8 @@ import hashlib
 import json
 import sys
 
-from denthex import clear_count_cache, verify
+from denthex import verify
+from denthex.counting import clear_count_cache
 
 
 def suite_records(name: str) -> list[dict]:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from denthex import build_region, ciucu, cli, count_tilings, counting, hex_spec, pp, quartered, regions
 from denthex.cli import main
@@ -557,3 +561,134 @@ def test_ratio_malformed_json(tmp_path, capsys):
     path = write(tmp_path, "bad.json", "{not json")
     assert main(["ratio", path]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+SPEC_VERBS = ["count", "render", "count-symmetric"]
+
+
+@pytest.mark.parametrize("verb", SPEC_VERBS)
+@pytest.mark.parametrize("family", [["Hex"], {"a": 1}])
+def test_non_string_family_is_refused(tmp_path, capsys, verb, family):
+    # an unhashable family used to reach a dict lookup and raise TypeError
+    path = write(tmp_path, "spec.json", {"family": family, "a": 1, "b": 1, "c": 1})
+    assert main([verb, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and repr(family) in err
+
+
+# what json cannot hold: nesting past the recursion limit, and an integer
+# literal past the int-string digit limit
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+TOO_LONG = '{"family": "Hex", "a": ' + "1" * 5000 + ', "b": 1, "c": 1}'
+
+
+@pytest.mark.parametrize("verb", SPEC_VERBS + ["ratio"])
+@pytest.mark.parametrize(
+    "text,message",
+    [(TOO_DEEP, "JSON nested too deeply"), (TOO_LONG, "integer literal too long")],
+    ids=["too-deep", "too-long"],
+)
+def test_json_that_json_cannot_hold_exits_2(tmp_path, capsys, verb, text, message):
+    assert main([verb, write(tmp_path, "spec.json", text)]) == 2
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
+    if verb != "ratio":  # a spec file names the line
+        good = json.dumps({"family": "Hex", "a": 1, "b": 1, "c": 1})
+        assert main([verb, write(tmp_path, "spec.jsonl", f"{good}\n{text}\n")]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
+def test_render_huge_tiling_index(tmp_path, capsys):
+    # the index used to reach islice, which refuses one past sys.maxsize
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 1, "b": 1, "c": 1})
+    huge = "99999999999999999999"
+    assert main(["render", path, "--tiling", huge]) == 2
+    assert capsys.readouterr().err == f"error: tiling index {huge} out of range (region has 2)\n"
+    assert main(["render", path, "--tiling", huge, "--cap", "1"]) == 2
+    assert capsys.readouterr().err == "error: line 1: tiling enumeration cap 1 exceeded\n"
+
+
+# -- fuzz: malformed spec text through cli.main, in process ----------------------
+
+# well-formed spec files for each verb, which the fuzz breaks
+WELL_FORMED = {
+    "count": [
+        {"family": "Hex", "a": 2, "b": 1, "c": 2},
+        {"family": "DentedSemihex", "a": 2, "b": 1, "dents": [1, 3]},
+        {"family": "H", "x": 2, "y": 1, "U": [1], "D": [4], "B": [3]},
+        {"family": "W", "x": 2, "y": 1, "U": [1], "D": [2]},
+        {"family": "Lbar", "m": 3, "n": 2, "dents": [1, 3]},
+        {"family": "Pprime", "a": 1, "b": 2, "c": 1},
+    ],
+    "count-symmetric": [
+        {"family": "RS", "x": 2, "y": 1, "U": [1], "D": [2]},
+        {"family": "RS", "x": 4, "y": 2, "U": [2], "D": [1], "B": [3]},
+        {"family": "RS", "x": 2, "y": 0, "U": [1]},
+    ],
+    "ratio": [
+        {"family": "F", "x": 2, "y": 1, "U": [1, 3], "D": [2], "Uprime": [1, 2], "Dprime": [3]},
+        {"family": "RS-even", "x": 2, "y": 1, "U": [1], "Dprime": [1]},
+        {"family": "H", "x": 1, "y": 1, "U": [1], "D": [2], "Uprime": [2], "Dprime": [1]},
+    ],
+}
+WELL_FORMED["render"] = WELL_FORMED["count"]
+ANY_SPEC = [spec for specs in WELL_FORMED.values() for spec in specs]
+FIELDS = ("family", "a", "b", "c", "x", "y", "m", "n", "U", "D", "B", "dents", "Uprime", "Dprime")
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 9)
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from([*regions.FAMILIES, "RS-odd", "RS-even"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def broken_specs(draw, verb: str) -> dict:
+    """A well-formed spec, mostly one the verb takes, with fields set to any
+    JSON value, taken from another family, or dropped."""
+    obj = dict(draw(st.sampled_from(WELL_FORMED[verb]) | st.sampled_from(ANY_SPEC)))
+    for key in draw(st.lists(st.sampled_from(FIELDS), max_size=3)):
+        if draw(st.booleans()):
+            obj[key] = draw(JSON_VALUES)
+        else:
+            obj.pop(key, None)
+    return obj
+
+
+def spec_files(verb: str):
+    specs = broken_specs(verb)
+    texts = st.one_of(
+        specs.map(json.dumps),
+        st.lists(specs, min_size=1, max_size=3).map(lambda objs: json.dumps(objs, indent=1)),
+        st.lists(specs, min_size=1, max_size=3).map(lambda objs: "\n".join(map(json.dumps, objs))),
+        st.sampled_from([TOO_DEEP, TOO_LONG, '{"family": ["Hex"]}', '{"family": {"a": 1}}']),
+    )
+    return texts.map(str.encode) | st.binary(max_size=60)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), tiling=st.none() | st.integers(-2, 10**25))
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(tmp_path_factory, data, tiling):
+    # the limits keep a well-formed case small; every malformed one must be
+    # refused with exit 2 and a one-line message
+    verb = data.draw(st.sampled_from(sorted(WELL_FORMED)))
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_bytes(data.draw(spec_files(verb)))
+    argv = [verb, str(path), "--max-cells", "300"]
+    if verb in ("render", "count-symmetric"):
+        argv += ["--cap", "50"]
+    if verb == "render" and tiling is not None:
+        argv += ["--tiling", str(tiling)]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert time.perf_counter() - t0 < 10, argv
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if status == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -12,7 +12,6 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from denthex import (
-    FAMILIES,
     CapExceeded,
     InvalidSpec,
     Region,
@@ -26,10 +25,8 @@ from denthex import (
     count_tilings_oracle,
     down,
     enumerate_tilings,
-    expand_rs,
     f_spec,
     fbar_spec,
-    free_axis_positions,
     h_spec,
     hex_spec,
     kuo_counts,
@@ -42,14 +39,14 @@ from denthex import (
     remove_forced_lozenges,
     rs_spec,
     semihex_spec,
-    spec_to_dict,
     up,
     w_spec,
 )
 from denthex import counting, regions
 from denthex.counting import _bareiss_abs_det, _det_count, _reflective_fold
 from denthex.lattice import TriangleCell, neighbors
-from denthex.regions import lozenges
+from denthex.regions import FAMILIES, expand_rs, lozenges, spec_to_dict
+from denthex.verify import free_axis_positions
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +54,11 @@ DATA = Path(__file__).parent / "data"
 def golden_records():
     lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
     return [json.loads(line) for line in lines]
+
+
+def up_down(region: Region) -> tuple[list, list]:
+    """The up cells and the down cells, each in sorted order."""
+    return [c for c in region.order if not c.orient], [c for c in region.order if c.orient]
 
 
 # -- the dual graph: its edges are the admissible lozenges --------------------------
@@ -88,7 +90,7 @@ def test_dual_graph_empty_region():
 
 def test_dual_graph_edge_bound():
     region = build_region(hex_spec(2, 3, 1))
-    assert len(lozenges(region)) <= 3 * len(region.up_cells)
+    assert len(lozenges(region)) <= 3 * len(up_down(region)[0])
 
 
 def test_dual_graph_follows_lattice_neighbors_on_golden_regions():
@@ -100,7 +102,7 @@ def test_dual_graph_follows_lattice_neighbors_on_golden_regions():
         cells, barred, weights = region.cells, region.barred, region.weight_map
         reference = [
             (c, nb, weights.get((c, nb), 1))
-            for c in sorted(region.up_cells)
+            for c in up_down(region)[0]
             for nb in neighbors(c)
             if nb in cells and (c, nb) not in barred
         ]
@@ -289,12 +291,8 @@ def test_oracle_cap_refuses():
 def test_barrier_isolating_cell_counts_zero():
     # L(2,1;{1}) has a forced west tooth; barring it leaves a dead cell
     region = build_region(l_spec(2, 1, (1,)))
-    pair = min(
-        (u, d)
-        for u in region.up_cells
-        for d in region.down_cells
-        if u.index == d.index and d.layer == u.layer + 1
-    )
+    ups, downs = up_down(region)
+    pair = min((u, d) for u in ups for d in downs if u.index == d.index and d.layer == u.layer + 1)
     barred = Region(cells=region.cells, barred=frozenset({pair}))
     assert count_tilings(barred) == 0
     assert count_tilings_oracle(barred) == 0
@@ -360,8 +358,8 @@ def hand_built_regions(draw):
     hexagon = build_region(hex_spec(a, b, c))
     k = draw(st.integers(0, 3))
     gone = set()
-    for cells in (hexagon.up_cells, hexagon.down_cells):
-        gone |= draw(st.sets(st.sampled_from(sorted(cells)), min_size=k, max_size=k))
+    for cells in up_down(hexagon):
+        gone |= draw(st.sets(st.sampled_from(cells), min_size=k, max_size=k))
     cells = hexagon.cells - gone
     edges = [(u, d) for u, d, _ in lozenges(Region(cells=cells))]
     barred, halves = set(), set()
@@ -394,8 +392,8 @@ def weighted_hand_built_regions(draw):
     hexagon = build_region(hex_spec(a, b, c))
     k = draw(st.integers(0, 2))
     gone = set()
-    for cells in (hexagon.up_cells, hexagon.down_cells):
-        gone |= draw(st.sets(st.sampled_from(sorted(cells)), min_size=k, max_size=k))
+    for cells in up_down(hexagon):
+        gone |= draw(st.sets(st.sampled_from(cells), min_size=k, max_size=k))
     cells = hexagon.cells - gone
     edges = [(u, d) for u, d, _ in lozenges(Region(cells=cells))]
     if not edges:
@@ -471,8 +469,9 @@ def test_off_parity_cells_are_refused():
     # honeycomb beside the lattice, and the region refuses them, naming the
     # least of the two
     hexagon = build_region(hex_spec(2, 2, 2))
-    for u in sorted(hexagon.up_cells):
-        for d in sorted(hexagon.down_cells):
+    ups, downs = up_down(hexagon)
+    for u in ups:
+        for d in downs:
             added = {down(u.layer, u.index), up(d.layer, d.index)}
             assert refusal(hexagon.cells | added).startswith(f"{min(added)} "), (u, d)
 
@@ -483,7 +482,7 @@ def off_parity_regions(draw):
     cells' addresses and as many up cells at its down cells' addresses, and
     the least added cell."""
     region = draw(hand_built_regions())
-    ups, downs = sorted(region.up_cells), sorted(region.down_cells)
+    ups, downs = up_down(region)
     assume(ups and downs)
     k = draw(st.integers(1, min(2, len(ups), len(downs))))
     flipped = draw(st.sets(st.sampled_from(ups), min_size=k, max_size=k))
@@ -577,13 +576,13 @@ def test_count_memo_keeps_no_region_alive(monkeypatch):
 
     def build(spec):
         region = build_region(spec)
-        refs.extend(weakref.ref(obj) for obj in (region, region.cells, region.up_cells))
+        refs.extend(weakref.ref(obj) for obj in (region, region.cells))
         return region
 
     monkeypatch.setattr(counting, "build_region", build)
     assert count_spec(h_spec(2, 1, (1,), (4,))) == 8
     count_spec(w_spec(1, 1, (1,), (2,)))  # weighted edges too
-    assert len(refs) == 6
+    assert len(refs) == 4
     gc.collect()
     assert all(ref() is None for ref in refs)
     # the memo holds specs and counts: no region, cell set or cell
@@ -663,7 +662,7 @@ def lattice_lozenges(region: Region) -> list:
     cells, barred, weights = region.cells, region.barred, region.weight_map
     return [
         (c, nb, weights.get((c, nb), 1))
-        for c in sorted(region.up_cells)
+        for c in up_down(region)[0]
         for nb in neighbors(c)
         if nb in cells and (c, nb) not in barred
     ]
@@ -711,7 +710,7 @@ def test_cell_codes_hold_far_from_the_origin():
         assert count_tilings(apart) == count_tilings_oracle(apart) == 0
 
 
-CELL_VIEWS = ("cells", "order", "up_cells", "down_cells")
+CELL_VIEWS = ("cells", "order")
 
 # one spec of every family, with dents, barriers or weighted teeth where the
 # family takes them
@@ -734,7 +733,8 @@ EVERY_FAMILY = [
 def test_counts_of_built_regions_make_no_cell_view(monkeypatch):
     # a built region stores its codes, and counting reads nothing else of its
     # cells: neither count_spec nor count_tilings(build_region(spec)) makes
-    # the cells, their sorted order or the up and down cell sets
+    # the cells or their sorted order, and neither do the forced reduction
+    # and the fold, nor the regions they leave and count
     assert sorted({spec.family for spec in EVERY_FAMILY}) == sorted(FAMILIES)
     monkeypatch.setattr(counting, "_COUNT_CACHE", {})
     built = []
@@ -750,10 +750,24 @@ def test_counts_of_built_regions_make_no_cell_view(monkeypatch):
         assert len(built) == 1
         for r in (built.pop(), region):
             assert not set(CELL_VIEWS) & vars(r).keys(), spec.describe()
+    halves, folded = [], 0
+    monkeypatch.setattr(counting, "count_tilings", lambda r: halves.append(r) or count_tilings(r))
+    folds = [parse_spec(record["spec"]) for record in golden_records() if record["fold"]]
+    for spec in EVERY_FAMILY + folds:
+        region = build_region(spec)
+        reduced, factor = remove_forced_lozenges(region)
+        assert factor * count_tilings(reduced) == count_tilings(region), spec.describe()
+        if spec.family == "RS":
+            _reflective_fold(region)
+        for r in (region, reduced, *halves):
+            assert not set(CELL_VIEWS) & vars(r).keys(), spec.describe()
+        folded += len(halves)
+        halves.clear()
+    assert folded >= len(folds)
     # the views are still there for a caller that asks
     region = build_region(EVERY_FAMILY[0])
-    assert region.cells == frozenset(region.order) == region.up_cells | region.down_cells
-    assert len(region) == len(region.cells) == 2 * len(region.down_cells)
+    assert region.cells == frozenset(region.order)
+    assert len(region) == len(region.cells) == 2 * region.down_count
 
 
 def test_hand_built_regions_rebuild_the_built_ones():

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from denthex import (
+from denthex.lattice import (
     LozengePlacement,
     Orient,
     TriangleCell,

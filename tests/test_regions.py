@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 
 from denthex import counting, regions
 from denthex import (
-    FAMILIES,
     InvalidSpec,
-    Orient,
     Region,
     RegionSpec,
     TriangleCell,
     build_region,
     count_tilings,
     down,
-    expand_rs,
     f_spec,
     fbar_spec,
     h_spec,
@@ -28,7 +25,6 @@ from denthex import (
     is_canonical,
     l_spec,
     lbar_spec,
-    mirror_constant,
     p_spec,
     parse_spec,
     pprime_spec,
@@ -36,11 +32,12 @@ from denthex import (
     remove_forced_lozenges,
     rs_spec,
     semihex_spec,
-    spec_to_dict,
     up,
     w_spec,
     wbar_spec,
 )
+from denthex.lattice import Orient
+from denthex.regions import FAMILIES, expand_rs, mirror_constant, spec_to_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,8 +45,8 @@ DATA = Path(__file__).parent / "data"
 def test_unit_hexagon_cells():
     region = build_region(hex_spec(1, 1, 1))
     assert len(region.cells) == 6
-    assert len(region.up_cells) == 3
-    assert len(region.down_cells) == 3
+    assert [c.orient for c in region.order].count(Orient.UP) == 3
+    assert region.down_count == 3
 
 
 def test_hexagon_area_formula():
@@ -485,9 +482,9 @@ def test_forced_reduction_flags_untileable():
     region = build_region(l_spec(2, 1, (1,)))
     pair = min(
         (u, d)
-        for u in region.up_cells
-        for d in region.down_cells
-        if u.index == d.index and d.layer == u.layer + 1
+        for u in region.order
+        for d in region.order
+        if u.index == d.index and d.layer == u.layer + 1 and not u.orient
     )
     from denthex import Region
 
