@@ -641,7 +641,8 @@ JSON_VALUES = st.recursive(
     | st.floats()
     | st.text(max_size=4)
     | st.sampled_from([*regions.FAMILIES, "RS-odd", "RS-even"]),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
 

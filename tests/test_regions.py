@@ -190,6 +190,10 @@ def test_built_reduced_and_folded_regions_hold_only_lattice_cells(monkeypatch):
         counting._reflective_fold(region)
     assert len(rs) >= 30 and len(halves) >= 20
     assert all(map(lattice_only, halves))
+    # restrict re-bases the half's codes to its own cells
+    for half in halves:
+        hand = Region(half.cells, half.weights, half.barred)
+        assert half == hand and hash(half) == hash(hand)
 
 
 def test_h_example_is_dented_222_hexagon():
