@@ -3,8 +3,9 @@
 Verbs: count, count-symmetric, ratio, verify, render, bench.  Region specs
 are JSON objects (one per line for JSONL files, or a single object / array);
 the schema is documented in the README.  Every verb that reads a spec, and
-``bench``, refuses a region of more than ``--max-cells`` cells, read from the
-spec in closed form (``regions.cell_count``) before any region is built.
+``bench``, refuses a region of more than ``--max-cells`` cells, or a row
+table of more rows, read from the spec in closed form (``regions.cell_count``,
+``regions.row_count``) before any region is built.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import itertools
 import json
 import re
+import reprlib
 import statistics
 import sys
 import time
@@ -41,6 +43,7 @@ from .regions import (
     normalize_positions,
     parse_spec,
     pprime_spec,
+    row_count,
     w_spec,
 )
 from .verify import all_passed, check_shuffling, run_suite, summary_table, write_reports
@@ -97,10 +100,13 @@ def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionS
     stripped = text.strip()
     if not stripped:
         raise SpecFileError("line 1: empty spec file")
-    try:
-        whole = json.loads(stripped)
-    except (ValueError, RecursionError):  # read again line by line below
-        whole = None
+    if stripped.startswith("["):  # an array, never JSON lines, which hold objects
+        whole = _loads(text, 1)
+    else:
+        try:
+            whole = json.loads(stripped)
+        except (ValueError, RecursionError):  # read again line by line below
+            whole = None
     if isinstance(whole, dict):
         return [(1, _parse_or_raise(whole, 1, max_cells))]
     if isinstance(whole, list):
@@ -146,6 +152,13 @@ def _parse_or_raise(obj, lineno: int, max_cells: int) -> RegionSpec:
 
 
 def _check_size(spec: RegionSpec, where: str, max_cells: int) -> None:
+    # a table of many rows takes long to build even when it holds no cell
+    rows = row_count(spec)
+    if rows > max_cells:
+        raise SpecFileError(
+            f"{where}: {spec.describe()} has a table of {rows} rows, "
+            f"more than --max-cells {max_cells}"
+        )
     cells = cell_count(spec)
     if cells > max_cells:
         raise SpecFileError(
@@ -195,19 +208,22 @@ def _load_ratio(path: str) -> tuple[RatioSpec, int, tuple[int, ...]]:
     known = {"family", "x", "y", "U", "D", "Uprime", "Dprime", "B"}
     for key in obj:
         if key not in known:
-            raise SpecFileError(f"line 1: unknown ratio field {key!r}")
+            raise SpecFileError(f"line 1: unknown ratio field {reprlib.repr(key)}")
     for key in ("family", "x", "y"):
         if key not in obj:
             raise SpecFileError(f"line 1: ratio spec requires {key!r}")
-    rs = RatioSpec(
-        obj["family"],
-        obj.get("U", ()),
-        obj.get("D", ()),
-        obj.get("Uprime", ()),
-        obj.get("Dprime", ()),
-        obj["y"],
-    )
-    return rs, nonnegative_int("x", obj["x"]), normalize_positions(obj.get("B", ()), "B")
+    try:
+        rs = RatioSpec(
+            obj["family"],
+            obj.get("U", ()),
+            obj.get("D", ()),
+            obj.get("Uprime", ()),
+            obj.get("Dprime", ()),
+            obj["y"],
+        )
+        return rs, nonnegative_int("x", obj["x"]), normalize_positions(obj.get("B", ()), "B")
+    except InvalidSpec as e:
+        raise SpecFileError(f"line 1: {e}") from None
 
 
 def _cmd_ratio(args) -> int:
@@ -306,8 +322,8 @@ def _cmd_bench(args) -> int:
         f_spec(2, 2, (1, 4), (2,)),
         w_spec(2, 2, (1, 4), (2,)),
     ]
-    # the weighted families, whose 1/2 teeth the determinant pivots out first:
-    # Lbar(3k, 2k) alternates the odd and even quartered variants
+    # the weighted families, whose 1/2 teeth the elimination takes first, as
+    # unit pivots: Lbar(3k, 2k) alternates the odd and even quartered variants
     ladder += [lbar_spec(3 * k, 2 * k, range(1, 3 * k + 1, 2)) for k in sizes]
     ladder += [pprime_spec(k, k + 2, k) for k in sizes]
     for spec in ladder:
@@ -375,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-cells",
             type=_int_at_least(0),
             default=MAX_CELLS,
-            help=f"refuse a region of more cells, before any is built (default {MAX_CELLS})",
+            help=f"refuse a region of more cells or table rows, before any is built "
+            f"(default {MAX_CELLS})",
         )
 
     p = sub.add_parser("count", help="exact weighted tiling count of region specs")

@@ -17,14 +17,14 @@ the rule and its proof live there.  The codes are a region's stored form and
 its cells a view of them: a count of a built region reads only the codes and
 makes no cell view.
 The determinant is taken over the whole region by fraction-free Bareiss
-elimination in integers.  First each weighted lozenge whose up cell has one
-other lozenge is pivoted out exactly, one column operation per lozenge (the
-degree-2 vertex contraction): its weight becomes a factor of the count and its
-row a unit singleton, and for the 1/2 teeth of the weighted families every
-entry stays an integer.  A row that still holds a fractional weight is scaled
-to integers and the scale is divided out at the end.  A lozenge forced in
-every tiling is a row or column with a single entry, which the elimination
-strips as it goes.  The search below takes its edges from ``regions.lozenges``.
+elimination in integers, in one pass.  A row that holds a fractional weight
+is scaled to integers, and the scale is divided out at the end.  The weighted
+rows and their fractional columns are eliminated first, so the row of each
+1/2 tooth of the weighted families, scaled to {tooth: +-1, other: +-2}, is
+the unit pivot of its step: that step is the degree-2 vertex contraction of
+the dual graph, done by the one elimination.  A lozenge forced in every
+tiling is a row or column with a single entry, which the elimination strips
+as it goes.  The search below takes its edges from ``regions.lozenges``.
 
 Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
@@ -76,18 +76,19 @@ class CapExceeded(RuntimeError):
 # -- Kasteleyn determinant -------------------------------------------------------
 
 
-def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
+def _bareiss_abs_det(rows: list[dict[int, int]], cols: list[int] | range) -> int:
     """|det| of a square integer matrix given as sparse rows {column: value},
     which the elimination consumes.
 
-    Fraction-free Bareiss elimination, column by column in index order, with
-    the row of fewest nonzeros as pivot (lowest index on ties).  A row without
-    an entry in the pivot column is only rescaled by Bareiss, so the rescaling
-    is deferred until the row is next touched: ``stamp[i]`` is the last step
-    row i is current for.  A pivot row catches up by the exact factor
-    pivot(k-1) / pivot(stamp), skipped when the two are equal.  A row that is
-    updated folds its rescale into the update, whose exact division is then by
-    pivot(stamp) instead of pivot(k-1); by Sylvester's identity the quotient
+    Fraction-free Bareiss elimination, one column per step in the order of
+    ``cols`` (a permutation of the column indices), with the row of fewest
+    nonzeros as pivot (lowest index on ties).  A row without an entry in the
+    pivot column is only rescaled by Bareiss, so the rescaling is deferred
+    until the row is next touched: ``stamp[i]`` is the last step row i is
+    current for.  A pivot row catches up by the exact factor pivot(t-1) /
+    pivot(stamp), skipped when the two are equal.  A row that is updated
+    folds its rescale into the update, whose exact division is then by
+    pivot(stamp) instead of pivot(t-1); by Sylvester's identity the quotient
     is the same entry.  Multiplying by a unit pivot and dividing by a unit
     divisor are skipped.  An entry outside the pivot row's columns is only
     multiplied and divided by nonzero pivots, so zeros are pruned at the pivot
@@ -101,7 +102,7 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
     stamp = [-1] * n
     pivot = [1]  # pivot[t + 1] is the pivot of step t
 
-    for k in range(n):
+    for t, k in enumerate(cols):
         hits = by_col[k]
         if not hits:
             return 0
@@ -111,7 +112,7 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
             if m < fewest or (m == fewest and i < p):
                 p, fewest = i, m
         prow = rows[p]
-        num, den = pivot[k], pivot[stamp[p] + 1]
+        num, den = pivot[t], pivot[stamp[p] + 1]
         if num != den:
             for j, v in prow.items():
                 prow[j] = v * num // den
@@ -141,77 +142,40 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
             if den != 1:
                 for j, v in row.items():
                     row[j] = v // den
-            stamp[i] = k
+            stamp[i] = t
         pivot.append(pv)
     return abs(pivot[-1])
 
 
-def _pivot_weighted(rows: list[dict], weighted: dict[int, dict]) -> tuple[int, int]:
-    """Pivot the weighted lozenges out of the signed matrix ``rows`` in place,
-    before it is made integral.
+def _weighted_abs_det(rows: list[dict], weighted: dict[int, dict]) -> Fraction:
+    """|det| of the square matrix ``rows``, whose rows listed in ``weighted``
+    may hold Fractions and the others hold integers; the rows are consumed.
 
-    A weighted row u, in row order, that holds at most two entries, one of
-    them a non-integer v at column d with the other entry t at column e an
-    integer multiple f = t / v of it, is the up cell of a degree-2 vertex of
-    the dual graph.  The column operation col_e <- col_e - f * col_d clears
-    M[u][e] and changes the determinant by nothing; row u is then a
-    singleton, so |det| is |v| times the |det| of the matrix with row u set to
-    {d: 1} and column d cleared everywhere else, which is what is left here.
-    For a tooth of weight 1/2, f is 2 and the updated entries M[r][e] - 2 *
-    M[u][e] * M[r][d] of the integer rows stay integers, so its row needs no
-    scaling and the elimination meets no factor of 2.  A row the rule does
-    not fit (a numerator other than +-1 next to a unit entry, three entries)
-    is left as it is.
-
-    ``by_col`` holds the rows with an entry in each column that a weighted
-    row touches: every pivot column, and every column an update can fill, is
-    one of those.  It is kept exact as updates fill and cancel entries, so
-    no entry is read from a stale index; a cleared column d is never read
-    again, since only row u, now a unit singleton, holds it.  An update adds an integer multiple
-    of an entry of column d to the same row, so only a row that held a weight
-    can hold a non-integer afterwards.  Returns the product of the |v| as its
-    numerator and denominator.
+    Each weighted row is multiplied by the lcm of its denominators, and the
+    product of those factors divides the determinant at the end.  The
+    weighted rows go to the elimination first, in row order, and its column
+    order starts with their non-integer columns, so the first steps pivot on
+    them: a 1/2 tooth whose up cell has one other lozenge is scaled to the
+    row {tooth: +-1, other: +-2}, the unit pivot of its step, and that step
+    is the degree-2 vertex contraction of the dual graph.  The order speeds
+    the weighted families up; the determinant does not depend on it.
     """
-    by_col: dict[int, set[int]] = {j: set() for row in weighted.values() for j in row}
-    for i, row in enumerate(rows):
-        for j in row:
-            if j in by_col:
-                by_col[j].add(i)
-    num = den = 1
-    for u in sorted(weighted):
-        row = rows[u]
-        if len(row) > 2:
-            continue
-        for d, v in row.items():
-            if v.denominator != 1 and all((t / v).denominator == 1 for t in row.values()):
-                break
-        else:
-            continue
-        for e, t in list(row.items()):
-            if e == d:
-                continue
-            f = (t / v).numerator
-            col_e = by_col[e]
-            for r in by_col[d]:
-                if r == u:
-                    continue
-                other = rows[r]
-                w = other.get(e, 0) - f * other[d]
-                if w:
-                    other[e] = w
-                    col_e.add(r)
-                elif e in other:
-                    del other[e]
-                    col_e.discard(r)
-            del row[e]
-            col_e.discard(u)
-        for r in by_col[d]:
-            if r != u:
-                del rows[r][d]
-        row[d] = 1
-        num *= abs(v.numerator)
-        den *= v.denominator
-    return num, den
+    order = sorted(weighted)
+    den, first = 1, {}  # first: the non-integer columns, in row order
+    for i in order:
+        row = weighted[i]
+        m = math.lcm(*(v.denominator for v in row.values()))
+        den *= m
+        for j, v in row.items():
+            if v.denominator != 1:
+                first[j] = None
+            row[j] = (v * m).numerator
+    n = len(rows)
+    if order:
+        rest = (row for i, row in enumerate(rows) if i not in weighted)
+        rows = [*(rows[i] for i in order), *rest]
+    cols = [*first, *(j for j in range(n) if j not in first)] if first else range(n)
+    return Fraction(_bareiss_abs_det(rows, cols), den)
 
 
 def _det_count(region: Region) -> Fraction:
@@ -221,23 +185,14 @@ def _det_count(region: Region) -> Fraction:
     ``order``, as ``regions.kasteleyn_rows`` emits them: a unit lozenge enters
     as its sign alone, so the plain regions never touch a ``Fraction``.  An up
     cell without a lozenge, or unequal numbers of up and down cells, leave the
-    matrix singular.  ``_pivot_weighted`` first takes each weighted lozenge
-    whose up cell has one other lozenge out of the matrix as an exact factor,
-    which leaves every 1/2 tooth of the weighted families a unit singleton
-    row.  A row that still holds a non-integer is then multiplied by the lcm
-    of its denominators; the product of those factors divides the determinant
-    at the end.
+    matrix singular.  One elimination, ``_weighted_abs_det``, takes the
+    weighted rows first and their fractional columns first, so each 1/2
+    tooth of the weighted families is a unit pivot of one of its first steps.
     """
     rows, weighted = kasteleyn_rows(region)
     if 2 * len(rows) != len(region) or not all(rows):
         return ZERO
-    num, den = _pivot_weighted(rows, weighted) if weighted else (1, 1)
-    for row in weighted.values():
-        m = math.lcm(*(v.denominator for v in row.values()))
-        den *= m
-        for j, v in row.items():
-            row[j] = (v * m).numerator
-    return Fraction(_bareiss_abs_det(rows) * num, den)
+    return _weighted_abs_det(rows, weighted)
 
 
 def count_tilings(region: Region) -> Fraction:

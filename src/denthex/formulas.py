@@ -12,6 +12,7 @@ intermediate rational is reduced by a gcd.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -200,7 +201,8 @@ class RatioSpec:
     def __post_init__(self):
         if self.family not in RATIO_FAMILIES:
             raise InvalidSpec(
-                f"unknown ratio family {self.family!r}; expected one of {RATIO_FAMILIES}"
+                f"unknown ratio family {reprlib.repr(self.family)}; "
+                f"expected one of {RATIO_FAMILIES}"
             )
         for name in ("U", "D", "Uprime", "Dprime"):
             object.__setattr__(self, name, normalize_positions(getattr(self, name), name))

@@ -50,6 +50,7 @@ suite; they are the single source of truth for geometry.
 from __future__ import annotations
 
 import operator
+import reprlib
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
@@ -86,7 +87,7 @@ def normalize_positions(
     except TypeError:
         items = None
     if items is None or not all(_is_int(v) for v in items):
-        raise InvalidSpec(f"{name} must be a list of integers (got {value!r})")
+        raise InvalidSpec(f"{name} must be a list of integers (got {reprlib.repr(value)})")
     tup = tuple(sorted(operator.index(v) for v in items))
     if len(set(tup)) != len(tup):
         raise InvalidSpec(f"{name} must be strictly increasing (duplicate position)")
@@ -99,7 +100,7 @@ def normalize_positions(
 
 def nonnegative_int(name: str, value) -> int:
     if not _is_int(value) or value < 0:
-        raise InvalidSpec(f"{name} must be a nonnegative integer (got {value!r})")
+        raise InvalidSpec(f"{name} must be a nonnegative integer (got {reprlib.repr(value)})")
     return operator.index(value)
 
 
@@ -207,7 +208,7 @@ def pprime_spec(a, b, c):
 
 def _validate_spec(s: RegionSpec) -> None:
     if s.family not in FAMILIES:
-        raise InvalidSpec(f"unknown family {s.family!r}")
+        raise InvalidSpec(f"unknown family {reprlib.repr(s.family)}")
     set_attr = object.__setattr__
     required, optional = _FAMILY_TABLE[s.family][:2]
     # every field is normalized or None, so equal specs build equal regions
@@ -275,11 +276,11 @@ def parse_spec(obj: dict) -> RegionSpec:
         raise InvalidSpec(f"spec must be an object, got {type(obj).__name__}")
     fam = obj.get("family")
     if not isinstance(fam, str) or fam not in _FAMILY_TABLE:
-        raise InvalidSpec(f"unknown or missing family {fam!r}")
+        raise InvalidSpec(f"unknown or missing family {reprlib.repr(fam)}")
     required, optional = _FAMILY_TABLE[fam][:2]
     for key in obj:
         if key != "family" and key not in required and key not in optional:
-            raise InvalidSpec(f"unknown field {key!r} for family {fam}")
+            raise InvalidSpec(f"unknown field {reprlib.repr(key)} for family {fam}")
     missing = set(required) - set(obj)
     if missing:
         raise InvalidSpec(f"family {fam} requires fields {sorted(missing)}")
@@ -314,8 +315,9 @@ class Region:
     one (the renderer, the search).  A hand-built region passes its cells,
     which become its ``cells`` view, and its codes are derived from them
     once, after any cell that is not a lattice cell
-    (``lattice.is_canonical``), and any weight that is not a positive int or
-    ``Fraction``, is refused with ``InvalidSpec``.
+    (``lattice.is_canonical``), any weight that is not a positive int or
+    ``Fraction``, and any lozenge weighted twice, is refused with
+    ``InvalidSpec``.  Both constructors store the weights sorted by edge.
 
     Two regions are equal, and hash equally, when they hold the same cells,
     weights, barred edges and untileable flag; ``label`` and ``axis`` do not
@@ -336,6 +338,7 @@ class Region:
         cells = frozenset(cells)
         if bad := [c for c in cells if not is_canonical(c)]:
             raise InvalidSpec(f"{min(bad)} is not a lattice cell (see lattice.is_canonical)")
+        weights = _sorted_weights(weights)
         for edge, w in weights:
             if isinstance(w, bool) or not isinstance(w, (int, Fraction)) or w <= 0:
                 raise InvalidSpec(
@@ -354,6 +357,7 @@ class Region:
     def _coded(cls, codes, weights, barred, label, axis, untileable=False) -> Region:
         """The region whose stored form is ``codes``, with no cell view made."""
         region = cls.__new__(cls)
+        weights = _sorted_weights(weights)
         vars(region).update(codes=codes, weights=weights, barred=barred, label=label, axis=axis)
         vars(region)["untileable"] = untileable
         return region
@@ -446,12 +450,21 @@ class Region:
 _ORIENTS = (Orient.UP, Orient.DOWN)
 
 
+def _sorted_weights(weights: Iterable[tuple[Edge, Fraction]]) -> tuple:
+    """``weights`` sorted by edge, so that equal regions store equal weights;
+    a lozenge weighted twice is refused."""
+    out = tuple(sorted(weights, key=operator.itemgetter(0)))
+    for (edge, _), (other, _) in zip(out, out[1:]):
+        if edge == other:
+            raise InvalidSpec(f"lozenge {edge} is weighted twice")
+    return out
+
+
 # -- geometry assembly -------------------------------------------------------
 
 
 def _assemble(
     spec: RegionSpec,
-    nrows: int,
     lp: Callable[[int], int],
     rp: Callable[[int], int],
     *,
@@ -463,11 +476,11 @@ def _assemble(
     base_dents: Iterable[int] = (),
     teeth: bool = False,
 ) -> Region:
-    """The region of a row table, built run by run straight to its codes.
+    """The region of ``spec``'s row table, built run by run straight to its codes.
 
-    Row r has its down cells on line r and its up cells on line r + 1, each a
-    run (layer, first pos, end pos, orient) of positions stepping by 2 from
-    ``lp`` to ``rp`` of that line.  Dents, barriers and teeth are decided on
+    The table has ``row_count(spec)`` rows.  Row r has its down cells on line
+    r and its up cells on line r + 1, each a run (layer, first pos, end pos,
+    orient) of positions stepping by 2 from ``lp`` to ``rp`` of that line.  Dents, barriers and teeth are decided on
     the runs and a small ``removed`` set of geo cells.  The shift into the
     first quadrant is taken from the first present cell of each run and the
     axis cells, dented or not.  Each run, trimmed to its present ends, is one
@@ -478,6 +491,7 @@ def _assemble(
     cell of it.  Only the axis pairs and the cells of barred and weighted
     edges become ``TriangleCell``s.
     """
+    nrows = row_count(spec)
     west = [lp(j) for j in range(nrows + 1)]
     east = [rp(j) for j in range(nrows + 1)]
     runs = [
@@ -606,7 +620,6 @@ def _build_hex(spec: RegionSpec) -> Region:
     a, b, c = spec.a, spec.b, spec.c
     return _assemble(
         spec,
-        b + c,
         lambda j: max(0, j - c) - min(j, c),
         lambda j: 2 * a + min(j, b) - max(0, j - b),
     )
@@ -616,7 +629,6 @@ def _build_semihex(spec: RegionSpec) -> Region:
     a, b = spec.a, spec.b
     return _assemble(
         spec,
-        a,
         lambda j: -j,
         lambda j: 2 * b + j,
         base_dents=spec.dents,
@@ -624,13 +636,11 @@ def _build_semihex(spec: RegionSpec) -> Region:
 
 
 def _build_h(spec: RegionSpec) -> Region:
-    u, d, n = spec.u, spec.d, spec.n_removed
+    u, n = spec.u, spec.n_removed
     north = spec.x + n - u
     ne = spec.y + u  # also the northwest side
-    se = spec.y + d
     return _assemble(
         spec,
-        ne + se,
         lambda j: max(0, j - ne) - min(j, ne),
         lambda j: 2 * north + min(j, ne) - max(0, j - ne),
         axis_line=ne,
@@ -643,14 +653,11 @@ def _build_h(spec: RegionSpec) -> Region:
 
 def _build_halved(spec: RegionSpec) -> Region:
     """F, Fbar, W and Wbar share one table; Fbar/Wbar sit one row lower on ℓ."""
-    u, d, n = spec.u, spec.d, spec.n_removed
-    odd = spec.family in ("Fbar", "Wbar")
-    turn = 2 * spec.y + 2 * u - (1 if odd else 0)
-    nrows = turn + 2 * spec.y + 2 * d - (1 if odd else 0)
+    u, n = spec.u, spec.n_removed
+    turn = 2 * spec.y + 2 * u - (spec.family in ("Fbar", "Wbar"))
     north = spec.x + n - u
     return _assemble(
         spec,
-        nrows,
         lambda j: -(j % 2),
         lambda j: 2 * north + min(j, turn) - max(0, j - turn),
         axis_line=turn,
@@ -665,7 +672,6 @@ def _build_halved(spec: RegionSpec) -> Region:
 def _build_l(spec: RegionSpec) -> Region:
     return _assemble(
         spec,
-        spec.m,
         lambda j: -(j % 2),
         lambda j: 2 * spec.n + j,
         base_dents=spec.dents,
@@ -681,7 +687,6 @@ def _build_p(spec: RegionSpec) -> Region:
 
     region = _assemble(
         spec,
-        a + b,
         lp,
         lambda j: 2 * c + min(j, b) - max(0, j - b),
         teeth=spec.family == "Pprime",
@@ -769,10 +774,8 @@ def _zigzag_cells(north: int, turn: int, nrows: int) -> int:
 
 def _halved_cells(spec: RegionSpec) -> int:
     u, d = spec.u, spec.d
-    odd = spec.family in ("Fbar", "Wbar")
-    turn = 2 * spec.y + 2 * u - odd
-    nrows = turn + 2 * spec.y + 2 * d - odd
-    return _zigzag_cells(spec.x + spec.n_removed - u, turn, nrows) - u - d
+    turn = 2 * spec.y + 2 * u - (spec.family in ("Fbar", "Wbar"))
+    return _zigzag_cells(spec.x + spec.n_removed - u, turn, row_count(spec)) - u - d
 
 
 def _l_cells(spec: RegionSpec) -> int:
@@ -792,24 +795,42 @@ def cell_count(spec: RegionSpec) -> int:
     return _FAMILY_TABLE[spec.family][3](spec)
 
 
+def row_count(spec: RegionSpec) -> int:
+    """The number of rows of ``spec``'s table, from its fields alone.  Building
+    a region takes time in its rows as well as its cells, and a table may
+    have many rows and no cell: Hex(0, 0, c) has c rows.  An RS spec has the
+    rows of its ``expand_rs`` table, whose dent sets are twice as large."""
+    return _FAMILY_TABLE[spec.family][4](spec)
+
+
+def _axis_rows(spec: RegionSpec) -> int:
+    # H: ne + se lines around the axis; F/W: 2(y + u) and 2(y + d) lines,
+    # one fewer each for Fbar/Wbar; RS: its H table
+    if spec.family == "H":
+        return 2 * spec.y + spec.u + spec.d
+    if spec.family == "RS":
+        return 2 * (spec.y + spec.u + spec.d)
+    return 4 * spec.y + 2 * (spec.u + spec.d) - 2 * (spec.family in ("Fbar", "Wbar"))
+
+
 _AXIS_FIELDS = ("x", "y"), ("U", "D", "B")
 
-# family -> (required fields, optional fields, builder, cell count); the one
-# list of the families, read by validation, the JSON round trip, build_region
-# and cell_count
+# family -> (required fields, optional fields, builder, cell count, row
+# count); the one list of the families, read by validation, the JSON round
+# trip, build_region, cell_count and row_count
 _FAMILY_TABLE = {
-    "Hex": (("a", "b", "c"), (), _build_hex, _hex_cells),
-    "DentedSemihex": (("a", "b"), ("dents",), _build_semihex, _semihex_cells),
-    "H": (*_AXIS_FIELDS, _build_h, _h_cells),
-    "RS": (*_AXIS_FIELDS, _build_rs, _rs_cells),
-    "F": (*_AXIS_FIELDS, _build_halved, _halved_cells),
-    "Fbar": (*_AXIS_FIELDS, _build_halved, _halved_cells),
-    "W": (*_AXIS_FIELDS, _build_halved, _halved_cells),
-    "Wbar": (*_AXIS_FIELDS, _build_halved, _halved_cells),
-    "L": (("m", "n"), ("dents",), _build_l, _l_cells),
-    "Lbar": (("m", "n"), ("dents",), _build_l, _l_cells),
-    "P": (("a", "b", "c"), (), _build_p, _p_cells),
-    "Pprime": (("a", "b", "c"), (), _build_p, _p_cells),
+    "Hex": (("a", "b", "c"), (), _build_hex, _hex_cells, lambda s: s.b + s.c),
+    "DentedSemihex": (("a", "b"), ("dents",), _build_semihex, _semihex_cells, lambda s: s.a),
+    "H": (*_AXIS_FIELDS, _build_h, _h_cells, _axis_rows),
+    "RS": (*_AXIS_FIELDS, _build_rs, _rs_cells, _axis_rows),
+    "F": (*_AXIS_FIELDS, _build_halved, _halved_cells, _axis_rows),
+    "Fbar": (*_AXIS_FIELDS, _build_halved, _halved_cells, _axis_rows),
+    "W": (*_AXIS_FIELDS, _build_halved, _halved_cells, _axis_rows),
+    "Wbar": (*_AXIS_FIELDS, _build_halved, _halved_cells, _axis_rows),
+    "L": (("m", "n"), ("dents",), _build_l, _l_cells, lambda s: s.m),
+    "Lbar": (("m", "n"), ("dents",), _build_l, _l_cells, lambda s: s.m),
+    "P": (("a", "b", "c"), (), _build_p, _p_cells, lambda s: s.a + s.b),
+    "Pprime": (("a", "b", "c"), (), _build_p, _p_cells, lambda s: s.a + s.b),
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)

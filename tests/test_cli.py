@@ -125,6 +125,40 @@ def test_bench_refuses_a_rung_past_max_cells(capsys, monkeypatch):
     assert built == []
 
 
+FLAT = 99999999999
+
+
+@pytest.mark.parametrize(
+    "spec,name",
+    [
+        ({"family": "Hex", "a": 0, "b": 0, "c": FLAT}, f"Hex(a=0, b=0, c={FLAT})"),
+        ({"family": "P", "a": 0, "b": FLAT, "c": 0}, f"P(a=0, b={FLAT}, c=0)"),
+    ],
+)
+def test_flat_row_table_exits_2_before_any_row_is_built(tmp_path, capsys, monkeypatch, spec, name):
+    # no cell, so the cell bound let these through, and their 10^11 rows
+    # were built until the process was killed
+    walked = []
+    monkeypatch.setattr(regions, "_assemble", lambda *a, **k: walked.append(a))
+    lines = "\n".join(map(json.dumps, [{"family": "Hex", "a": 0, "b": 0, "c": 3}, spec]))
+    t0 = time.perf_counter()
+    assert main(["count", write(tmp_path, "flat.jsonl", lines)]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and walked == []
+    assert captured.err == (
+        f"error: line 2: {name} has a table of {FLAT} rows, more than --max-cells 20000\n"
+    )
+
+
+def test_flat_row_table_within_max_cells_still_counts(tmp_path, capsys):
+    path = write(tmp_path, "flat.json", {"family": "Hex", "a": 0, "b": 0, "c": 3})
+    assert main(["count", path, "--max-cells", "3"]) == 0
+    assert capsys.readouterr().out.startswith("1  [Hex(a=0, b=0, c=3) cells=0 ")
+    assert main(["count", path, "--max-cells", "2"]) == 2
+    assert capsys.readouterr().err.endswith(" has a table of 3 rows, more than --max-cells 2\n")
+
+
 def test_count_directory_is_an_error(tmp_path, capsys):
     assert main(["count", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -187,6 +221,21 @@ def test_json_array_errors_name_the_line_of_the_element(tmp_path, capsys):
     first = '\n[ {"family": "Hex", "a": 1, "b": 1, "c": 1},\n{"family": "RS", "x": 2, "y": 1}]'
     assert main(["count-symmetric", write(tmp_path, "first.json", first)]) == 2
     assert capsys.readouterr().err == "error: line 2: count-symmetric needs RS specs\n"
+
+
+def test_json_array_syntax_error_names_its_line(tmp_path, capsys):
+    # the array used to be reread line by line, which failed on its "[" line
+    pretty = """
+
+[
+  {"family": "Hex", "a": 1, "b": 1, "c": 1},
+  {"family": "Hex", "a": 1,, "b": 1, "c": 1}
+]
+"""
+    for verb in SPEC_VERBS:
+        assert main([verb, write(tmp_path, "pretty.json", pretty)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 5: Expecting property name enclosed in double quotes\n"
 
 
 @pytest.mark.parametrize(
@@ -272,6 +321,24 @@ def test_ratio_field_errors(tmp_path, capsys, text, message):
     path = write(tmp_path, "ratio.json", text)
     assert main(["ratio", path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"Uprime": ["a"]}, "Uprime must be a list of integers (got ['a'])"),
+        ({"Uprime": [3]}, "shuffle requires U ∪ D == U' ∪ D'"),
+        ({"y": -1}, "y must be a nonnegative integer (got -1)"),
+        ({"x": -1}, "x must be a nonnegative integer (got -1)"),
+        ({"B": [0]}, "B positions must be >= 1"),
+        ({"family": "G"}, "unknown ratio family 'G'; expected one of"),
+    ],
+)
+def test_ratio_spec_errors_name_line_1(tmp_path, capsys, fields, message):
+    # RatioSpec's own refusals used to pass without a line
+    spec = {"family": "F", "x": 2, "y": 1, "U": [1], "D": [2], "Uprime": [2], "Dprime": [1]}
+    assert main(["ratio", write(tmp_path, "ratio.json", {**spec, **fields})]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line 1: {message}")
 
 
 def test_ratio_vacuous(tmp_path, capsys):
@@ -595,6 +662,29 @@ def test_json_that_json_cannot_hold_exits_2(tmp_path, capsys, verb, text, messag
         good = json.dumps({"family": "Hex", "a": 1, "b": 1, "c": 1})
         assert main([verb, write(tmp_path, "spec.jsonl", f"{good}\n{text}\n")]) == 2
         assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
+LONG = 200_000
+
+
+@pytest.mark.parametrize(
+    "verb,obj",
+    [
+        ("count", {"family": "Hex", "a": [1] * LONG, "b": 1, "c": 1}),
+        ("count", {"family": "H", "x": 1, "y": 1, "U": ["u"] * LONG}),
+        ("render", {"family": "x" * LONG}),
+        ("count", {"family": "Hex", "k" * LONG: 1}),
+        ("ratio", {"family": "F", "x": 1, "y": 1, "U": [0.5] * LONG}),
+        ("ratio", {"family": "F" * LONG, "x": 1, "y": 1}),
+        ("ratio", {"family": "F", "x": 1, "y": 1, "k" * LONG: 1}),
+    ],
+    ids=["int", "positions", "family", "field", "ratio-positions", "ratio-family", "ratio-field"],
+)
+def test_spec_errors_bound_the_offending_value(tmp_path, capsys, verb, obj):
+    # the whole value used to be printed: 600 054 bytes for the first spec
+    assert main([verb, write(tmp_path, "long.json", obj)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
 
 
 def test_render_huge_tiling_index(tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from denthex import (
@@ -178,10 +178,15 @@ def sparse_int_matrices(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(sparse_int_matrices())
-def test_bareiss_matches_fraction_elimination(matrix):
+@given(sparse_int_matrices(), st.data())
+def test_bareiss_matches_fraction_elimination(matrix, data):
+    # in column index order, and in a drawn column order: the steps walk the
+    # columns they are given, and the determinant is the same in any order
+    want = abs(fraction_det(matrix))
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    assert _bareiss_abs_det(rows) == abs(fraction_det(matrix))
+    assert _bareiss_abs_det([dict(row) for row in rows], range(len(rows))) == want
+    cols = data.draw(st.permutations(range(len(rows))))
+    assert _bareiss_abs_det(rows, cols) == want
 
 
 def test_bareiss_non_unit_pivots_and_deferred_rescale():
@@ -191,7 +196,8 @@ def test_bareiss_non_unit_pivots_and_deferred_rescale():
     # Skipping the divisions gives 9, dropping a deferred rescale gives 1
     matrix = [[0, -1, 3, 1], [0, 0, 1, 0], [0, -1, 0, 0], [3, 0, 0, 0]]
     assert fraction_det(matrix) == -3
-    assert _bareiss_abs_det([{j: v for j, v in enumerate(r) if v} for r in matrix]) == 3
+    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
+    assert _bareiss_abs_det(rows, range(4)) == 3
 
 
 @st.composite
@@ -220,28 +226,23 @@ def dense(rows: list[dict], n: int) -> list[list]:
     return [[row.get(j, 0) for j in range(n)] for row in rows]
 
 
+# rows 0 and 2 are equal, so the step on row 0 (column 2) cancels row 2's
+# entry in column 1, the column row 1 is the pivot of next; an index of rows
+# by column that kept row 2 there would read an entry that is gone
+CANCELLED = [{2: Fraction(-1, 2), 1: -1}, {1: Fraction(1, 2)}, {2: Fraction(-1, 2), 1: -1}]
+
+
 @settings(max_examples=400, deadline=None)
 @given(weighted_sparse_matrices())
+@example((CANCELLED, dict(enumerate(CANCELLED))))
 def test_weighted_pivot_keeps_the_determinant(case):
-    # the pre-pivot on matrices of any sign pattern, where its column updates
-    # fill and cancel entries that no lozenge region reaches: the index of
-    # rows by column must stay exact through both
-    rows, weighted = case
+    # the weighted rows and their fractional columns first, on matrices of
+    # any sign pattern, where those steps fill and cancel entries that no
+    # lozenge region reaches: the index of rows by column must stay exact
+    rows = [dict(row) for row in case[0]]
+    weighted = {i: rows[i] for i in case[1]}
     want = abs(fraction_det(dense(rows, len(rows))))
-    num, den = counting._pivot_weighted(rows, weighted)
-    unweighted = (row for i, row in enumerate(rows) if i not in weighted)
-    assert all(isinstance(v, int) for row in unweighted for v in row.values())
-    assert abs(fraction_det(dense(rows, len(rows)))) * num / den == want
-
-
-def test_weighted_pivot_drops_a_cancelled_entry_from_its_column():
-    # rows 0 and 2 are equal, so pivoting row 0 (column 2 into column 1)
-    # cancels row 2's entry in column 1, the column row 1 pivots on next; an
-    # index that kept row 2 there would read an entry that is gone
-    rows = [{2: Fraction(-1, 2), 1: -1}, {1: Fraction(1, 2)}, {2: Fraction(-1, 2), 1: -1}]
-    num, den = counting._pivot_weighted(rows, dict(enumerate(rows)))
-    assert (num, den) == (1, 4)
-    assert rows == [{2: 1}, {1: 1}, {}]
+    assert counting._weighted_abs_det(rows, weighted) == want
 
 
 def test_unit_hexagon_counts():
@@ -429,16 +430,20 @@ def test_engine_matches_oracle_on_random_rational_weights(region):
 
 
 def test_weighted_families_pivot_out_every_half_tooth(monkeypatch):
-    # on the golden W, Wbar, Lbar and Pprime regions every row of a 1/2 tooth
-    # reaches the elimination as a unit singleton and no row is scaled, so
-    # the elimination never meets the factor 2 a scaled row would bring; with
-    # the pre-pivot skipped, each tooth's row keeps two entries, one of them 2
-    seen = []  # a copy of each matrix, which the elimination consumes
+    # on the golden W, Wbar, Lbar and Pprime regions the i-th weighted row, a
+    # 1/2 tooth, reaches step i with its tooth as +-1 in column cols[i] and at
+    # most one other entry, and no row left holding that column has fewer
+    # entries, so it is the pivot (ties go to the lowest row) and the step is
+    # the degree-2 contraction on a unit.  The state before step i is what
+    # the elimination leaves after walking cols[:i] on a copy of the matrix;
+    # every earlier pivot was +-1, so no deferred rescale changes |entry|
+    seen = []  # a copy of each matrix and its column order
     eliminate = counting._bareiss_abs_det
     monkeypatch.setattr(
         counting,
         "_bareiss_abs_det",
-        lambda rows: seen.append([dict(row) for row in rows]) or eliminate(rows),
+        lambda rows, cols: seen.append(([dict(row) for row in rows], list(cols)))
+        or eliminate(rows, cols),
     )
     checked = 0
     for record in golden_records():
@@ -450,10 +455,15 @@ def test_weighted_families_pivot_out_every_half_tooth(monkeypatch):
         assert count_tilings(region) == Fraction(record["count"]), record
         if not seen:  # unbalanced or an up cell without a lozenge: no matrix
             continue
-        (rows,) = seen
-        assert all(len(rows[i]) == 1 and abs(*rows[i].values()) == 1 for i in weighted), record
-        checked += len(weighted)
-    assert checked >= 100
+        ((matrix, cols),) = seen
+        for i in range(len(weighted)):
+            rows = [dict(row) for row in matrix]
+            eliminate(rows, cols[:i])
+            row, k = rows[i], cols[i]
+            assert abs(row.get(k, 0)) == 1 and len(row) <= 2, (record, i)
+            assert all(len(other) >= len(row) for other in rows[i:] if k in other), (record, i)
+            checked += 1
+    assert checked >= 300
 
 
 def refusal(cells) -> str:

@@ -113,6 +113,33 @@ def test_region_accepts_positive_int_and_fraction_weights():
         assert Region(cells=region.cells, weights=((edge, weight),)).weight_map[edge] == weight
 
 
+def test_region_equality_ignores_the_order_of_weights():
+    # reversing the six weights of a W region gave a region that was neither
+    # equal nor of equal hash, although its weight map and count agreed
+    built = build_region(w_spec(2, 2, (1,), (2,)))
+    assert len(built.weights) == 6
+    shuffled = Region(cells=built.cells, weights=tuple(reversed(built.weights)))
+    same = Region(cells=built.cells, weights=built.weights)
+    assert shuffled == same == built and hash(shuffled) == hash(same) == hash(built)
+    assert shuffled.weights == built.weights == tuple(sorted(built.weights))
+    assert count_tilings(shuffled) == count_tilings(built)
+    # the coded constructor sorts too, and restrict keeps the sorted order
+    coded = Region._coded(built.codes, built.weights[::-1], built.barred, None, None)
+    assert coded == built and coded.weights == built.weights
+    half = regions.restrict(built, built.codes[3][: len(built) // 2])
+    assert half.weights == tuple(sorted(half.weights))
+
+
+def test_region_refuses_a_lozenge_weighted_twice():
+    region = build_region(hex_spec(1, 1, 1))
+    edge = _edges(region)[0]
+    for weights in (((edge, 2), (edge, 2)), ((edge, 2), (edge, Fraction(1, 2)))):
+        with pytest.raises(InvalidSpec, match=re.escape(f"lozenge {edge} is weighted twice")):
+            Region(cells=region.cells, weights=weights)
+        with pytest.raises(InvalidSpec, match="weighted twice"):
+            Region._coded(region.codes, weights, frozenset(), None, None)
+
+
 def _edges(region: Region):
     return [(u, d) for u, d, _ in regions.lozenges(region)]
 
@@ -146,6 +173,21 @@ def test_cell_count_matches_the_built_regions_on_the_digest_sweep():
 def test_cell_count_of_a_huge_spec_is_immediate():
     assert regions.cell_count(hex_spec(99999999999, 1, 1)) == 399999999998
     assert regions.cell_count(w_spec(10**12, 2, (1,), (2,))) > 10**13
+
+
+def test_row_count_is_the_table_the_builder_walks():
+    # _assemble takes its row count from row_count, so the digests pin it on
+    # every family but RS, which builds its expand_rs table; a table of many
+    # rows and no cell is counted in closed form, as cell_count is
+    maker = _load_digest_maker()
+    rs = 0
+    for spec in maker.sweep_specs("RS"):
+        assert regions.row_count(spec) == regions.row_count(expand_rs(spec)), spec.describe()
+        rs += 1
+    assert rs >= 100
+    for spec in (hex_spec(0, 0, 99999999999), p_spec(0, 99999999999, 0)):
+        assert regions.cell_count(spec) == 0
+        assert regions.row_count(spec) == 99999999999
 
 
 def test_half_made_and_refused_regions_repr():
