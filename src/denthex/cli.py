@@ -44,6 +44,7 @@ from .regions import (
     parse_spec,
     pprime_spec,
     row_count,
+    spec_to_dict,
     w_spec,
 )
 from .verify import all_passed, check_shuffling, run_suite, summary_table, write_reports
@@ -105,7 +106,14 @@ def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionS
     else:
         try:
             whole = json.loads(stripped)
-        except (ValueError, RecursionError):  # read again line by line below
+        except (ValueError, RecursionError):
+            # JSON lines, read again line by line below, when the first spec
+            # line holds a whole value; otherwise one object spread over
+            # several lines, refused at the line where the parser stops
+            lines = (line.strip() for line in text.split("\n"))
+            first = next((line for line in lines if line and not line.startswith("#")), None)
+            if first is not None and not _is_value(first):
+                _loads(text, 1)
             whole = None
     if isinstance(whole, dict):
         return [(1, _parse_or_raise(whole, 1, max_cells))]
@@ -123,6 +131,14 @@ def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionS
     if not out:
         raise SpecFileError("line 1: no region specs found")
     return out
+
+
+def _is_value(line: str) -> bool:
+    try:
+        json.loads(line)
+    except (ValueError, RecursionError):
+        return False
+    return True
 
 
 # what may lie between two elements of a JSON array, or after its "["
@@ -151,18 +167,26 @@ def _parse_or_raise(obj, lineno: int, max_cells: int) -> RegionSpec:
     return spec
 
 
+def _brief(spec: RegionSpec) -> str:
+    """``spec.describe()`` with each value cut short by ``reprlib``, so that a
+    message naming a spec with a long position list stays one short line."""
+    fields = spec_to_dict(spec)
+    family = fields.pop("family")
+    return f"{family}(" + ", ".join(f"{k}={reprlib.repr(v)}" for k, v in fields.items()) + ")"
+
+
 def _check_size(spec: RegionSpec, where: str, max_cells: int) -> None:
     # a table of many rows takes long to build even when it holds no cell
     rows = row_count(spec)
     if rows > max_cells:
         raise SpecFileError(
-            f"{where}: {spec.describe()} has a table of {rows} rows, "
+            f"{where}: {_brief(spec)} has a table of {rows} rows, "
             f"more than --max-cells {max_cells}"
         )
     cells = cell_count(spec)
     if cells > max_cells:
         raise SpecFileError(
-            f"{where}: {spec.describe()} has {cells} cells, more than --max-cells {max_cells}"
+            f"{where}: {_brief(spec)} has {cells} cells, more than --max-cells {max_cells}"
         )
 
 

@@ -51,9 +51,14 @@ def down(layer: int, index: int) -> TriangleCell:
     return TriangleCell(layer, index, Orient.DOWN)
 
 
+# the orientations by their int value, read once: each attribute lookup on an
+# enum class is slow
+ORIENTS = (Orient.UP, Orient.DOWN)
+
+
 def canonical_orient(layer: int, index: int) -> Orient:
     """Orientation forced by the parity convention at this address."""
-    return Orient.UP if (layer + index) % 2 == 0 else Orient.DOWN
+    return ORIENTS[(layer + index) % 2]
 
 
 def is_canonical(cell: TriangleCell) -> bool:

@@ -56,10 +56,10 @@ from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
-from .lattice import Orient, TriangleCell, canonical_orient, is_canonical
+from .lattice import ORIENTS, TriangleCell, canonical_orient, is_canonical
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -421,8 +421,10 @@ class Region:
         stride, layer0, index0, codes = self.codes
         new = tuple.__new__
         return tuple(
-            new(TriangleCell, (layer0 + c // stride, index0 + (c % stride >> 1), _ORIENTS[c & 1]))
-            for c in codes
+            [
+                new(TriangleCell, (layer0 + c // stride, index0 + (c % stride >> 1), ORIENTS[c & 1]))
+                for c in codes
+            ]
         )
 
     @cached_property
@@ -447,7 +449,7 @@ class Region:
         return len(self.codes[3])
 
 
-_ORIENTS = (Orient.UP, Orient.DOWN)
+UP, DOWN = ORIENTS
 
 
 def _sorted_weights(weights: Iterable[tuple[Edge, Fraction]]) -> tuple:
@@ -479,9 +481,10 @@ def _assemble(
     """The region of ``spec``'s row table, built run by run straight to its codes.
 
     The table has ``row_count(spec)`` rows.  Row r has its down cells on line
-    r and its up cells on line r + 1, each a run (layer, first pos, end pos,
-    orient) of positions stepping by 2 from ``lp`` to ``rp`` of that line.  Dents, barriers and teeth are decided on
-    the runs and a small ``removed`` set of geo cells.  The shift into the
+    r and its up cells on line r + 1, each a run (layer, first pos, last pos,
+    orient) of positions stepping by 2 from ``lp`` of that line to the last
+    one before its ``rp``.  Dents, barriers and teeth are decided on the runs
+    and a small ``removed`` set of geo cells.  The shift into the
     first quadrant is taken from the first present cell of each run and the
     axis cells, dented or not.  Each run, trimmed to its present ends, is one
     ``range`` of codes with step 4 (see ``Region.codes``); one sort merges
@@ -494,31 +497,33 @@ def _assemble(
     nrows = row_count(spec)
     west = [lp(j) for j in range(nrows + 1)]
     east = [rp(j) for j in range(nrows + 1)]
+    # each line's first and last position, or None for an empty line
+    spans = [(w, e - 2 + (e - w) % 2) if w < e else None for w, e in zip(west, east)]
     runs = [
-        run
+        (r, *span, o)
         for r in range(nrows)
-        for run in (
-            (r, west[r], east[r], Orient.DOWN),
-            (r, west[r + 1], east[r + 1], Orient.UP),
-        )
-        if run[1] < run[2]
+        for span, o in ((spans[r], DOWN), (spans[r + 1], UP))
+        if span
     ]
     removed: set[tuple] = set()
 
     # axis positions -> (up, down) geo cells; sides missing when the region
     # has no row on that side of the axis.  Both sides lie on line axis_line.
     axis_pairs: list[tuple[Optional[tuple], Optional[tuple]]] = []
+    axis_refs = []
     if axis_line is not None:
         base, end = west[axis_line], east[axis_line]
-        has_up, has_down = axis_line >= 1, axis_line < nrows
-        for p in range(base, base + 2 * axis_len, 2):
-            inside = p < end
-            axis_pairs.append(
-                (
-                    (axis_line - 1, p, Orient.UP) if has_up and inside else None,
-                    (axis_line, p, Orient.DOWN) if has_down and inside else None,
-                )
+        up_line = axis_line - 1 if axis_line >= 1 else None
+        down_line = axis_line if axis_line < nrows else None
+        axis_pairs = [
+            (
+                (up_line, p, UP) if up_line is not None and p < end else None,
+                (down_line, p, DOWN) if down_line is not None and p < end else None,
             )
+            for p in range(base, base + 2 * axis_len, 2)
+        ]
+        if axis_pairs and any(axis_pairs[0]):
+            axis_refs = [base]  # the least position of an axis cell
         for p in dents_up:
             cell = axis_pairs[p - 1][0]
             if cell is None:
@@ -540,7 +545,7 @@ def _assemble(
     # base dents for the trapezoid families (dents on the south line)
     for s in base_dents:
         p = west[nrows] + 2 * (s - 1)
-        cell = (nrows - 1, p, Orient.UP)
+        cell = (nrows - 1, p, UP)
         if nrows < 1 or p >= east[nrows] or cell in removed:
             raise InvalidSpec(f"no up-pointing triangle at base position {s}")
         removed.add(cell)
@@ -551,26 +556,26 @@ def _assemble(
     if teeth:
         for line in range(1, nrows, 2):
             if west[line] <= -1 < east[line] and west[line] % 2:
-                pair = ((line - 1, -1, Orient.UP), (line, -1, Orient.DOWN))
+                pair = ((line - 1, -1, UP), (line, -1, DOWN))
                 if removed.isdisjoint(pair) and pair not in barred:
                     weighted.append(pair)
 
     # trim each run to its first and last present cell; cells removed inside
     # a run are dropped by code below
-    present = []
-    for layer, first, end, o in runs:
-        last = end - 2 + (end - first) % 2
-        if removed:
+    present = runs
+    if removed:
+        present = []
+        for layer, first, last, o in runs:
             while first <= last and (layer, first, o) in removed:
                 first += 2
             while last > first and (layer, last, o) in removed:
                 last -= 2
-        if first <= last:
-            present.append((layer, first, last, o))
+            if first <= last:
+                present.append((layer, first, last, o))
 
     # translate into the first quadrant with the parity convention
-    refs = [cell[1] for pr in axis_pairs for cell in pr if cell]
-    refs += [run[1] for run in present]
+    firsts = [run[1] for run in present]
+    refs = firsts + axis_refs
     if refs:
         mn = min(refs)
         shift = -mn if (-mn) % 2 == 1 else -mn + 1
@@ -582,16 +587,17 @@ def _assemble(
     stride, layer0, index0, codes = 4, 0, 0, []
     if present:
         layer0 = present[0][0]
-        index0 = min(run[1] for run in present) + shift
-        stride = 2 * (max(run[2] for run in present) + shift - index0) + 4
+        index0 = min(firsts) + shift
+        stride = 2 * (max([run[2] for run in present]) + shift - index0) + 4
         base = layer0 * stride + 2 * (index0 - shift)
-        ranges = []
-        for layer, first, last, o in present:
+        for layer, first, _, o in present:
             if canonical_orient(layer, first + shift) is not o:
                 cell = TriangleCell(layer, first + shift, o)
                 raise RuntimeError(f"translated cell {cell} breaks the parity convention")
-            start = layer * stride + 2 * first + o - base
-            ranges.append(range(start, start + 2 * (last - first) + 1, 4))
+        ranges = [
+            range(layer * stride + 2 * first + o - base, layer * stride + 2 * last + o - base + 1, 4)
+            for layer, first, last, o in present
+        ]
         codes = sorted(chain.from_iterable(ranges))
         for layer, p, o in removed:
             # a removed cell west or east of every present one has no code
@@ -601,15 +607,24 @@ def _assemble(
                 if i < len(codes) and codes[i] == c:
                     del codes[i]
 
-    def tr(geo) -> TriangleCell:
-        return tuple.__new__(TriangleCell, (geo[0], geo[1] + shift, geo[2]))
+    new = tuple.__new__
 
+    def tr(geo) -> TriangleCell:
+        return new(TriangleCell, (geo[0], geo[1] + shift, geo[2]))
+
+    axis = [
+        (
+            a and new(TriangleCell, (a[0], a[1] + shift, UP)),
+            b and new(TriangleCell, (b[0], b[1] + shift, DOWN)),
+        )
+        for a, b in axis_pairs
+    ]
     return Region._coded(
         (stride, layer0, index0, codes),
-        weights=tuple(((tr(u), tr(d)), HALF) for u, d in weighted),
-        barred=frozenset((tr(u), tr(d)) for u, d in barred),
+        weights=tuple([((tr(u), tr(d)), HALF) for u, d in weighted]),
+        barred=frozenset([(tr(u), tr(d)) for u, d in barred]),
         label=spec,
-        axis=tuple((a and tr(a), b and tr(b)) for a, b in axis_pairs) or None,
+        axis=tuple(axis) or None,
     )
 
 
@@ -635,20 +650,28 @@ def _build_semihex(spec: RegionSpec) -> Region:
     )
 
 
-def _build_h(spec: RegionSpec) -> Region:
-    u, n = spec.u, spec.n_removed
+def _dented_hexagon(spec: RegionSpec, U, D, B) -> Region:
+    """The doubly dented hexagon on ``spec``'s x and y with up-dents ``U``,
+    down-dents ``D`` and barriers ``B`` on its whole axis, labelled ``spec``:
+    H passes its own sets, RS the doubled sets of ``_mirror_doubled``.  Its
+    axis has ``spec.axis_length`` positions either way."""
+    u, n = len(U), len(set(U) | set(D))
     north = spec.x + n - u
     ne = spec.y + u  # also the northwest side
     return _assemble(
         spec,
-        lambda j: max(0, j - ne) - min(j, ne),
-        lambda j: 2 * north + min(j, ne) - max(0, j - ne),
+        lambda j: -j if j <= ne else j - 2 * ne,
+        lambda j: 2 * north + (j if j <= ne else 2 * ne - j),
         axis_line=ne,
         axis_len=spec.axis_length,
-        dents_up=spec.U,
-        dents_down=spec.D,
-        barriers=spec.B,
+        dents_up=U,
+        dents_down=D,
+        barriers=B,
     )
+
+
+def _build_h(spec: RegionSpec) -> Region:
+    return _dented_hexagon(spec, spec.U, spec.D, spec.B)
 
 
 def _build_halved(spec: RegionSpec) -> Region:
@@ -707,22 +730,31 @@ def mirror_positions(positions: Iterable[int], t: int) -> tuple[int, ...]:
     return tuple(sorted(t - p for p in positions))
 
 
+def _mirror_doubled(spec: RegionSpec) -> tuple[tuple[int, ...], ...]:
+    """RS ``spec``'s U, D and B, each followed by its mirror image under p ->
+    t - p, t = ``axis_length`` + 1: the dent and barrier sets of the whole
+    axis.  Validation keeps every west-half position below the least image
+    (p <= floor((t - 1) / 2) < t - p), so each set comes out sorted and
+    twice as large."""
+    t = spec.axis_length + 1
+    return tuple((*tup, *mirror_positions(tup, t)) for tup in (spec.U, spec.D, spec.B))
+
+
 def expand_rs(spec: RegionSpec) -> RegionSpec:
-    """The doubly dented hexagon obtained by mirroring an RS description."""
+    """The H spec of the doubly dented hexagon that an RS description
+    mirrors; ``build_region`` makes the same cells, weights, barriers and
+    axis from the RS spec directly."""
     if spec.family != "RS":
         raise InvalidSpec("expand_rs expects an RS spec")
-    t = spec.axis_length + 1
-
-    def both(tup):
-        return tuple(sorted(set(tup) | set(mirror_positions(tup, t))))
-
-    return h_spec(spec.x, spec.y, both(spec.U), both(spec.D), both(spec.B))
+    return h_spec(spec.x, spec.y, *_mirror_doubled(spec))
 
 
 def _build_rs(spec: RegionSpec) -> Region:
-    h = _build_h(expand_rs(spec))
-    region = Region._coded(h.codes, h.weights, h.barred, spec, h.axis)
-    mirror_constant(region)  # symmetry sanity check
+    """The RS region in one step: H's table on the doubled sets, labelled
+    ``spec``, with no second spec or region made.  ``mirror_constant``
+    checks the symmetry of the result."""
+    region = _dented_hexagon(spec, *_mirror_doubled(spec))
+    mirror_constant(region)
     return region
 
 
@@ -1072,37 +1104,43 @@ def mirror_constant(region: Region) -> int:
     """Constant K of the horizontal mirror ``index -> K - index``.
 
     Raises InvalidSpec when the region (with its barriers and weights) is not
-    invariant under any such mirror.  Read from ``codes``: every layer's least
-    and greatest index give one K, and then the mirror image of each code of
-    layer L is ``2 * (L * stride + K - 2 * index0) + 2 * orient - code``,
-    which lies in the same layer's span and must be a code too.  Codes are
-    checked in sorted order, so the error names the least cell whose mirror
-    image is missing.
+    invariant under any such mirror.  Read from ``codes``: ``bisect`` finds
+    where each layer starts in the sorted codes, and every layer's first and
+    last code give one K.  The mirror image of a code of layer L is then
+    ``2 * (L * stride + K - 2 * index0) + 2 * orient - code``, in the same
+    layer's span, so the region is symmetric exactly when its codes equal
+    their mirror images sorted, one list comparison for all layers.  Only a
+    region that fails it is scanned code by code, in sorted order, so the
+    error names the least cell whose mirror image is missing.
     """
     stride, layer0, index0, codes = region.codes
     if not codes:
         return 0
-    layers = [(layer, list(run)) for layer, run in groupby(codes, lambda c: c // stride)]
-
-    def index(layer: int, code: int) -> int:  # layer is less layer0, as in the codes
-        return index0 + (code - layer * stride >> 1)
-
-    ks = {index(layer, run[0]) + index(layer, run[-1]) for layer, run in layers}
-    if len(ks) != 1:
+    starts = [bisect_left(codes, layer * stride) for layer in range(codes[-1] // stride + 2)]
+    # 2 * (index - index0) of each layer's first and last code, for its non-empty layers
+    ends = [
+        ((codes[lo] - layer * stride) & ~1) + ((codes[hi - 1] - layer * stride) & ~1)
+        for layer, (lo, hi) in enumerate(zip(starts, starts[1:]))
+        if lo < hi
+    ]
+    if any(e != ends[0] for e in ends):
         raise InvalidSpec("region is not mirror-symmetric (layer spans disagree)")
-    k = ks.pop()
+    k = 2 * index0 + (ends[0] >> 1)
     if k % 2 == 1:
         raise InvalidSpec("region is not mirror-symmetric (odd mirror constant)")
-    members = set(codes)
-    for layer, run in layers:
-        turn = 2 * (layer * stride + k - 2 * index0)
-        for c in run:
-            if turn + 2 * (c & 1) - c not in members:
-                cell = TriangleCell(layer0 + layer, index(layer, c), _ORIENTS[c & 1])
+    # the image of each code, with c - c % stride for L * stride
+    turn = 2 * (k - 2 * index0)
+    images = [turn + 2 * (c - c % stride + (c & 1)) - c for c in codes]
+    if sorted(images) != codes:
+        members = set(codes)
+        for c, image in zip(codes, images):
+            if image not in members:
+                index = index0 + (c % stride >> 1)
+                cell = TriangleCell(layer0 + c // stride, index, ORIENTS[c & 1])
                 raise InvalidSpec(f"region is not mirror-symmetric (cell {cell})")
-    if frozenset(mirror_edge(e, k) for e in region.barred) != region.barred:
+    if region.barred and frozenset(mirror_edge(e, k) for e in region.barred) != region.barred:
         raise InvalidSpec("barriers are not mirror-symmetric")
-    if {mirror_edge(e, k): w for e, w in region.weights} != region.weight_map:
+    if region.weights and {mirror_edge(e, k): w for e, w in region.weights} != region.weight_map:
         raise InvalidSpec("weights are not mirror-symmetric")
     return k
 

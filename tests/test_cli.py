@@ -159,6 +159,25 @@ def test_flat_row_table_within_max_cells_still_counts(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(" has a table of 3 rows, more than --max-cells 2\n")
 
 
+@pytest.mark.parametrize(
+    "max_cells,size",
+    [(None, "has a table of 30000 rows"), (40000, "has 899970000 cells")],
+)
+def test_max_cells_refusal_cuts_a_long_spec_short(tmp_path, capsys, max_cells, size):
+    # the refusal used to print the whole position list, about 199 KB
+    spec = {"family": "H", "x": 0, "y": 0, "U": list(range(1, 30001))}
+    argv = ["count", write(tmp_path, "long.json", spec)]
+    argv += [] if max_cells is None else ["--max-cells", str(max_cells)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    limit = max_cells or cli.MAX_CELLS
+    assert err == (
+        f"error: line 1: H(B=[], D=[], U=[1, 2, 3, 4, 5, 6, ...], x=0, y=0) {size}, "
+        f"more than --max-cells {limit}\n"
+    )
+    assert len(err.encode()) < 1024
+
+
 def test_count_directory_is_an_error(tmp_path, capsys):
     assert main(["count", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -236,6 +255,35 @@ def test_json_array_syntax_error_names_its_line(tmp_path, capsys):
         assert main([verb, write(tmp_path, "pretty.json", pretty)]) == 2
         err = capsys.readouterr().err
         assert err == "error: line 5: Expecting property name enclosed in double quotes\n"
+
+
+def test_pretty_printed_object_syntax_error_names_its_line(tmp_path, capsys):
+    # a single object over several lines used to be reread line by line,
+    # which failed on its "{" line
+    pretty = """{
+  "family": "Hex",
+  "a": 1,,
+  "b": 1, "c": 1
+}
+"""
+    for verb in SPEC_VERBS:
+        assert main([verb, write(tmp_path, "pretty.json", pretty)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: Expecting property name enclosed in double quotes\n"
+    assert main(["count", write(tmp_path, "fixed.json", pretty.replace(",,", ","))]) == 0
+    assert capsys.readouterr().out.startswith("2  [Hex(a=1, b=1, c=1) ")
+
+
+def test_json_lines_syntax_error_names_its_line(tmp_path, capsys):
+    lines = """{"family": "Hex", "a": 1, "b": 1, "c": 1}
+# a comment
+{"family": "Hex", "a": 1,, "b": 1, "c": 1}
+{"family": "Hex", "a": 2, "b": 2, "c": 2}
+"""
+    for verb in SPEC_VERBS:
+        assert main([verb, write(tmp_path, "specs.jsonl", lines)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: Expecting property name enclosed in double quotes\n"
 
 
 @pytest.mark.parametrize(

@@ -266,6 +266,33 @@ def test_rs_equals_expanded_h_cell_for_cell():
     assert build_region(spec) == build_region(expand_rs(spec))
 
 
+def test_rs_builds_the_relabelled_region_of_its_expansion():
+    # an RS region is built straight from its doubled table, with no H spec
+    # or H region made; it must be the H region of expand_rs relabelled, with
+    # the same codes, weights, barriers and axis, on every spec of the RS
+    # digest sweep and on barred specs with wider axes
+    specs = _load_digest_maker().sweep_specs("RS")
+    assert len(specs) == 738
+    barred = []
+    for x, y, U, D, B in itertools.product(
+        range(4, 8), range(3), ((), (1,), (3,)), ((), (2,)), ((1,), (2,), (1, 4), (2, 5))
+    ):
+        try:
+            barred.append(rs_spec(x, y, U, D, B))
+        except InvalidSpec:
+            continue
+    assert len(barred) == 123
+    bars = 0
+    for spec in specs + barred:
+        region = build_region(spec)
+        h = build_region(expand_rs(spec))
+        relabelled = Region._coded(h.codes, h.weights, h.barred, spec, h.axis)
+        assert region == relabelled and region.axis == relabelled.axis, spec.describe()
+        assert region.label is spec
+        bars += len(region.barred)
+    assert bars == 720
+
+
 def test_rs_expansion_values():
     spec = rs_spec(2, 1, (1,))
     expanded = expand_rs(spec)
