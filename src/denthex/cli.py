@@ -134,6 +134,7 @@ def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionS
 
 
 def _is_value(line: str) -> bool:
+    """True when ``line`` on its own parses as one JSON value."""
     try:
         json.loads(line)
     except (ValueError, RecursionError):
@@ -169,7 +170,8 @@ def _parse_or_raise(obj, lineno: int, max_cells: int) -> RegionSpec:
 
 def _brief(spec: RegionSpec) -> str:
     """``spec.describe()`` with each value cut short by ``reprlib``, so that a
-    message naming a spec with a long position list stays one short line."""
+    message naming a spec with a long position list stays one short line;
+    ``describe()`` itself stays whole, as reports and records need it."""
     fields = spec_to_dict(spec)
     family = fields.pop("family")
     return f"{family}(" + ", ".join(f"{k}={reprlib.repr(v)}" for k, v in fields.items()) + ")"
