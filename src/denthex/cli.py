@@ -4,8 +4,9 @@ Verbs: count, count-symmetric, ratio, verify, render, bench.  Region specs
 are JSON objects (one per line for JSONL files, or a single object / array);
 the schema is documented in the README.  Every verb that reads a spec, and
 ``bench``, refuses a region of more than ``--max-cells`` cells, or a row
-table of more rows, read from the spec in closed form (``regions.cell_count``,
-``regions.row_count``) before any region is built.
+table of more rows, before any region is built: both sizes are read in
+closed form from the spec's family table (``regions.cell_count``,
+``regions.row_count``), the one that ``build_region`` assembles.
 """
 
 from __future__ import annotations

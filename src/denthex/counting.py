@@ -58,12 +58,12 @@ from .regions import (
     Region,
     RegionSpec,
     build_region,
+    fold_half,
     kasteleyn_rows,
     lozenges,
     mirror_constant,
     mirror_edge,
     reduce_reflective,
-    restrict,
 )
 
 ZERO = Fraction(0)
@@ -331,22 +331,11 @@ def enumerate_tilings(region: Region, cap: int) -> list[Tiling]:
 
 
 def _reflective_fold(region: Region) -> Fraction:
-    """Count symmetric tilings by cutting along the mirror column.
-
-    Cells on the central column can only pair vertically among themselves in
-    a symmetric tiling; once those forced lozenges are fixed, the halves tile
-    independently and mirror each other, so the count is the tiling count of
-    one half.
-    """
-    k = mirror_constant(region)
-    stride, _, index0, codes = region.codes
-    mid = k // 2 - index0
-    column = [c for c in codes if c % stride >> 1 == mid]  # in layer order
-    barred = {(region.code(u), region.code(d)) for u, d in region.barred}
-    pairs = zip(column[::2], column[1::2])  # each a vertical lozenge: d is u's code + stride + 1
-    if len(column) % 2 or any(d != u + stride + 1 or (u, d) in barred for u, d in pairs):
-        return ZERO
-    return count_tilings(restrict(region, (c for c in codes if c % stride >> 1 > mid)))
+    """Count symmetric tilings by cutting along the mirror column: a
+    symmetric tiling is fixed by how it tiles ``regions.fold_half``, so the
+    count is that half's, or 0 when the mirror column cannot be covered."""
+    half = fold_half(region)
+    return ZERO if half is None else count_tilings(half)
 
 
 def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) -> Fraction:

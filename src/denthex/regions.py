@@ -1,14 +1,19 @@
 """Builders for the dented, barriered and halved hexagon families.
 
 Each family is generated from a per-line table of west/east boundary
-positions (in half-unit steps).  ``_assemble`` turns the table into runs of
-cells, one run per row and orientation, decides dents, barriers and weighted
-teeth on those runs, and translates each run into the first quadrant of the
-cell grid as one range of integer cell codes, checking the parity convention
-once per run.  The codes are a region's stored form (``Region.codes``):
-counting, ``restrict``, the forced reduction and the fold read only them,
-and ``cells`` and ``order`` are views made from them when the renderer or
-the search asks.  Conventions shared by every family:
+positions (in half-unit steps).  One table function per family (see
+``_Table``) computes the family's sides from the spec once and returns the
+table's row count, its closed-form cell count, its boundaries and the dent,
+barrier and tooth keywords; ``build_region``, ``cell_count`` and
+``row_count`` all read that one function.  ``_assemble`` turns the table into
+runs of cells, one run per row and orientation, decides dents, barriers and
+weighted teeth on those runs, and translates each run into the first quadrant
+of the cell grid as one range of integer cell codes, checking the parity
+convention once per run.  The codes are a region's stored form
+(``Region.codes``): counting, ``restrict``, the forced reduction and the
+fold (``fold_half``) read only them, and ``cells`` and ``order`` are views
+made from them when the renderer or the search asks.  Conventions shared by
+every family:
 
 * Dent and barrier positions along the horizontal axis are 1-based, counted
   west to east over the axis' unit segments.
@@ -43,8 +48,10 @@ Family parameters:
                                from north) whose west corner is cut off by a
                                maximal vertical zigzag of ``a`` teeth.
 
-The tables are validated against independent closed-form counts in the test
-suite; they are the single source of truth for geometry.
+The table functions are the single source of truth for geometry: a region's
+cells and rows, built or only counted, come from the same sides.  The test
+suite holds the built regions against independent closed-form tiling counts
+and pinned digests, and the cell and row counts against the built regions.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .lattice import ORIENTS, TriangleCell, canonical_orient, is_canonical
 
@@ -163,39 +170,39 @@ def hex_spec(a, b, c):
 
 
 def semihex_spec(a, b, dents):
-    return RegionSpec("DentedSemihex", a=a, b=b, dents=tuple(dents))
+    return RegionSpec("DentedSemihex", a=a, b=b, dents=dents)
 
 
 def h_spec(x, y, U=(), D=(), B=()):
-    return RegionSpec("H", x=x, y=y, U=tuple(U), D=tuple(D), B=tuple(B))
+    return RegionSpec("H", x=x, y=y, U=U, D=D, B=B)
 
 
 def rs_spec(x, y, U=(), D=(), B=()):
-    return RegionSpec("RS", x=x, y=y, U=tuple(U), D=tuple(D), B=tuple(B))
+    return RegionSpec("RS", x=x, y=y, U=U, D=D, B=B)
 
 
 def f_spec(x, y, U=(), D=(), B=()):
-    return RegionSpec("F", x=x, y=y, U=tuple(U), D=tuple(D), B=tuple(B))
+    return RegionSpec("F", x=x, y=y, U=U, D=D, B=B)
 
 
 def fbar_spec(x, y, U=(), D=(), B=()):
-    return RegionSpec("Fbar", x=x, y=y, U=tuple(U), D=tuple(D), B=tuple(B))
+    return RegionSpec("Fbar", x=x, y=y, U=U, D=D, B=B)
 
 
 def w_spec(x, y, U=(), D=(), B=()):
-    return RegionSpec("W", x=x, y=y, U=tuple(U), D=tuple(D), B=tuple(B))
+    return RegionSpec("W", x=x, y=y, U=U, D=D, B=B)
 
 
 def wbar_spec(x, y, U=(), D=(), B=()):
-    return RegionSpec("Wbar", x=x, y=y, U=tuple(U), D=tuple(D), B=tuple(B))
+    return RegionSpec("Wbar", x=x, y=y, U=U, D=D, B=B)
 
 
 def l_spec(m, n, dents=()):
-    return RegionSpec("L", m=m, n=n, dents=tuple(dents))
+    return RegionSpec("L", m=m, n=n, dents=dents)
 
 
 def lbar_spec(m, n, dents=()):
-    return RegionSpec("Lbar", m=m, n=n, dents=tuple(dents))
+    return RegionSpec("Lbar", m=m, n=n, dents=dents)
 
 
 def p_spec(a, b, c):
@@ -467,6 +474,7 @@ def _sorted_weights(weights: Iterable[tuple[Edge, Fraction]]) -> tuple:
 
 def _assemble(
     spec: RegionSpec,
+    nrows: int,
     lp: Callable[[int], int],
     rp: Callable[[int], int],
     *,
@@ -478,9 +486,12 @@ def _assemble(
     base_dents: Iterable[int] = (),
     teeth: bool = False,
 ) -> Region:
-    """The region of ``spec``'s row table, built run by run straight to its codes.
+    """The region of a row table, built run by run straight to its codes and
+    labelled ``spec``.
 
-    The table has ``row_count(spec)`` rows.  Row r has its down cells on line
+    ``build_region`` passes every argument from ``spec``'s family table (see
+    ``_Table``): ``nrows`` rows, the boundaries ``lp`` and ``rp``, and the
+    dent, barrier and tooth keywords.  Row r has its down cells on line
     r and its up cells on line r + 1, each a run (layer, first pos, last pos,
     orient) of positions stepping by 2 from ``lp`` of that line to the last
     one before its ``rp``.  Dents, barriers and teeth are decided on the runs
@@ -494,7 +505,6 @@ def _assemble(
     cell of it.  Only the axis pairs and the cells of barred and weighted
     edges become ``TriangleCell``s.
     """
-    nrows = row_count(spec)
     west = [lp(j) for j in range(nrows + 1)]
     east = [rp(j) for j in range(nrows + 1)]
     # each line's first and last position, or None for an empty line
@@ -631,98 +641,143 @@ def _assemble(
 # -- family tables -----------------------------------------------------------
 
 
-def _build_hex(spec: RegionSpec) -> Region:
+class _Table(NamedTuple):
+    """One family's row table for one spec, the one place its sides are
+    computed: ``rows`` rows, ``cells`` cells once built, the west and east
+    boundaries ``lp`` and ``rp`` of each line, the dent, barrier and tooth
+    ``keywords`` of ``_assemble``, and a ``check`` that ``build_region`` runs
+    on every region it builds from the table.
+
+    Line j holds c_j cells of each orientation, and row r the c_r down cells
+    of line r and the c_(r+1) up cells of line r + 1, so N rows hold
+    sum_(r<N) (c_r + c_(r+1)) cells before any dent is removed.  ``cells`` is
+    that sum in closed form, so the size of a spec is known before any region
+    is built, however large it is."""
+
+    rows: int
+    cells: int
+    lp: Callable[[int], int]
+    rp: Callable[[int], int]
+    keywords: dict
+    check: Optional[Callable[[Region], object]] = None
+
+
+def _hex_table(spec: RegionSpec) -> _Table:
     a, b, c = spec.a, spec.b, spec.c
-    return _assemble(
-        spec,
+    return _Table(
+        b + c,
+        2 * (a * b + b * c + c * a),
         lambda j: max(0, j - c) - min(j, c),
         lambda j: 2 * a + min(j, b) - max(0, j - b),
+        {},
     )
 
 
-def _build_semihex(spec: RegionSpec) -> Region:
+def _semihex_table(spec: RegionSpec) -> _Table:
+    # c_j = b + j for j <= a, less the a base dents
     a, b = spec.a, spec.b
-    return _assemble(
-        spec,
-        lambda j: -j,
-        lambda j: 2 * b + j,
-        base_dents=spec.dents,
+    return _Table(
+        a, 2 * a * b + a * a - a, lambda j: -j, lambda j: 2 * b + j, {"base_dents": spec.dents}
     )
 
 
-def _dented_hexagon(spec: RegionSpec, U, D, B) -> Region:
+def _hexagon_table(spec: RegionSpec, U, D, B) -> _Table:
     """The doubly dented hexagon on ``spec``'s x and y with up-dents ``U``,
-    down-dents ``D`` and barriers ``B`` on its whole axis, labelled ``spec``:
-    H passes its own sets, RS the doubled sets of ``_mirror_doubled``.  Its
-    axis has ``spec.axis_length`` positions either way."""
-    u, n = len(U), len(set(U) | set(D))
+    down-dents ``D`` and barriers ``B`` on its whole axis: H passes its own
+    sets, RS the doubled sets of ``_mirror_doubled``.  c_j = north + j for j
+    <= ne, then north + 2 ne - j down to line ne + se."""
+    u, d, n = len(U), len(D), len(set(U) | set(D))
     north = spec.x + n - u
-    ne = spec.y + u  # also the northwest side
-    return _assemble(
-        spec,
+    ne, se = spec.y + u, spec.y + d  # ne is also the northwest side
+    return _Table(
+        ne + se,
+        2 * north * ne + ne * ne + 2 * (north + ne) * se - se * se - u - d,
         lambda j: -j if j <= ne else j - 2 * ne,
         lambda j: 2 * north + (j if j <= ne else 2 * ne - j),
-        axis_line=ne,
-        axis_len=spec.axis_length,
-        dents_up=U,
-        dents_down=D,
-        barriers=B,
+        dict(axis_line=ne, axis_len=spec.x + spec.y + n, dents_up=U, dents_down=D, barriers=B),
     )
 
 
-def _build_h(spec: RegionSpec) -> Region:
-    return _dented_hexagon(spec, spec.U, spec.D, spec.B)
+def _h_table(spec: RegionSpec) -> _Table:
+    return _hexagon_table(spec, spec.U, spec.D, spec.B)
 
 
-def _build_halved(spec: RegionSpec) -> Region:
-    """F, Fbar, W and Wbar share one table; Fbar/Wbar sit one row lower on ℓ."""
-    u, n = spec.u, spec.n_removed
-    turn = 2 * spec.y + 2 * u - (spec.family in ("Fbar", "Wbar"))
-    north = spec.x + n - u
-    return _assemble(
-        spec,
+def _rs_table(spec: RegionSpec) -> _Table:
+    """H's table on the doubled sets, so the RS region is made in one step,
+    labelled ``spec``, with no second spec or region; ``mirror_constant``
+    checks the symmetry of every RS region built."""
+    return _hexagon_table(spec, *_mirror_doubled(spec))._replace(check=mirror_constant)
+
+
+def _zigzag_cells(north: int, turn: int, nrows: int) -> int:
+    """Cells of the table with a western zigzag: c_j = north + ceil(j / 2) up
+    to line ``turn`` and north + turn - floor(j / 2) after it, using
+    sum_(j<=m) ceil(j / 2) = floor((m + 1)^2 / 4) and sum_(j<=m) floor(j / 2)
+    = floor(m^2 / 4).  Needs turn <= nrows, which validation ensures."""
+    lines = (nrows + 1) * north + (turn + 1) ** 2 // 4
+    lines += (nrows - turn) * turn - nrows**2 // 4 + turn**2 // 4
+    return 2 * lines - north - (north + turn - nrows // 2)
+
+
+def _halved_table(spec: RegionSpec) -> _Table:
+    """F, Fbar, W and Wbar share one table; Fbar/Wbar sit one row lower on ℓ,
+    with one line fewer on each side of the axis."""
+    u, d = spec.u, spec.d
+    bar = spec.family in ("Fbar", "Wbar")
+    turn = 2 * (spec.y + u) - bar
+    rows = turn + 2 * (spec.y + d) - bar
+    north = spec.x + spec.n_removed - u
+    return _Table(
+        rows,
+        _zigzag_cells(north, turn, rows) - u - d,
         lambda j: -(j % 2),
         lambda j: 2 * north + min(j, turn) - max(0, j - turn),
-        axis_line=turn,
-        axis_len=spec.axis_length,
-        dents_up=spec.U,
-        dents_down=spec.D,
-        barriers=spec.B,
-        teeth=spec.family in ("W", "Wbar"),
+        {
+            "axis_line": turn,
+            "axis_len": spec.axis_length,
+            "dents_up": spec.U,
+            "dents_down": spec.D,
+            "barriers": spec.B,
+            "teeth": spec.family in ("W", "Wbar"),
+        },
     )
 
 
-def _build_l(spec: RegionSpec) -> Region:
-    return _assemble(
-        spec,
+def _l_table(spec: RegionSpec) -> _Table:
+    m, n = spec.m, spec.n
+    return _Table(
+        m,
+        _zigzag_cells(n, m, m) - (m + 1) // 2,
         lambda j: -(j % 2),
-        lambda j: 2 * spec.n + j,
-        base_dents=spec.dents,
-        teeth=spec.family == "Lbar",
+        lambda j: 2 * n + j,
+        {"base_dents": spec.dents, "teeth": spec.family == "Lbar"},
     )
 
 
-def _build_p(spec: RegionSpec) -> Region:
+def _p_table(spec: RegionSpec) -> _Table:
+    """The hexagon c, b, a, c, b, a less the staircase, which takes floor(j /
+    2) cells of each orientation from line j <= a and a - ceil(j / 2) from
+    line a <= j <= 2a: a(a - 1) cells in all."""
     a, b, c = spec.a, spec.b, spec.c
-
-    def lp(j):
-        return -(j % 2) if j <= 2 * a else j - 2 * a
-
-    region = _assemble(
-        spec,
-        lp,
-        lambda j: 2 * c + min(j, b) - max(0, j - b),
-        teeth=spec.family == "Pprime",
-    )
+    check = None
     if spec.family == "Pprime":
         # only the a staircase teeth carry weights; deeper rows of the west
         # boundary slant away and never form a tooth, so the generic rule
-        # already produced exactly a entries.
-        if len(region.weights) != a:
-            raise RuntimeError(
-                f"Pprime({a},{b},{c}) got {len(region.weights)} weighted teeth, want {a}"
-            )
-    return region
+        # already produces exactly a entries
+        def check(region: Region) -> None:
+            if len(region.weights) != a:
+                raise RuntimeError(
+                    f"Pprime({a},{b},{c}) got {len(region.weights)} weighted teeth, want {a}"
+                )
+
+    return _Table(
+        a + b,
+        2 * (a * b + b * c + c * a) - a * (a - 1),
+        lambda j: -(j % 2) if j <= 2 * a else j - 2 * a,
+        lambda j: 2 * c + min(j, b) - max(0, j - b),
+        {"teeth": spec.family == "Pprime"},
+        check,
+    )
 
 
 def mirror_positions(positions: Iterable[int], t: int) -> tuple[int, ...]:
@@ -749,82 +804,42 @@ def expand_rs(spec: RegionSpec) -> RegionSpec:
     return h_spec(spec.x, spec.y, *_mirror_doubled(spec))
 
 
-def _build_rs(spec: RegionSpec) -> Region:
-    """The RS region in one step: H's table on the doubled sets, labelled
-    ``spec``, with no second spec or region made.  ``mirror_constant``
-    checks the symmetry of the result."""
-    region = _dented_hexagon(spec, *_mirror_doubled(spec))
-    mirror_constant(region)
+_AXIS_FIELDS = ("x", "y"), ("U", "D", "B")
+
+# family -> (required fields, optional fields, table function); the one list
+# of the families, read by validation, the JSON round trip, build_region,
+# cell_count and row_count
+_FAMILY_TABLE = {
+    "Hex": (("a", "b", "c"), (), _hex_table),
+    "DentedSemihex": (("a", "b"), ("dents",), _semihex_table),
+    "H": (*_AXIS_FIELDS, _h_table),
+    "RS": (*_AXIS_FIELDS, _rs_table),
+    "F": (*_AXIS_FIELDS, _halved_table),
+    "Fbar": (*_AXIS_FIELDS, _halved_table),
+    "W": (*_AXIS_FIELDS, _halved_table),
+    "Wbar": (*_AXIS_FIELDS, _halved_table),
+    "L": (("m", "n"), ("dents",), _l_table),
+    "Lbar": (("m", "n"), ("dents",), _l_table),
+    "P": (("a", "b", "c"), (), _p_table),
+    "Pprime": (("a", "b", "c"), (), _p_table),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def build_region(spec: RegionSpec) -> Region:
+    """Construct the region described by ``spec``: its family's table,
+    assembled, then checked."""
+    rows, _, lp, rp, keywords, check = _FAMILY_TABLE[spec.family][2](spec)
+    region = _assemble(spec, rows, lp, rp, **keywords)
+    if check is not None:
+        check(region)
     return region
-
-
-# -- cell counts from the spec ------------------------------------------------
-#
-# A row table puts c_j cells of each orientation on line j, and row r holds
-# the c_r down cells of line r and the c_(r+1) up cells of line r + 1, so a
-# table of N rows has sum_(r<N) (c_r + c_(r+1)) cells before any dent is
-# removed.  The sums below are those, in closed form, so the size of a spec
-# is known before any region is built, however large it is.
-
-
-def _hex_cells(spec: RegionSpec) -> int:
-    a, b, c = spec.a, spec.b, spec.c
-    return 2 * (a * b + b * c + c * a)
-
-
-def _semihex_cells(spec: RegionSpec) -> int:
-    # c_j = b + j for j <= a, less the a base dents
-    a, b = spec.a, spec.b
-    return 2 * a * b + a * a - a
-
-
-def _hexagon_cells(north: int, ne: int, se: int) -> int:
-    # c_j = north + j for j <= ne, then north + 2 ne - j down to line ne + se
-    return 2 * north * ne + ne * ne + 2 * (north + ne) * se - se * se
-
-
-def _h_cells(spec: RegionSpec) -> int:
-    u, d = spec.u, spec.d
-    return _hexagon_cells(spec.x + spec.n_removed - u, spec.y + u, spec.y + d) - u - d
-
-
-def _rs_cells(spec: RegionSpec) -> int:
-    # the H region of expand_rs, whose dent sets are twice as large
-    u, d = 2 * spec.u, 2 * spec.d
-    return _hexagon_cells(spec.x + 2 * spec.n_removed - u, spec.y + u, spec.y + d) - u - d
-
-
-def _zigzag_cells(north: int, turn: int, nrows: int) -> int:
-    """Cells of the table with a western zigzag: c_j = north + ceil(j / 2) up
-    to line ``turn`` and north + turn - floor(j / 2) after it, using
-    sum_(j<=m) ceil(j / 2) = floor((m + 1)^2 / 4) and sum_(j<=m) floor(j / 2)
-    = floor(m^2 / 4).  Needs turn <= nrows, which validation ensures."""
-    lines = (nrows + 1) * north + (turn + 1) ** 2 // 4
-    lines += (nrows - turn) * turn - nrows**2 // 4 + turn**2 // 4
-    return 2 * lines - north - (north + turn - nrows // 2)
-
-
-def _halved_cells(spec: RegionSpec) -> int:
-    u, d = spec.u, spec.d
-    turn = 2 * spec.y + 2 * u - (spec.family in ("Fbar", "Wbar"))
-    return _zigzag_cells(spec.x + spec.n_removed - u, turn, row_count(spec)) - u - d
-
-
-def _l_cells(spec: RegionSpec) -> int:
-    return _zigzag_cells(spec.n, spec.m, spec.m) - (spec.m + 1) // 2
-
-
-def _p_cells(spec: RegionSpec) -> int:
-    # the hexagon c, b, a, c, b, a less the staircase, which takes
-    # floor(j / 2) cells of each orientation from line j <= a and a - ceil(j / 2)
-    # from line a <= j <= 2a: a(a - 1) cells in all
-    a = spec.a
-    return _hex_cells(spec) - a * (a - 1)
 
 
 def cell_count(spec: RegionSpec) -> int:
     """``len(build_region(spec))``, from the spec's fields alone, in closed form."""
-    return _FAMILY_TABLE[spec.family][3](spec)
+    return _FAMILY_TABLE[spec.family][2](spec).cells
 
 
 def row_count(spec: RegionSpec) -> int:
@@ -832,45 +847,7 @@ def row_count(spec: RegionSpec) -> int:
     a region takes time in its rows as well as its cells, and a table may
     have many rows and no cell: Hex(0, 0, c) has c rows.  An RS spec has the
     rows of its ``expand_rs`` table, whose dent sets are twice as large."""
-    return _FAMILY_TABLE[spec.family][4](spec)
-
-
-def _axis_rows(spec: RegionSpec) -> int:
-    # H: ne + se lines around the axis; F/W: 2(y + u) and 2(y + d) lines,
-    # one fewer each for Fbar/Wbar; RS: its H table
-    if spec.family == "H":
-        return 2 * spec.y + spec.u + spec.d
-    if spec.family == "RS":
-        return 2 * (spec.y + spec.u + spec.d)
-    return 4 * spec.y + 2 * (spec.u + spec.d) - 2 * (spec.family in ("Fbar", "Wbar"))
-
-
-_AXIS_FIELDS = ("x", "y"), ("U", "D", "B")
-
-# family -> (required fields, optional fields, builder, cell count, row
-# count); the one list of the families, read by validation, the JSON round
-# trip, build_region, cell_count and row_count
-_FAMILY_TABLE = {
-    "Hex": (("a", "b", "c"), (), _build_hex, _hex_cells, lambda s: s.b + s.c),
-    "DentedSemihex": (("a", "b"), ("dents",), _build_semihex, _semihex_cells, lambda s: s.a),
-    "H": (*_AXIS_FIELDS, _build_h, _h_cells, _axis_rows),
-    "RS": (*_AXIS_FIELDS, _build_rs, _rs_cells, _axis_rows),
-    "F": (*_AXIS_FIELDS, _build_halved, _halved_cells, _axis_rows),
-    "Fbar": (*_AXIS_FIELDS, _build_halved, _halved_cells, _axis_rows),
-    "W": (*_AXIS_FIELDS, _build_halved, _halved_cells, _axis_rows),
-    "Wbar": (*_AXIS_FIELDS, _build_halved, _halved_cells, _axis_rows),
-    "L": (("m", "n"), ("dents",), _build_l, _l_cells, lambda s: s.m),
-    "Lbar": (("m", "n"), ("dents",), _build_l, _l_cells, lambda s: s.m),
-    "P": (("a", "b", "c"), (), _build_p, _p_cells, lambda s: s.a + s.b),
-    "Pprime": (("a", "b", "c"), (), _build_p, _p_cells, lambda s: s.a + s.b),
-}
-
-FAMILIES = tuple(_FAMILY_TABLE)
-
-
-def build_region(spec: RegionSpec) -> Region:
-    """Construct the region described by ``spec``."""
-    return _FAMILY_TABLE[spec.family][2](spec)
+    return _FAMILY_TABLE[spec.family][2](spec).rows
 
 
 # -- reductions ---------------------------------------------------------------
@@ -1143,6 +1120,29 @@ def mirror_constant(region: Region) -> int:
     if region.weights and {mirror_edge(e, k): w for e, w in region.weights} != region.weight_map:
         raise InvalidSpec("weights are not mirror-symmetric")
     return k
+
+
+def fold_half(region: Region) -> Optional[Region]:
+    """The east half of a mirror-symmetric region, cut along its mirror
+    column, or None when that column cannot be covered.
+
+    In a symmetric tiling the cells of the mirror column can only pair
+    vertically among themselves, so the column must split, in layer order,
+    into unbarred vertical pairs: each a down cell at its up cell's code +
+    stride + 1.  Once those forced lozenges are fixed, the halves tile
+    independently and mirror each other.  The half is ``restrict``ed to the
+    codes east of the column.  Raises like ``mirror_constant`` on a region
+    that is not mirror-symmetric.
+    """
+    k = mirror_constant(region)
+    stride, _, index0, codes = region.codes
+    mid = k // 2 - index0
+    column = [c for c in codes if c % stride >> 1 == mid]  # in layer order
+    barred = {(region.code(u), region.code(d)) for u, d in region.barred}
+    pairs = zip(column[::2], column[1::2])
+    if len(column) % 2 or any(d != u + stride + 1 or (u, d) in barred for u, d in pairs):
+        return None
+    return restrict(region, (c for c in codes if c % stride >> 1 > mid))
 
 
 def mirror_cell(cell: TriangleCell, k: int) -> TriangleCell:

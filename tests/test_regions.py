@@ -178,7 +178,50 @@ def test_cell_count_matches_the_built_regions_on_the_digest_sweep():
         assert regions.cell_count(spec) == len(build_region(spec)), spec.describe()
 
 
-def test_cell_count_of_a_huge_spec_is_immediate():
+# one spec of every family on a scale k, with dent lists of about k positions;
+# its cells and rows are polynomials of degree at most 2 in k
+SCALED = {
+    "Hex": lambda k: hex_spec(k, 2 * k, 3 * k),
+    "DentedSemihex": lambda k: semihex_spec(k, 2 * k, range(1, 2 * k, 2)),
+    "H": lambda k: h_spec(k, k, range(1, 2 * k, 2), range(2, 2 * k + 1, 2), (2 * k + 1,)),
+    "RS": lambda k: rs_spec(2 * k, k, range(1, 2 * k, 2), range(2, 2 * k + 1, 2), (2 * k + 1,)),
+    **{
+        family: lambda k, family=family: RegionSpec(
+            family, x=k, y=k, U=range(1, 2 * k, 2), D=range(2, 2 * k + 1, 2), B=(2 * k + 1,)
+        )
+        for family in ("F", "Fbar", "W", "Wbar")
+    },
+    "L": lambda k: l_spec(2 * k, k, range(1, 2 * k, 2)),
+    "Lbar": lambda k: lbar_spec(2 * k, k, range(1, 2 * k, 2)),
+    "P": lambda k: p_spec(k, 2 * k, 3 * k),
+    "Pprime": lambda k: pprime_spec(k, 2 * k, 3 * k),
+}
+
+
+def test_cell_count_of_a_huge_spec_is_immediate(monkeypatch):
+    # every family's table sizes a spec without building it: the cells and
+    # rows of the built regions at k = 1, 2, 3 fix a quadratic, k = 4 checks
+    # it, and cell_count and row_count must give its value at a k whose
+    # region has about 10^11 cells, with nothing assembled
+    assert sorted(SCALED) == sorted(FAMILIES)
+    huge = 10**5
+    sizes = {}
+    for family, scaled in SCALED.items():
+        regions_k = [build_region(scaled(k)) for k in range(1, 5)]
+        layers = [r.codes[3][-1] // r.codes[0] + 1 for r in regions_k]
+        sizes[family] = [list(map(len, regions_k)), layers]
+    specs = {family: scaled(huge) for family, scaled in SCALED.items()}
+
+    def quadratic(f, k):  # through (1, f[0]), (2, f[1]), (3, f[2]), in Newton form
+        step, bend = f[1] - f[0], f[2] - 2 * f[1] + f[0]
+        return f[0] + (k - 1) * step + (k - 1) * (k - 2) // 2 * bend
+
+    monkeypatch.setattr(regions, "_assemble", None)
+    for family, spec in specs.items():
+        cells, layers = sizes[family]
+        assert quadratic(cells, 4) == cells[3] and quadratic(layers, 4) == layers[3], family
+        assert regions.cell_count(spec) == quadratic(cells, huge) > 10**10, family
+        assert regions.row_count(spec) == quadratic(layers, huge), family
     assert regions.cell_count(hex_spec(99999999999, 1, 1)) == 399999999998
     assert regions.cell_count(w_spec(10**12, 2, (1,), (2,))) > 10**13
     # a table of many rows and no cell
@@ -291,6 +334,17 @@ def test_rs_builds_the_relabelled_region_of_its_expansion():
         assert region.label is spec
         bars += len(region.barred)
     assert bars == 720
+
+
+def test_every_rs_build_checks_its_mirror(monkeypatch):
+    # the RS table carries mirror_constant as its check, run on every RS
+    # region built and on no other family's
+    checked = []
+    monkeypatch.setattr(regions, "mirror_constant", checked.append)
+    region = build_region(rs_spec(4, 2, (2,), (1,), (3,)))
+    assert checked == [region]
+    build_region(expand_rs(rs_spec(4, 2, (2,), (1,), (3,))))
+    assert checked == [region]
 
 
 def test_rs_expansion_values():
@@ -628,6 +682,40 @@ def test_spec_fields_are_normalized_or_refused():
         RegionSpec("Hex", a=1, b=1, c=1, U=[1])
     with pytest.raises(InvalidSpec, match="unknown field 'dents' for family F"):
         RegionSpec("F", x=1, y=1, dents=(1,))
+
+
+# each convenience constructor, valid arguments for it, and its arguments
+# that take a list of positions
+CONSTRUCTORS = [
+    (hex_spec, {"a": 1, "b": 1, "c": 1}, ()),
+    (semihex_spec, {"a": 1, "b": 1, "dents": (1,)}, ("dents",)),
+    (h_spec, {"x": 1, "y": 1}, ("U", "D", "B")),
+    (rs_spec, {"x": 2, "y": 1}, ("U", "D", "B")),
+    (f_spec, {"x": 1, "y": 1}, ("U", "D", "B")),
+    (fbar_spec, {"x": 1, "y": 1}, ("U", "D", "B")),
+    (w_spec, {"x": 1, "y": 1}, ("U", "D", "B")),
+    (wbar_spec, {"x": 1, "y": 1}, ("U", "D", "B")),
+    (l_spec, {"m": 2, "n": 1, "dents": (1,)}, ("dents",)),
+    (lbar_spec, {"m": 2, "n": 1, "dents": (1,)}, ("dents",)),
+    (p_spec, {"a": 1, "b": 1, "c": 1}, ()),
+    (pprime_spec, {"a": 1, "b": 1, "c": 1}, ()),
+]
+
+
+@pytest.mark.parametrize("bad", [5, "12"])
+def test_spec_constructors_refuse_bad_values_as_given(bad):
+    # the constructors hand their arguments to RegionSpec as given, so a bad
+    # value is refused by validation and named as the caller passed it: 5 in
+    # a list argument used to raise TypeError, and "12" was reported as
+    # ('1', '2').  Families without a list argument refuse "12" as a side.
+    assert sorted(make(**args).family for make, args, _ in CONSTRUCTORS) == sorted(FAMILIES)
+    tried = 0
+    for make, args, lists in CONSTRUCTORS:
+        for name in lists or ([] if isinstance(bad, int) else args):
+            with pytest.raises(InvalidSpec, match=re.escape(f"(got {bad!r})")):
+                make(**{**args, name: bad})
+            tried += 1
+    assert tried == (21 if isinstance(bad, int) else 30)
 
 
 def test_parse_spec_rejects_missing_field():

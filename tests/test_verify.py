@@ -22,7 +22,7 @@ from denthex import (
     run_suite,
     summary_table,
 )
-from denthex import verify
+from denthex import counting, regions, verify
 from denthex.verify import all_passed, fern_cases, probe_cases, write_reports
 
 DATA = Path(__file__).parent / "data"
@@ -205,6 +205,20 @@ def test_probe_truncates_on_cell_cap():
     report = asymptotic_probe(a, a, "F", 1, 1, nmax=3, cell_cap=40)
     assert report.truncated
     assert "cells" in report.note
+
+
+def test_probe_sizes_its_regions_before_building_any(monkeypatch):
+    # the cap is read from the spec's closed-form cell count: a probe whose
+    # first region is over the cap builds nothing at all
+    a = ClusterSpec((Cluster.from_pattern("UDU"), Cluster(0)), (2,))
+    cells = regions.cell_count(a.region_spec("F", 1, 1, 1))
+    built = []
+    monkeypatch.setattr(verify, "build_region", built.append)
+    monkeypatch.setattr(counting, "build_region", built.append)
+    report = asymptotic_probe(a, a, "F", 1, 1, nmax=3, cell_cap=cells - 1)
+    assert report.truncated and report.ratios == ()
+    assert report.note == f"truncated at N=0: region would have {cells} cells"
+    assert built == []
 
 
 def test_random_shuffle_cases_deterministic():
