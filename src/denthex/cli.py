@@ -4,9 +4,9 @@ Verbs: count, count-symmetric, ratio, verify, render, bench.  Region specs
 are JSON objects (one per line for JSONL files, or a single object / array);
 the schema is documented in the README.  Every verb that reads a spec, and
 ``bench``, refuses a region of more than ``--max-cells`` cells, or a row
-table of more rows, before any region is built: both sizes are read in
-closed form from the spec's family table (``regions.cell_count``,
-``regions.row_count``), the one that ``build_region`` assembles.
+table of more rows, before any region is built: ``regions.table_size``
+reads both sizes in closed form from the spec's family table, the one that
+``build_region`` assembles, made once per spec.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .regions import (
     InvalidSpec,
     RegionSpec,
     build_region,
-    cell_count,
     f_spec,
     h_spec,
     hex_spec,
@@ -44,11 +43,11 @@ from .regions import (
     normalize_positions,
     parse_spec,
     pprime_spec,
-    row_count,
     spec_to_dict,
+    table_size,
     w_spec,
 )
-from .verify import all_passed, check_shuffling, run_suite, summary_table, write_reports
+from .verify import SUITES, all_passed, check_shuffling, run_suite, summary_table, write_reports
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -180,13 +179,12 @@ def _brief(spec: RegionSpec) -> str:
 
 def _check_size(spec: RegionSpec, where: str, max_cells: int) -> None:
     # a table of many rows takes long to build even when it holds no cell
-    rows = row_count(spec)
+    rows, cells = table_size(spec)
     if rows > max_cells:
         raise SpecFileError(
             f"{where}: {_brief(spec)} has a table of {rows} rows, "
             f"more than --max-cells {max_cells}"
         )
-    cells = cell_count(spec)
     if cells > max_cells:
         raise SpecFileError(
             f"{where}: {_brief(spec)} has {cells} cells, more than --max-cells {max_cells}"
@@ -442,10 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ratio)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite",
-        choices=("shuffling", "kuo", "base", "decomposition", "fern", "asymptotic", "all"),
-    )
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--seed", type=int, default=None, help="case seed (not for fern, asymptotic)")
     p.add_argument("--budget", type=_int_at_least(1), default=None, help="cases per seeded suite")
     p.add_argument("--out", default=None, help="directory for report files")

@@ -10,12 +10,13 @@ signs follow a closed-form ray rule read off the region's cells, so dent
 holes, barriers, halved regions and hand-built regions need no special case:
 a region holds lattice cells only (``Region`` refuses any other), one
 honeycomb, where the rule is proved.
-``regions.kasteleyn_rows`` emits the signed rows in one sweep over the
-region's integer cell codes (``Region.codes``); the same sweep with plain
-weights is ``regions.lozenges``, so adjacency is decided in one place, and
-the rule and its proof live there.  The codes are a region's stored form and
-its cells a view of them: a count of a built region reads only the codes and
-makes no cell view.
+``regions.kasteleyn_rows`` is the one sweep: it emits the signed rows over
+the region's integer cell codes (``Region.codes``), and ``regions.lozenges``
+and the forced reduction read the absolute values of the same rows, which
+are the weights, so adjacency is decided in one place, and the rule and its
+proof live there.  The codes are a region's stored form and its cells a view
+of them: a count of a built region reads only the codes and makes no cell
+view.
 The determinant is taken over the whole region by fraction-free Bareiss
 elimination in integers, in one pass.  A row that holds a fractional weight
 is scaled to integers, and the scale is divided out at the end.  The weighted
@@ -178,31 +179,25 @@ def _weighted_abs_det(rows: list[dict], weighted: dict[int, dict]) -> Fraction:
     return Fraction(_bareiss_abs_det(rows, cols), den)
 
 
-def _det_count(region: Region) -> Fraction:
-    """Weighted matching count as |det| of the Kasteleyn-signed up x down matrix.
+def count_tilings(region: Region) -> Fraction:
+    """Exact weighted number of lozenge tilings (matchings of the dual graph),
+    as |det| of the Kasteleyn-signed up x down matrix.
 
     Rows are up cells and columns down cells, both in the region's sorted
-    ``order``, as ``regions.kasteleyn_rows`` emits them: a unit lozenge enters
-    as its sign alone, so the plain regions never touch a ``Fraction``.  An up
-    cell without a lozenge, or unequal numbers of up and down cells, leave the
-    matrix singular.  One elimination, ``_weighted_abs_det``, takes the
-    weighted rows first and their fractional columns first, so each 1/2
-    tooth of the weighted families is a unit pivot of one of its first steps.
+    ``order``, as ``regions.kasteleyn_rows`` emits them from ``Region.codes``,
+    so a count makes no cell view.  A unit lozenge enters as its sign alone,
+    so the plain regions never touch a ``Fraction``.  Unequal numbers
+    of up and down cells, or an up cell without a lozenge, leave the matrix
+    singular.  One elimination, ``_weighted_abs_det``, takes the weighted
+    rows first and their fractional columns first, so each 1/2 tooth of the
+    weighted families is a unit pivot of one of its first steps.
     """
+    if region.untileable:
+        return ZERO
     rows, weighted = kasteleyn_rows(region)
     if 2 * len(rows) != len(region) or not all(rows):
         return ZERO
     return _weighted_abs_det(rows, weighted)
-
-
-def count_tilings(region: Region) -> Fraction:
-    """Exact weighted number of lozenge tilings (matchings of the dual graph).
-
-    Read from ``Region.codes`` alone, so a count makes no cell view.
-    """
-    if region.untileable or not region.balanced:
-        return ZERO
-    return _det_count(region)
 
 
 _COUNT_CACHE: dict[RegionSpec, Fraction] = {}

@@ -4,16 +4,19 @@ Each family is generated from a per-line table of west/east boundary
 positions (in half-unit steps).  One table function per family (see
 ``_Table``) computes the family's sides from the spec once and returns the
 table's row count, its closed-form cell count, its boundaries and the dent,
-barrier and tooth keywords; ``build_region``, ``cell_count`` and
-``row_count`` all read that one function.  ``_assemble`` turns the table into
-runs of cells, one run per row and orientation, decides dents, barriers and
-weighted teeth on those runs, and translates each run into the first quadrant
-of the cell grid as one range of integer cell codes, checking the parity
-convention once per run.  The codes are a region's stored form
-(``Region.codes``): counting, ``restrict``, the forced reduction and the
-fold (``fold_half``) read only them, and ``cells`` and ``order`` are views
-made from them when the renderer or the search asks.  Conventions shared by
-every family:
+barrier and tooth keywords; ``build_region`` reads that one function, and
+``table_size`` sizes a spec from it without building anything.
+``_assemble`` turns the table into runs of cells, one run per row and
+orientation, decides dents, barriers and weighted teeth on those runs, and
+translates each run into the first quadrant of the cell grid as one range of
+integer cell codes, checking the parity convention once per run.  The codes
+are a region's stored form (``Region.codes``): counting, ``restrict``, the
+forced reduction and the fold (``fold_half``) read only them, and ``cells``
+and ``order`` are views made from them when the renderer or the search asks.
+``kasteleyn_rows`` is the one sweep that turns the codes into the dual graph,
+Kasteleyn-signed, with no plain-weight mode: the determinant reads its rows,
+and ``lozenges`` and the forced reduction their absolute values, which are
+the weights.  Conventions shared by every family:
 
 * Dent and barrier positions along the horizontal axis are 1-based, counted
   west to east over the axis' unit segments.
@@ -328,9 +331,10 @@ class Region:
 
     Two regions are equal, and hash equally, when they hold the same cells,
     weights, barred edges and untileable flag; ``label`` and ``axis`` do not
-    take part.  ``axis`` records, for families with a dent axis, the (up,
-    down) cell pair of every axis position after translation; dented cells
-    still appear here even though they are absent from ``cells``.
+    take part.  A built region has its spec as ``label`` and, for families
+    with a dent axis, the (up, down) cell pair of every axis position after
+    translation as ``axis``; dented cells still appear there even though they
+    are absent from ``cells``.  A hand-built region has None for both.
     """
 
     def __init__(
@@ -339,8 +343,6 @@ class Region:
         weights: tuple[tuple[Edge, Fraction], ...] = (),
         barred: frozenset[Edge] = frozenset(),
         untileable: bool = False,
-        label: Optional[RegionSpec] = None,
-        axis: Optional[tuple[tuple[Optional[TriangleCell], Optional[TriangleCell]], ...]] = None,
     ):
         cells = frozenset(cells)
         if bad := [c for c in cells if not is_canonical(c)]:
@@ -356,8 +358,8 @@ class Region:
             weights=weights,
             barred=barred,
             untileable=untileable,
-            label=label,
-            axis=axis,
+            label=None,
+            axis=None,
         )
 
     @classmethod
@@ -437,10 +439,6 @@ class Region:
     @cached_property
     def cells(self) -> frozenset[TriangleCell]:
         return frozenset(self.order)
-
-    @cached_property
-    def weight_map(self) -> dict[Edge, Fraction]:
-        return dict(self.weights)
 
     @property
     def down_count(self) -> int:
@@ -807,8 +805,8 @@ def expand_rs(spec: RegionSpec) -> RegionSpec:
 _AXIS_FIELDS = ("x", "y"), ("U", "D", "B")
 
 # family -> (required fields, optional fields, table function); the one list
-# of the families, read by validation, the JSON round trip, build_region,
-# cell_count and row_count
+# of the families, read by validation, the JSON round trip, build_region and
+# table_size
 _FAMILY_TABLE = {
     "Hex": (("a", "b", "c"), (), _hex_table),
     "DentedSemihex": (("a", "b"), ("dents",), _semihex_table),
@@ -837,17 +835,14 @@ def build_region(spec: RegionSpec) -> Region:
     return region
 
 
-def cell_count(spec: RegionSpec) -> int:
-    """``len(build_region(spec))``, from the spec's fields alone, in closed form."""
-    return _FAMILY_TABLE[spec.family][2](spec).cells
-
-
-def row_count(spec: RegionSpec) -> int:
-    """The number of rows of ``spec``'s table, from its fields alone.  Building
-    a region takes time in its rows as well as its cells, and a table may
-    have many rows and no cell: Hex(0, 0, c) has c rows.  An RS spec has the
-    rows of its ``expand_rs`` table, whose dent sets are twice as large."""
-    return _FAMILY_TABLE[spec.family][2](spec).rows
+def table_size(spec: RegionSpec) -> tuple[int, int]:
+    """``(rows, cells)`` of ``spec``'s table, from its fields alone, in closed
+    form: ``cells`` is ``len(build_region(spec))``.  Building a region takes
+    time in its rows as well as its cells, and a table may have many rows and
+    no cell: Hex(0, 0, c) has c rows.  An RS spec has the rows of its
+    ``expand_rs`` table, whose dent sets are twice as large."""
+    table = _FAMILY_TABLE[spec.family][2](spec)
+    return table.rows, table.cells
 
 
 # -- reductions ---------------------------------------------------------------
@@ -858,12 +853,15 @@ def row_count(spec: RegionSpec) -> int:
 _RAY_SIGNS = (1, -1)
 
 
-def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
-    """The dual graph in one pass over ``Region.codes``: one row per up cell
-    in sorted order, mapping the column of each admissible down neighbour
-    (its rank among the down cells in sorted order) to sign * weight, in
-    ``neighbors`` order (west, east, vertical).  Also returns the rows that
-    hold a weight, by row number.
+def kasteleyn_rows(region: Region) -> tuple[list[dict], dict[int, dict]]:
+    """The Kasteleyn-signed dual graph in one pass over ``Region.codes``: one
+    row per up cell in sorted order, mapping the column of each admissible
+    down neighbour (its rank among the down cells in sorted order) to sign *
+    weight, in ``neighbors`` order (west, east, vertical).  Also returns the
+    rows that hold a weight, by row number.  Every weight is a positive int
+    or ``Fraction``, so ``abs`` of an entry is the lozenge's weight: the
+    determinant reads the rows, ``lozenges`` and the forced reduction their
+    absolute values.
 
     The one place that decides which lozenges may be placed: both cells in
     the region and the edge not barred.  Neighbours are looked up by code in
@@ -872,10 +870,9 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
     cells are looked up by code in the same dicts, so an edge naming a cell
     outside the region changes nothing, and no cell view is made.
 
-    ``signs`` is indexed by the ray parity of an up cell (see below) and gives
-    the sign of its two same-layer lozenges; vertical lozenges take
-    ``signs[0]``.  The determinant takes ``_RAY_SIGNS``, ``lozenges`` plain
-    weights.
+    The signs come from ``_RAY_SIGNS``, indexed by the ray parity of an up
+    cell (see below): they give the sign of its two same-layer lozenges, and
+    vertical lozenges take the first.
 
     Why ``_RAY_SIGNS`` make the rows Kasteleyn.  The ray rule: a same-layer
     lozenge gets -1 when an odd number of its layer's lattice cells between
@@ -914,7 +911,7 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
     downs = [c for c in codes if c & 1]
     col = dict(zip(downs, range(len(downs))))
     neighbour = col.get
-    plus, minus = signs
+    plus, minus = _RAY_SIGNS
     below = stride + 1
     rows: list[dict] = []
     end = ref = 0  # where the current layer's codes end; (code >> 1) - rank of its first cell
@@ -949,7 +946,7 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
             i, j = lozenge(edge)
             if i >= 0:
                 del rows[i][j]
-        for edge, w in region.weight_map.items():
+        for edge, w in region.weights:
             i, j = lozenge(edge)
             if i >= 0:
                 rows[i][j] *= w
@@ -957,25 +954,20 @@ def _sweep(region: Region, signs: tuple) -> tuple[list[dict], dict[int, dict]]:
     return rows, weighted
 
 
-def kasteleyn_rows(region: Region) -> tuple[list[dict], dict[int, dict]]:
-    """``_sweep`` with the Kasteleyn signs: row i holds +-weight for each
-    lozenge of the i-th up cell, keyed by its down cell's column."""
-    return _sweep(region, _RAY_SIGNS)
-
-
 def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]]:
     """The admissible lozenges, i.e. the edges of the dual graph, as (up, down,
-    weight), read from ``_sweep``.  They come by up cell in sorted order, then
-    in ``neighbors`` order (west, east, vertical); the cells are the region's
-    own, and an unweighted lozenge carries ``ONE``.  The exhaustive search,
-    the reflective filter and the renderer work from this list, and the
-    forced reduction and the determinant from the same sweep's rows.
+    weight), read from ``kasteleyn_rows`` with the signs dropped.  They come
+    by up cell in sorted order, then in ``neighbors`` order (west, east,
+    vertical); the cells are the region's own, and an unweighted lozenge
+    carries the int 1.  The exhaustive search, the reflective filter and the
+    renderer work from this list, and the forced reduction and the
+    determinant from the same sweep's rows.
     """
-    rows, _ = _sweep(region, (ONE, ONE))
+    rows, _ = kasteleyn_rows(region)
     order = region.order
     ups = [c for c in order if not c[2]]
     downs = [c for c in order if c[2]]
-    return [(u, downs[j], w) for u, row in zip(ups, rows) for j, w in row.items()]
+    return [(u, downs[j], abs(w)) for u, row in zip(ups, rows) for j, w in row.items()]
 
 
 def restrict(region: Region, codes: Iterable[int], untileable: bool = False) -> Region:
@@ -1012,8 +1004,9 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
     ups = [c for c in codes if not c & 1]
     downs = [c for c in codes if c & 1]
     partners: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in codes}
-    for u, row in zip(ups, _sweep(region, (ONE, ONE))[0]):
+    for u, row in zip(ups, kasteleyn_rows(region)[0]):
         for j, w in row.items():
+            w = abs(w)
             partners[u].append((downs[j], w))
             partners[downs[j]].append((u, w))
     alive = set(codes)
@@ -1117,7 +1110,7 @@ def mirror_constant(region: Region) -> int:
                 raise InvalidSpec(f"region is not mirror-symmetric (cell {cell})")
     if region.barred and frozenset(mirror_edge(e, k) for e in region.barred) != region.barred:
         raise InvalidSpec("barriers are not mirror-symmetric")
-    if region.weights and {mirror_edge(e, k): w for e, w in region.weights} != region.weight_map:
+    if _sorted_weights((mirror_edge(e, k), w) for e, w in region.weights) != region.weights:
         raise InvalidSpec("weights are not mirror-symmetric")
     return k
 

@@ -48,11 +48,11 @@ from .regions import (
     RegionSpec,
     axis_midpoint_mirror,
     build_region,
-    cell_count,
     f_spec,
     mirror_positions,
     remove_forced_lozenges,
     rs_spec,
+    table_size,
 )
 
 ONE = Fraction(1)
@@ -103,15 +103,6 @@ class ProbeReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "consistent"
-
-    # keep the report shape uniform for the summary table
-    @property
-    def lhs(self) -> Optional[Fraction]:
-        return self.ratios[-1] if self.ratios else None
-
-    @property
-    def rhs(self) -> Fraction:
-        return self.limit
 
     def to_record(self) -> dict:
         return {
@@ -307,16 +298,13 @@ def check_shuffling(rs: RatioSpec, x: int, B: Sequence[int] = ()) -> Verificatio
         num, den = (
             count_spec(RegionSpec(rs.family, x=x, y=rs.y, U=U, D=D, B=B)) for U, D in pairs
         )
-    if den == 0:
-        return VerificationReport(
-            "shuffling", inputs, None, shuffle_ratio(rs), True,
-            vacuous=True, note="denominator count is 0",
-            elapsed=time.perf_counter() - t0,
-        )
-    lhs = num / den
     rhs = shuffle_ratio(rs)
+    vacuous = den == 0
+    lhs = None if vacuous else num / den
     return VerificationReport(
-        "shuffling", inputs, lhs, rhs, lhs == rhs, elapsed=time.perf_counter() - t0
+        "shuffling", inputs, lhs, rhs, vacuous or lhs == rhs,
+        vacuous=vacuous, note="denominator count is 0" if vacuous else "",
+        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -459,7 +447,7 @@ def asymptotic_probe(
     for scale in range(1, nmax + 1):
         spec_a = clusters.region_spec(family, x, y, scale)
         spec_b = shuffled.region_spec(family, x, y, scale)
-        cells = cell_count(spec_a)
+        _, cells = table_size(spec_a)
         if cells > cell_cap:
             truncated = True
             note = f"truncated at N={scale - 1}: region would have {cells} cells"

@@ -104,15 +104,35 @@ def test_max_cells_default_leaves_wide_margin():
     block = readme.split("## Spec files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     specs = [regions.parse_spec(json.loads(line)) for line in block.splitlines()]
     assert len(specs) >= 6
-    assert max(map(regions.cell_count, specs)) * 100 <= cli.MAX_CELLS
+    assert max(regions.table_size(spec)[1] for spec in specs) * 100 <= cli.MAX_CELLS
     assert 462 * 40 <= cli.MAX_CELLS
-    assert regions.cell_count(hex_spec(48, 48, 48)) <= cli.MAX_CELLS
+    assert regions.table_size(hex_spec(48, 48, 48))[1] <= cli.MAX_CELLS
 
 
 def test_max_cells_admits_a_region_of_exactly_that_size(tmp_path, capsys):
     path = write(tmp_path, "spec.json", {"family": "Hex", "a": 2, "b": 2, "c": 2})
     assert main(["count", path, "--max-cells", "24"]) == 0
     assert capsys.readouterr().out.startswith("20 ")
+
+
+def test_load_specs_makes_each_table_once(tmp_path, monkeypatch):
+    # the size check reads a spec's rows and cells from one table, made once
+    made = []
+    for family, (required, optional, table) in list(regions._FAMILY_TABLE.items()):
+
+        def counted(spec, table=table):
+            made.append(spec)
+            return table(spec)
+
+        monkeypatch.setitem(regions._FAMILY_TABLE, family, (required, optional, counted))
+    lines = [
+        {"family": "Hex", "a": 2, "b": 2, "c": 2},
+        {"family": "RS", "x": 2, "y": 1, "U": [1]},
+        {"family": "W", "x": 2, "y": 1, "U": [1], "D": [2]},
+    ]
+    path = write(tmp_path, "specs.jsonl", "\n".join(map(json.dumps, lines)))
+    specs = cli.load_specs(path)
+    assert made == [spec for _, spec in specs] and len(made) == 3
 
 
 def test_bench_refuses_a_rung_past_max_cells(capsys, monkeypatch):

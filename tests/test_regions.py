@@ -110,7 +110,7 @@ def test_region_accepts_positive_int_and_fraction_weights():
     region = build_region(hex_spec(1, 1, 1))
     edge = _edges(region)[0]
     for weight in (1, 3, Fraction(2, 5)):
-        assert Region(cells=region.cells, weights=((edge, weight),)).weight_map[edge] == weight
+        assert dict(Region(cells=region.cells, weights=((edge, weight),)).weights)[edge] == weight
 
 
 def test_region_equality_ignores_the_order_of_weights():
@@ -157,13 +157,13 @@ def test_cell_count_matches_the_built_regions_on_the_digest_sweep():
                 region = build_region(spec)
             except InvalidSpec:
                 continue
-            assert regions.cell_count(spec) == len(region), spec.describe()
+            assert regions.table_size(spec)[1] == len(region), spec.describe()
             stride, _, _, codes = region.codes
-            layers, rows = codes[-1] // stride + 1 if codes else 0, regions.row_count(spec)
+            layers, rows = codes[-1] // stride + 1 if codes else 0, regions.table_size(spec)[0]
             assert layers <= rows, spec.describe()
             full += layers == rows
             if family == "RS":
-                assert rows == regions.row_count(expand_rs(spec)), spec.describe()
+                assert rows == regions.table_size(expand_rs(spec))[0], spec.describe()
             built += 1
     assert built >= 5000 and full >= built - 30
     for spec in (
@@ -175,7 +175,7 @@ def test_cell_count_matches_the_built_regions_on_the_digest_sweep():
         lbar_spec(24, 12, range(1, 24, 2)),
         pprime_spec(8, 12, 8),
     ):
-        assert regions.cell_count(spec) == len(build_region(spec)), spec.describe()
+        assert regions.table_size(spec)[1] == len(build_region(spec)), spec.describe()
 
 
 # one spec of every family on a scale k, with dent lists of about k positions;
@@ -201,8 +201,8 @@ SCALED = {
 def test_cell_count_of_a_huge_spec_is_immediate(monkeypatch):
     # every family's table sizes a spec without building it: the cells and
     # rows of the built regions at k = 1, 2, 3 fix a quadratic, k = 4 checks
-    # it, and cell_count and row_count must give its value at a k whose
-    # region has about 10^11 cells, with nothing assembled
+    # it, and table_size must give its value at a k whose region has about
+    # 10^11 cells, with nothing assembled
     assert sorted(SCALED) == sorted(FAMILIES)
     huge = 10**5
     sizes = {}
@@ -220,14 +220,14 @@ def test_cell_count_of_a_huge_spec_is_immediate(monkeypatch):
     for family, spec in specs.items():
         cells, layers = sizes[family]
         assert quadratic(cells, 4) == cells[3] and quadratic(layers, 4) == layers[3], family
-        assert regions.cell_count(spec) == quadratic(cells, huge) > 10**10, family
-        assert regions.row_count(spec) == quadratic(layers, huge), family
-    assert regions.cell_count(hex_spec(99999999999, 1, 1)) == 399999999998
-    assert regions.cell_count(w_spec(10**12, 2, (1,), (2,))) > 10**13
+        assert regions.table_size(spec)[1] == quadratic(cells, huge) > 10**10, family
+        assert regions.table_size(spec)[0] == quadratic(layers, huge), family
+    assert regions.table_size(hex_spec(99999999999, 1, 1))[1] == 399999999998
+    assert regions.table_size(w_spec(10**12, 2, (1,), (2,)))[1] > 10**13
     # a table of many rows and no cell
     for spec in (hex_spec(0, 0, 99999999999), p_spec(0, 99999999999, 0)):
-        assert regions.cell_count(spec) == 0
-        assert regions.row_count(spec) == 99999999999
+        assert regions.table_size(spec)[1] == 0
+        assert regions.table_size(spec)[0] == 99999999999
 
 
 def test_half_made_and_refused_regions_repr():
@@ -381,7 +381,7 @@ def literal_mirror_constant(region: Region) -> int:
             raise InvalidSpec(f"region is not mirror-symmetric (cell {c})")
     if frozenset(regions.mirror_edge(e, k) for e in region.barred) != region.barred:
         raise InvalidSpec("barriers are not mirror-symmetric")
-    if {regions.mirror_edge(e, k): w for e, w in region.weights} != region.weight_map:
+    if {regions.mirror_edge(e, k): w for e, w in region.weights} != dict(region.weights):
         raise InvalidSpec("weights are not mirror-symmetric")
     return k
 

@@ -49,6 +49,23 @@ def test_check_shuffling_rs_example():
     assert report.rhs == Fraction(1, 2)
 
 
+def test_check_shuffling_vacuous_record():
+    # an RS region with odd x has no reflectively symmetric tiling, so the
+    # denominator is 0: the check passes as vacuous, with no lhs
+    rs = RatioSpec("RS-odd", (1,), (), (), (1,), 1)
+    record = check_shuffling(rs, x=1, B=()).to_record()
+    del record["elapsed_ms"]
+    assert record == {
+        "check": "shuffling",
+        "inputs": "RS-odd x=1 y=1 U=[1] D=[] U'=[] D'=[1] B=[]",
+        "lhs": None,
+        "rhs": "1",
+        "pass": True,
+        "vacuous": True,
+        "note": "denominator count is 0",
+    }
+
+
 def test_check_shuffling_barrier_independent():
     rs = RatioSpec("F", (1, 2), (3,), (2, 3), (1,), 1)
     reports = [check_shuffling(rs, x=2, B=bv) for bv in ((), (4,), (5,), (4, 5))]
@@ -211,7 +228,7 @@ def test_probe_sizes_its_regions_before_building_any(monkeypatch):
     # the cap is read from the spec's closed-form cell count: a probe whose
     # first region is over the cap builds nothing at all
     a = ClusterSpec((Cluster.from_pattern("UDU"), Cluster(0)), (2,))
-    cells = regions.cell_count(a.region_spec("F", 1, 1, 1))
+    _, cells = regions.table_size(a.region_spec("F", 1, 1, 1))
     built = []
     monkeypatch.setattr(verify, "build_region", built.append)
     monkeypatch.setattr(counting, "build_region", built.append)
