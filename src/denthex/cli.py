@@ -30,7 +30,7 @@ from .counting import (
     count_tilings_oracle,
     iter_tilings,
 )
-from .formulas import RatioSpec, ciucu, pp, quartered, shuffle_ratio
+from .formulas import RatioSpec, ciucu, pp, quartered
 from .regions import (
     InvalidSpec,
     RegionSpec,

@@ -25,7 +25,8 @@ rows and their fractional columns are eliminated first, so the row of each
 the unit pivot of its step: that step is the degree-2 vertex contraction of
 the dual graph, done by the one elimination.  A lozenge forced in every
 tiling is a row or column with a single entry, which the elimination strips
-as it goes.  The search below takes its edges from ``regions.lozenges``.
+as it goes.  The search below takes its edges from ``regions.lozenges``,
+and a tiling is a tuple of that list's ``(up, down, weight)`` entries.
 
 Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
@@ -48,13 +49,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .lattice import LozengePlacement, TriangleCell
+from .lattice import TriangleCell
 from .regions import (
-    ONE,
     InvalidSpec,
     Region,
     RegionSpec,
@@ -278,23 +276,6 @@ def count_tilings_oracle(region: Region, cap: int = 60) -> Fraction:
     return sum((math.prod(weights[e] for e in m) for m in _matchings(region, edges)), ZERO)
 
 
-@dataclass(frozen=True)
-class Tiling:
-    """A perfect matching of a region's dual graph."""
-
-    placements: tuple[LozengePlacement, ...]
-
-    @cached_property
-    def weight(self) -> Fraction:
-        w = ONE
-        for p in self.placements:
-            w *= p.weight
-        return w
-
-    def __len__(self) -> int:
-        return len(self.placements)
-
-
 def _capped(matchings: Iterator[tuple[int, ...]], cap: int) -> Iterator[tuple[int, ...]]:
     for i, m in enumerate(matchings):
         if i >= cap:
@@ -302,20 +283,26 @@ def _capped(matchings: Iterator[tuple[int, ...]], cap: int) -> Iterator[tuple[in
         yield m
 
 
-def iter_tilings(region: Region, cap: int) -> Iterator[Tiling]:
+# a lozenge as ``regions.lozenges`` lists it; a tiling is a tuple of them
+Lozenge = tuple[TriangleCell, TriangleCell, Fraction]
+
+
+def iter_tilings(region: Region, cap: int) -> Iterator[tuple[Lozenge, ...]]:
     """The tilings one at a time, in the order of ``enumerate_tilings``, so a
-    caller that wants the first few draws no more than those.
+    caller that wants the first few draws no more than those.  A tiling is a
+    tuple of ``lozenges(region)`` entries ``(up, down, weight)``, in placement
+    order; its weight is the product of theirs.
 
     Raises CapExceeded on drawing tiling number ``cap + 1``.
     """
     edges = lozenges(region)
-    placements = [LozengePlacement(*edge) for edge in edges]
     for m in _capped(_matchings(region, edges), cap):
-        yield Tiling(tuple(placements[e] for e in m))
+        yield tuple(edges[e] for e in m)
 
 
-def enumerate_tilings(region: Region, cap: int) -> list[Tiling]:
-    """All tilings in deterministic order (lexicographic by first free cell).
+def enumerate_tilings(region: Region, cap: int) -> list[tuple[Lozenge, ...]]:
+    """All tilings in deterministic order (lexicographic by first free cell),
+    each a tuple of ``lozenges(region)`` entries as ``iter_tilings`` yields it.
 
     Raises CapExceeded as soon as more than ``cap`` tilings exist.
     """

@@ -22,9 +22,7 @@ barriers refer to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -88,20 +86,3 @@ def neighbors(cell: TriangleCell) -> list[TriangleCell]:
     if vlayer >= 0:
         out.append(TriangleCell(vlayer, index, flip))
     return out
-
-
-@dataclass(frozen=True)
-class LozengePlacement:
-    """A lozenge covering an adjacent up/down cell pair."""
-
-    up: TriangleCell
-    down: TriangleCell
-    weight: Fraction = Fraction(1)
-
-    @property
-    def kind(self) -> str:
-        """``vertical``, ``left`` or ``right``, by where the down cell sits."""
-        if self.down.layer != self.up.layer:
-            return "vertical"
-        return "right" if self.down.index > self.up.index else "left"
-

@@ -959,9 +959,10 @@ def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]
     weight), read from ``kasteleyn_rows`` with the signs dropped.  They come
     by up cell in sorted order, then in ``neighbors`` order (west, east,
     vertical); the cells are the region's own, and an unweighted lozenge
-    carries the int 1.  The exhaustive search, the reflective filter and the
-    renderer work from this list, and the forced reduction and the
-    determinant from the same sweep's rows.
+    carries the int 1.  The exhaustive search and the reflective filter work
+    from this list, and a tiling is a tuple of its entries, which the
+    renderer reads; the forced reduction and the determinant work from the
+    same sweep's rows.
     """
     rows, _ = kasteleyn_rows(region)
     order = region.order

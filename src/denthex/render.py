@@ -1,11 +1,15 @@
-"""Deterministic ASCII and SVG pictures of regions and tilings."""
+"""Deterministic ASCII and SVG pictures of regions and tilings.
+
+A tiling is a tuple of ``regions.lozenges`` entries ``(up, down, weight)``,
+as ``counting.iter_tilings`` yields it; its weight is the product of theirs.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .counting import Tiling
+from .counting import Lozenge
 from .lattice import Orient, TriangleCell
 from .regions import Region
 
@@ -36,14 +40,13 @@ def region_ascii(region: Region) -> str:
     lines = [_header(region)]
     lo_l, hi_l, lo_i, hi_i = _bounds(region.cells)
     width = hi_i - lo_i + 1
+    grid = [[" "] * width for _ in range(hi_l - lo_l + 1)]
+    for c in region.order:
+        grid[c.layer - lo_l][c.index - lo_i] = "^" if c.orient is Orient.UP else "v"
     barrier_below: dict[int, set[int]] = {}
     for up, down in region.barred:
         barrier_below.setdefault(up.layer, set()).add(up.index)
-    for layer in range(lo_l, hi_l + 1):
-        row = [" "] * width
-        for c in region.cells:
-            if c.layer == layer:
-                row[c.index - lo_i] = "^" if c.orient is Orient.UP else "v"
+    for layer, row in enumerate(grid, lo_l):
         lines.append("".join(row).rstrip())
         marks = barrier_below.get(layer)
         if marks:
@@ -54,23 +57,30 @@ def region_ascii(region: Region) -> str:
     return "\n".join(lines)
 
 
+def _kind(up: TriangleCell, down: TriangleCell) -> str:
+    """``vertical``, ``left`` or ``right``, by where the down cell sits."""
+    if down.layer != up.layer:
+        return "vertical"
+    return "right" if down.index > up.index else "left"
+
+
 _KIND_CHAR = {"vertical": "I", "left": "L", "right": "R"}
 
 
-def tiling_ascii(region: Region, tiling: Tiling) -> str:
+def tiling_ascii(region: Region, tiling: tuple[Lozenge, ...]) -> str:
     """Both cells of each lozenge share a letter: I vertical, L/R leaning.
 
-    Weight-1/2 placements are lowercase.
+    Lozenges of weight other than 1 are lowercase.
     """
-    lines = [_header(region), f"tiling weight={tiling.weight}"]
+    lines = [_header(region), f"tiling weight={math.prod(w for _, _, w in tiling)}"]
     lo_l, hi_l, lo_i, hi_i = _bounds(region.cells)
     width = hi_i - lo_i + 1
     grid = [[" "] * width for _ in range(hi_l - lo_l + 1)]
-    for p in tiling.placements:
-        ch = _KIND_CHAR[p.kind]
-        if p.weight != 1:
+    for up, down, weight in tiling:
+        ch = _KIND_CHAR[_kind(up, down)]
+        if weight != 1:
             ch = ch.lower()
-        for c in (p.up, p.down):
+        for c in (up, down):
             grid[c.layer - lo_l][c.index - lo_i] = ch
     lines.extend("".join(row).rstrip() for row in grid)
     return "\n".join(lines)
@@ -162,19 +172,18 @@ def region_svg(region: Region) -> str:
     return _svg_document(body, region.cells.union(axis_cells))
 
 
-def tiling_svg(region: Region, tiling: Tiling) -> str:
+def tiling_svg(region: Region, tiling: tuple[Lozenge, ...]) -> str:
     fills = {"vertical": "#b8d8b8", "left": "#d8c8a8", "right": "#a8c0d8"}
-    body = [f"<!-- {_header(region)} tiling weight={tiling.weight} -->"]
-    for p in sorted(tiling.placements, key=lambda q: q.up):
-        pts_up = _corners(p.up)
-        pts_down = _corners(p.down)
-        merged = sorted(set(pts_up) | set(pts_down))
+    body = [f"<!-- {_header(region)} tiling weight={math.prod(w for _, _, w in tiling)} -->"]
+    # each up cell is in one lozenge, so the entries sort by their up cells
+    for up, down, weight in sorted(tiling):
+        merged = sorted(set(_corners(up)) | set(_corners(down)))
         # lozenge outline: union of the two triangles is a quadrilateral
         cx = sum(x for x, _ in merged) / len(merged)
         cy = sum(y for _, y in merged) / len(merged)
         quad = sorted(merged, key=lambda q: math.atan2(q[1] - cy, q[0] - cx))
-        body.append(_polygon(quad, fills[p.kind]))
-        if p.weight != 1:
-            body.append(_shaded_core(p.up, p.down))
+        body.append(_polygon(quad, fills[_kind(up, down)]))
+        if weight != 1:
+            body.append(_shaded_core(up, down))
     body.extend(_barrier_lines(region))
     return _svg_document(body, region.cells)

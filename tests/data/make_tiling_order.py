@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/data/make_tiling_order.py > tests/data/tiling_order.jsonl
 
 Each line holds a spec, the position of one tiling in the list
-``enumerate_tilings`` returns for it, and that tiling's placements in order, a
-placement as ``[up layer, up index, down layer, down index, weight]``.
+``enumerate_tilings`` returns for it, and that tiling's ``lozenges()`` entries
+in placement order, each as ``[up layer, up index, down layer, down index,
+weight]``.
 ``denthex render --tiling I`` names a tiling by its position in this list, so
 the order is part of the interface.  The committed file was written by the recursive search that
 came before the iterative one; the test that reads it pins the order across
@@ -28,10 +29,7 @@ SPECS = (
 def main() -> None:
     for spec in SPECS:
         for i, tiling in enumerate(enumerate_tilings(build_region(spec), cap=10_000)):
-            placements = [
-                [p.up.layer, p.up.index, p.down.layer, p.down.index, str(p.weight)]
-                for p in tiling.placements
-            ]
+            placements = [[u.layer, u.index, d.layer, d.index, str(w)] for u, d, w in tiling]
             line = {"spec": spec_to_dict(spec), "index": i, "placements": placements}
             sys.stdout.write(json.dumps(line, separators=(",", ":")) + "\n")
 

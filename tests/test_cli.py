@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from denthex import build_region, ciucu, cli, count_tilings, counting, hex_spec, pp, quartered, regions
+from denthex import build_region, ciucu, cli, counting, hex_spec, pp, quartered, regions
 from denthex.cli import main
-from denthex.render import region_ascii, region_svg, tiling_ascii, tiling_svg
+from denthex.lattice import down, up
+from denthex.render import _kind, region_ascii, region_svg, tiling_ascii, tiling_svg
 from denthex import enumerate_tilings, pprime_spec, h_spec, w_spec
 
 
@@ -662,10 +664,14 @@ def test_region_svg_shades_each_half_weight_slot():
     assert "#999999" not in region_svg(build_region(hex_spec(1, 1, 1)))
 
 
+def tiling_weight(tiling):
+    return math.prod(w for _, _, w in tiling)
+
+
 def test_tiling_svg_weighted_core():
     region = build_region(pprime_spec(1, 1, 1))
     tilings = enumerate_tilings(region, cap=10)
-    weighted = [t for t in tilings if t.weight != 1][0]
+    weighted = [t for t in tilings if tiling_weight(t) != 1][0]
     svg = tiling_svg(region, weighted)
     assert "#999999" in svg
 
@@ -680,8 +686,14 @@ def test_tiling_ascii_letters():
 
 def test_tiling_ascii_lowercases_half_weight_lozenges():
     region = build_region(pprime_spec(1, 1, 1))
-    weighted = [t for t in enumerate_tilings(region, cap=10) if t.weight != 1][0]
+    weighted = [t for t in enumerate_tilings(region, cap=10) if tiling_weight(t) != 1][0]
     assert tiling_ascii(region, weighted).splitlines()[1:] == ["tiling weight=1/2", "iLL", "iRR"]
+
+
+def test_lozenge_kinds():
+    assert _kind(up(1, 1), down(2, 1)) == "vertical"
+    assert _kind(up(1, 3), down(1, 2)) == "left"
+    assert _kind(up(1, 1), down(1, 2)) == "right"
 
 
 @pytest.mark.parametrize("field,value", [("x", True), ("x", 2.5), ("B", [4.0]), ("U", 1)])

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import sys
 import threading
@@ -932,8 +933,11 @@ def test_enumerate_unit_hexagon():
     region = build_region(hex_spec(1, 1, 1))
     tilings = enumerate_tilings(region, cap=10)
     assert len(tilings) == 2
-    assert all(len(t) == 3 for t in tilings)
-    covered = [sorted(c for p in t.placements for c in (p.up, p.down)) for t in tilings]
+    assert all(type(t) is tuple and len(t) == 3 for t in tilings)
+    # a tiling is a tuple of the region's own lozenges() entries
+    edges = lozenges(region)
+    assert all(entry in edges for t in tilings for entry in t)
+    covered = [sorted(c for u, d, _ in t for c in (u, d)) for t in tilings]
     assert all(cells == sorted(region.cells) for cells in covered)
 
 
@@ -964,7 +968,7 @@ def test_enumerate_cap_zero_on_tileable_region_errors():
 
 
 def test_enumeration_order_is_pinned():
-    # every tiling's placements, in the order enumerate_tilings returns them:
+    # every tiling's lozenges, in the order enumerate_tilings returns them:
     # ``render --tiling I`` names a tiling by its position in that order
     expected: dict[str, list] = {}
     for line in (DATA / "tiling_order.jsonl").read_text().splitlines():
@@ -978,10 +982,7 @@ def test_enumeration_order_is_pinned():
         region = build_region(parse_spec(json.loads(spec)))
         weighted += bool(region.weights)
         got = [
-            [
-                [p.up.layer, p.up.index, p.down.layer, p.down.index, str(p.weight)]
-                for p in t.placements
-            ]
+            [[u.layer, u.index, d.layer, d.index, str(w)] for u, d, w in t]
             for t in enumerate_tilings(region, cap=len(tilings))
         ]
         assert got == tilings, spec
@@ -998,9 +999,9 @@ def test_deep_search_has_no_recursion_limit():
 
 def test_tiling_weight_product():
     region = build_region(pprime_spec(1, 1, 1))
-    tilings = enumerate_tilings(region, cap=10)
-    assert sorted(t.weight for t in tilings) == [Fraction(1, 2), Fraction(1)]
-    assert sum(t.weight for t in tilings) == count_tilings(region)
+    weights = [math.prod(w for _, _, w in t) for t in enumerate_tilings(region, cap=10)]
+    assert sorted(weights) == [Fraction(1, 2), Fraction(1)]
+    assert sum(weights) == count_tilings(region)
 
 
 # -- reflective counting ---------------------------------------------------------------

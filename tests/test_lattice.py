@@ -1,11 +1,7 @@
-from fractions import Fraction
-
 from hypothesis import given
 from hypothesis import strategies as st
 
 from denthex.lattice import (
-    LozengePlacement,
-    Orient,
     TriangleCell,
     canonical_orient,
     down,
@@ -67,10 +63,3 @@ def test_at_most_one_vertical_neighbor(cell):
 def test_neighbors_are_canonical(cell):
     assert is_canonical(cell)
     assert all(is_canonical(n) for n in neighbors(cell))
-
-
-def test_lozenge_kinds():
-    assert LozengePlacement(up(1, 1), down(2, 1)).kind == "vertical"
-    assert LozengePlacement(up(1, 3), down(1, 2)).kind == "left"
-    assert LozengePlacement(up(1, 1), down(1, 2)).kind == "right"
-    assert LozengePlacement(up(1, 1), down(1, 2)).weight == Fraction(1)
