@@ -325,9 +325,11 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
 
     ``method="filter"`` enumerates all tilings (cap applies) and keeps the
     mirror-invariant ones; ``method="reduce"`` counts the halved hexagon the
-    symmetric tilings biject onto (falling back to the cell-level fold for
-    the degenerate even-y corners with no Fbar description).  Odd x admits no
-    symmetric tiling.
+    symmetric tilings biject onto, or folds the region cell by cell in the
+    corners that ``reduce_reflective`` refuses, y = 0 with U or D empty,
+    where one side of the axis has no rows.  The corner is told by the
+    spec's shape, so a reduction that fails on any other spec raises rather
+    than hiding behind the fold.  Odd x admits no symmetric tiling.
     """
     if spec.family != "RS":
         raise InvalidSpec("count_reflective expects an RS spec")
@@ -346,9 +348,7 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
             chosen = set(m)
             invariant += all(mirror[e] in chosen for e in m)
         return Fraction(invariant)
-    try:
-        halved = reduce_reflective(spec)
-    except InvalidSpec:
+    if spec.y == 0 and not (spec.U and spec.D):
         return _reflective_fold(build_region(spec))
-    return count_spec(halved)
+    return count_spec(reduce_reflective(spec))
 

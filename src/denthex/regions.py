@@ -307,8 +307,7 @@ def spec_to_dict(spec: RegionSpec) -> dict:
     required, optional = _FAMILY_TABLE[spec.family][:2]
     for key in sorted(required + optional):
         val = getattr(spec, key)
-        if val is not None:
-            out[key] = list(val) if isinstance(val, tuple) else val
+        out[key] = list(val) if isinstance(val, tuple) else val
     return out
 
 
@@ -502,6 +501,10 @@ def _assemble(
     ``canonical_orient`` call per run checks the parity convention for every
     cell of it.  Only the axis pairs and the cells of barred and weighted
     edges become ``TriangleCell``s.
+
+    The keywords are trusted: ``_validate_spec`` has refused every dent or
+    barrier off its line, on a side with no rows, or on a dent, so this
+    refuses nothing, and the test suite holds every table to those facts.
     """
     west = [lp(j) for j in range(nrows + 1)]
     east = [rp(j) for j in range(nrows + 1)]
@@ -515,48 +518,34 @@ def _assemble(
     ]
     removed: set[tuple] = set()
 
-    # axis positions -> (up, down) geo cells; sides missing when the region
-    # has no row on that side of the axis.  Both sides lie on line axis_line.
+    # axis positions -> (up, down) geo cells; a side is missing when the
+    # region has no row on that side of the axis, and then validation has
+    # left its dent set empty.  Both sides lie on line axis_line, which holds
+    # every position up to axis_len.
     axis_pairs: list[tuple[Optional[tuple], Optional[tuple]]] = []
     axis_refs = []
     if axis_line is not None:
-        base, end = west[axis_line], east[axis_line]
+        base = west[axis_line]
         up_line = axis_line - 1 if axis_line >= 1 else None
         down_line = axis_line if axis_line < nrows else None
         axis_pairs = [
             (
-                (up_line, p, UP) if up_line is not None and p < end else None,
-                (down_line, p, DOWN) if down_line is not None and p < end else None,
+                (up_line, p, UP) if up_line is not None else None,
+                (down_line, p, DOWN) if down_line is not None else None,
             )
             for p in range(base, base + 2 * axis_len, 2)
         ]
         if axis_pairs and any(axis_pairs[0]):
             axis_refs = [base]  # the least position of an axis cell
-        for p in dents_up:
-            cell = axis_pairs[p - 1][0]
-            if cell is None:
-                raise InvalidSpec(f"no up-pointing triangle at axis position {p}")
-            removed.add(cell)
-        for p in dents_down:
-            cell = axis_pairs[p - 1][1]
-            if cell is None:
-                raise InvalidSpec(f"no down-pointing triangle at axis position {p}")
-            removed.add(cell)
+        removed.update(axis_pairs[p - 1][0] for p in dents_up)
+        removed.update(axis_pairs[p - 1][1] for p in dents_down)
 
-    barred = []
-    for p in barriers:
-        up_cell, dn_cell = axis_pairs[p - 1]
-        if up_cell and dn_cell and up_cell not in removed and dn_cell not in removed:
-            barred.append((up_cell, dn_cell))
-        # otherwise the vertical lozenge is impossible anyway: vacuous barrier
+    # validation keeps B off U and D; a barrier with a side missing is vacuous
+    barred = [axis_pairs[p - 1] for p in barriers if all(axis_pairs[p - 1])]
 
-    # base dents for the trapezoid families (dents on the south line)
-    for s in base_dents:
-        p = west[nrows] + 2 * (s - 1)
-        cell = (nrows - 1, p, UP)
-        if nrows < 1 or p >= east[nrows] or cell in removed:
-            raise InvalidSpec(f"no up-pointing triangle at base position {s}")
-        removed.add(cell)
+    # base dents for the trapezoid families, on the south line, which holds
+    # every position up to the validated bound
+    removed.update((nrows - 1, west[nrows] + 2 * (s - 1), UP) for s in base_dents)
 
     # a tooth is the vertical pair at pos -1 across an odd line; both of its
     # cells lie on that line, so they are present when -1 is on its run

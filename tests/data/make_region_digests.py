@@ -7,7 +7,7 @@ dent sets of the trapezoid families, dent and barrier sets of up to two and
 one positions on the axis families, and the degenerate corners x = 0 and
 y = 0.  For each spec the digest takes the built region's label, sorted cells,
 weights (in their stored order), sorted barred edges, axis and untileable
-flag, or the error a spec that validates but cannot be built raises.
+flag; every spec that validates builds.
 
 The committed file was written by the cell-set builder that translated each
 geo cell on its own; the test that reads it pins the builder's output across

@@ -22,22 +22,30 @@ from denthex import verify
 from denthex.counting import clear_count_cache
 
 
-def suite_records(name: str) -> list[dict]:
-    """The records of one suite run from an empty memo, without ``elapsed_ms``."""
-    clear_count_cache()
-    records = [report.to_record() for report in verify.run_suite(name)]
+def bare_records(reports) -> list[dict]:
+    """The report records, each without ``elapsed_ms``."""
+    records = [report.to_record() for report in reports]
     for record in records:
         del record["elapsed_ms"]
     return records
 
 
-def suite_digest(name: str) -> dict:
+def suite_records(name: str) -> list[dict]:
+    """The records of one suite run from an empty memo, without ``elapsed_ms``."""
+    clear_count_cache()
+    return bare_records(verify.run_suite(name))
+
+
+def records_digest(name: str, records: list[dict]) -> dict:
     h = hashlib.sha256()
-    records = suite_records(name)
     for record in records:
         h.update(json.dumps(record, separators=(",", ":")).encode())
         h.update(b"\n")
     return {"suite": name, "records": len(records), "sha256": h.hexdigest()}
+
+
+def suite_digest(name: str) -> dict:
+    return records_digest(name, suite_records(name))
 
 
 def main() -> int:

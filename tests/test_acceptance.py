@@ -6,11 +6,8 @@ everywhere except criterion 12, which is a trend probe by design.
 
 import itertools
 import random
-from fractions import Fraction
 
 from denthex import (
-    Cluster,
-    ClusterSpec,
     RegionSpec,
     asymptotic_probe,
     build_region,

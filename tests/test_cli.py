@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import runpy
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -458,6 +460,12 @@ def test_verify_budget_one_runs_one_check(capsys):
     assert "total=1" in capsys.readouterr().out
 
 
+def test_verify_all_takes_a_seed_and_budget_for_the_seeded_suites(capsys):
+    # four seeded suites of 2 checks each, then fern's 40 and asymptotic's 20
+    assert main(["verify", "all", "--seed", "1", "--budget", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total=68 pass=68 fail=0 vacuous=0"
+
+
 def test_count_symmetric_rejects_negative_cap(tmp_path, capsys):
     path = write(tmp_path, "rs.json", {"family": "RS", "x": 2, "y": 1, "U": [1]})
     with pytest.raises(SystemExit) as exit_info:
@@ -466,6 +474,25 @@ def test_count_symmetric_rejects_negative_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "argument --cap: must be at least 0 (got -1)" in err
     assert "exceeded" not in err
+
+
+@pytest.mark.parametrize("verb", ["count-symmetric", "render"])
+def test_cap_must_be_an_integer(tmp_path, capsys, verb):
+    path = write(tmp_path, "rs.json", {"family": "RS", "x": 2, "y": 1, "U": [1]})
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, path, "--cap", "1.5"])
+    assert exit_info.value.code == 2
+    assert "argument --cap: invalid int value: '1.5'" in capsys.readouterr().err
+
+
+def test_python_m_denthex_runs_the_cli(tmp_path, capsys, monkeypatch):
+    # `python -m denthex` runs cli.main on the command line and exits with its status
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 2, "b": 2, "c": 2})
+    monkeypatch.setattr(sys, "argv", ["denthex", "count", path])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("denthex", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == "20  [Hex(a=2, b=2, c=2) cells=24 up=12 down=12 balanced=True]\n"
 
 
 def test_render_rejects_negative_cap(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import random
@@ -37,6 +38,7 @@ from denthex import (
     pp,
     pprime_spec,
     quartered,
+    reduce_reflective,
     remove_forced_lozenges,
     rs_spec,
     semihex_spec,
@@ -793,10 +795,7 @@ def test_hand_built_regions_rebuild_the_built_ones():
     rebuilt = 0
     for family in FAMILIES:
         for spec in sweep_specs(family):
-            try:
-                region = build_region(spec)
-            except InvalidSpec:
-                continue
+            region = build_region(spec)
             hand = Region(
                 cells=frozenset(sorted(region.cells)),
                 weights=region.weights,
@@ -1016,6 +1015,39 @@ def test_count_reflective_methods_agree():
         rs_spec(2, 0, (), (1,)),  # degenerate Fbar corner, fold fallback
     ):
         assert count_reflective(spec, "filter") == count_reflective(spec, "reduce")
+
+
+def test_count_reflective_folds_only_where_reduce_reflective_refuses(monkeypatch):
+    # the fold is taken by the spec's shape, y = 0 with U or D empty, which is
+    # exactly where reduce_reflective has no halved hexagon; a reduction that
+    # broke on any other spec must raise, or c10 (filter == reduce) could not
+    # see it behind the fold
+    corners, others = [], []
+    positions = [()] + [(p,) for p in range(1, 5)] + list(itertools.combinations(range(1, 5), 2))
+    for x, y, U, D in itertools.product((0, 2, 4), range(4), positions, positions):
+        try:
+            spec = rs_spec(x, y, U, D)
+        except InvalidSpec:
+            continue
+        corner = spec.y == 0 and not (spec.U and spec.D)
+        try:
+            reduce_reflective(spec)
+        except InvalidSpec as refusal:
+            assert corner, f"{spec.describe()}: {refusal}"
+        else:
+            assert not corner, spec.describe()
+        (corners if corner else others).append(spec)
+    assert len(corners) == 35 and len(others) == 1093
+
+    def broken(spec):
+        raise InvalidSpec("the reduction broke")
+
+    monkeypatch.setattr(counting, "reduce_reflective", broken)
+    for spec in corners:
+        assert count_reflective(spec, "reduce") == count_reflective(spec, "filter"), spec
+    for spec in others:
+        with pytest.raises(InvalidSpec, match="the reduction broke"):
+            count_reflective(spec, "reduce")
 
 
 def test_count_reflective_known_values():

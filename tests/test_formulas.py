@@ -141,6 +141,8 @@ def test_h2_values():
     assert h2(5) == 6  # 1!3!
     assert h2(7) == 720  # 1!3!5!
     assert h2(2501) == h2(2499) * factorial(2499)  # deeper than the recursion limit
+    with pytest.raises(InvalidSpec, match="^h2 requires a nonnegative argument$"):
+        h2(-1)
 
 
 def test_proctor_trivials_and_edges():
@@ -148,6 +150,8 @@ def test_proctor_trivials_and_edges():
     assert proctor(1, 1, 1) == 2
     with pytest.raises(InvalidSpec):
         proctor(2, 1, 1)
+    with pytest.raises(InvalidSpec, match="^ciucu requires a <= b$"):
+        ciucu(2, 1, 1)
 
 
 def test_proctor_matches_oracle():
@@ -226,6 +230,8 @@ def test_quartered_values():
     assert quartered("L-even", ()) == 1
     with pytest.raises(InvalidSpec):
         quartered("L-odd", ())
+    with pytest.raises(InvalidSpec, match="^Lbar-odd requires at least one dent$"):
+        quartered("Lbar-odd", ())
     with pytest.raises(InvalidSpec):
         quartered("L-flat", (1,))
 

@@ -1,10 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package, a test file or a test data script
+imports is used in that file.
 
-The package has no linter, so this test is the guard against dead imports:
-each costs a reader a search for a caller that does not exist.  A name
-counts as used when the module loads it anywhere (code or annotation).
-``__init__.py`` only re-exports, and ``from __future__`` imports switch on
-features, so both are exempt.
+The repository has no linter, so this test is the guard against dead
+imports: each costs a reader a search for a caller that does not exist.  A
+name counts as used when the file loads it anywhere (code or annotation).
+The package's ``__init__.py`` only re-exports, and ``from __future__``
+imports switch on features, so both are exempt.
 """
 
 import ast
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "denthex"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "denthex"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py")) + sorted((TESTS / "data").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +38,10 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_modules_are_found():
-    assert {p.name for p in MODULES} >= {"cli.py", "counting.py", "regions.py", "render.py"}
+    names = {p.name for p in MODULES}
+    assert names >= {"cli.py", "counting.py", "regions.py", "render.py"}
+    assert names >= {"test_acceptance.py", "test_hygiene.py", "make_region_digests.py"}
+    assert len(names) == len(MODULES)  # the test ids are the file names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -113,6 +114,17 @@ def test_region_accepts_positive_int_and_fraction_weights():
         assert dict(Region(cells=region.cells, weights=((edge, weight),)).weights)[edge] == weight
 
 
+def test_region_is_immutable_and_equal_only_to_regions():
+    region = build_region(hex_spec(1, 1, 1))
+    with pytest.raises(AttributeError, match=r"^Region is immutable \(cannot set 'label'\)$"):
+        region.label = None
+    with pytest.raises(AttributeError, match=r"^Region is immutable \(cannot delete 'codes'\)$"):
+        del region.codes
+    assert region.label == hex_spec(1, 1, 1)
+    assert region.__eq__(region.codes) is NotImplemented
+    assert region != region.codes and not region == region.cells
+
+
 def test_region_equality_ignores_the_order_of_weights():
     # reversing the six weights of a W region gave a region that was neither
     # equal nor of equal hash, although its weight map and count agreed
@@ -153,10 +165,7 @@ def test_cell_count_matches_the_built_regions_on_the_digest_sweep():
     built = full = 0
     for family in FAMILIES:
         for spec in maker.sweep_specs(family):
-            try:
-                region = build_region(spec)
-            except InvalidSpec:
-                continue
+            region = build_region(spec)
             assert regions.table_size(spec)[1] == len(region), spec.describe()
             stride, _, _, codes = region.codes
             layers, rows = codes[-1] // stride + 1 if codes else 0, regions.table_size(spec)[0]
@@ -255,10 +264,7 @@ def test_built_reduced_and_folded_regions_hold_only_lattice_cells(monkeypatch):
     built = 0
     for family in FAMILIES:
         for spec in maker.sweep_specs(family):
-            try:
-                region = build_region(spec)
-            except InvalidSpec:
-                continue
+            region = build_region(spec)
             assert lattice_only(region), spec.describe()
             built += 1
     assert built >= 5000
@@ -470,6 +476,12 @@ def test_rejects_duplicate_positions():
 def test_rejects_out_of_range_dents():
     with pytest.raises(InvalidSpec, match="<= x\\+y\\+n"):
         f_spec(1, 1, (4,), ())  # axis is 1+1+1 = 3
+    # the base line of DentedSemihex(a, b) holds a + b positions, and that of
+    # L(m, n) n + floor((m+1)/2)
+    with pytest.raises(InvalidSpec, match=r"^dents positions must be <= 3 \(got 4\)$"):
+        semihex_spec(2, 1, (1, 4))
+    with pytest.raises(InvalidSpec, match=r"^dents positions must be <= 4 \(got 5\)$"):
+        l_spec(3, 2, (1, 5))
 
 
 def test_rejects_barrier_overlap():
@@ -616,6 +628,9 @@ def test_forced_reduction_flags_untileable():
     reduced, _ = remove_forced_lozenges(barred)
     assert reduced.untileable
     assert count_tilings(barred) == 0
+    # a region already flagged is returned as it is, with factor 1
+    again, factor = remove_forced_lozenges(reduced)
+    assert again is reduced and factor == 1
 
 
 def test_forced_reduction_idempotent():
@@ -726,38 +741,89 @@ def test_parse_spec_rejects_missing_field():
 def test_parse_spec_rejects_unknown_family():
     with pytest.raises(InvalidSpec, match="family"):
         parse_spec({"family": "Q", "x": 1})
+    with pytest.raises(InvalidSpec, match="^unknown family 'X'$"):
+        RegionSpec("X")
+    with pytest.raises(InvalidSpec, match="^spec must be an object, got list$"):
+        parse_spec([{"family": "Hex", "a": 1, "b": 1, "c": 1}])
+
+
+@pytest.mark.parametrize("name", ["expand_rs", "axis_midpoint_mirror", "reduce_reflective"])
+def test_rs_helpers_refuse_other_families(name):
+    with pytest.raises(InvalidSpec, match=f"^{name} expects an RS spec$"):
+        getattr(regions, name)(h_spec(2, 1, (1,), (2,)))
+
+
+def test_only_axis_families_have_an_axis_length():
+    assert h_spec(2, 1, (1,), (2,)).axis_length == 5
+    with pytest.raises(InvalidSpec, match="^Hex has no dent axis$"):
+        hex_spec(1, 1, 1).axis_length
+
+
+def random_spec(rng: random.Random, family: str) -> RegionSpec:
+    """A valid ``family`` spec of small sides, drawn from ``rng``."""
+    def small() -> int:
+        return rng.randint(0, 6)
+
+    if family in ("Hex", "P", "Pprime"):
+        b = small()
+        a = rng.randint(0, b) if family != "Hex" else small()
+        return RegionSpec(family, a=a, b=b, c=small())
+    if family in ("DentedSemihex", "L", "Lbar"):
+        if family == "DentedSemihex":
+            fields = {"a": small(), "b": small()}
+            k, top = fields["a"], fields["a"] + fields["b"]
+        else:
+            fields = {"m": rng.randint(0, 9), "n": small()}
+            k = (fields["m"] + 1) // 2
+            top = fields["n"] + k
+        return RegionSpec(family, dents=rng.sample(range(1, top + 1), k), **fields)
+    x, y, n = small(), rng.randint(0, 4), rng.randint(0, 4)
+    top = (x + y + 2 * n) // 2 if family == "RS" else x + y + n
+    dented = rng.sample(range(1, top + 1), min(n, top))
+    sides = [rng.choice(("U", "D", "UD")) for _ in dented]
+    U = [p for p, side in zip(dented, sides) if "U" in side]
+    D = [p for p, side in zip(dented, sides) if "D" in side]
+    free = [p for p in range(1, top + 1) if p not in dented]
+    B = rng.sample(free, rng.randint(0, min(len(free), x // 2 if family == "RS" else x)))
+    if family in ("Fbar", "Wbar") and (y + len(U) < 1 or y + len(D) < 1):
+        y = 1
+    return RegionSpec(family, x=x, y=y, U=U, D=D, B=B)
 
 
 @st.composite
 def valid_specs(draw):
     family = draw(st.sampled_from(FAMILIES))
-    small = st.integers(0, 6)
-    if family in ("Hex", "P", "Pprime"):
-        b = draw(small)
-        a = draw(st.integers(0, b)) if family != "Hex" else draw(small)
-        return RegionSpec(family, a=a, b=b, c=draw(small))
-    if family in ("DentedSemihex", "L", "Lbar"):
-        if family == "DentedSemihex":
-            fields = {"a": draw(small), "b": draw(small)}
-            k, top = fields["a"], fields["a"] + fields["b"]
+    return random_spec(draw(st.randoms(use_true_random=False)), family)
+
+
+def test_every_table_holds_the_positions_validation_admits():
+    # _assemble trusts its table: it takes every axis position up to axis_len
+    # to lie on the axis line, a U or D dent to have rows on its side, a base
+    # dent to lie on the base line and no barrier to sit on a dent.  Check
+    # those facts on the tables themselves, for the digest sweep and 10^4
+    # seeded random specs of every axis and trapezoid family, RS on its
+    # doubled sets
+    families = [f for f in FAMILIES if f not in ("Hex", "P", "Pprime")]
+    rng = random.Random(20241019)
+    drawn = [random_spec(rng, families[i % len(families)]) for i in range(10**4)]
+    maker = _load_digest_maker()
+    checked = 0
+    for spec in [s for f in families for s in maker.sweep_specs(f)] + drawn:
+        rows, _, lp, rp, keywords, _ = regions._FAMILY_TABLE[spec.family][2](spec)
+        named = spec.describe()
+        if "axis_line" in keywords:
+            line, length = keywords["axis_line"], keywords["axis_len"]
+            U, D, B = keywords["dents_up"], keywords["dents_down"], keywords["barriers"]
+            assert 0 <= line <= rows and rp(line) - lp(line) >= 2 * length, named
+            assert all(1 <= p <= length for p in (*U, *D, *B)), named
+            assert (not U or line >= 1) and (not D or line < rows), named
+            assert not set(B) & (set(U) | set(D)), named
         else:
-            fields = {"m": draw(st.integers(0, 9)), "n": draw(small)}
-            k = (fields["m"] + 1) // 2
-            top = fields["n"] + k
-        dents = draw(st.permutations(range(1, top + 1)))[:k]
-        return RegionSpec(family, dents=tuple(dents), **fields)
-    x, y, n = draw(small), draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    top = (x + y + 2 * n) // 2 if family == "RS" else x + y + n
-    dented = draw(st.permutations(range(1, top + 1)))[:n]
-    sides = [draw(st.sampled_from(("U", "D", "UD"))) for _ in dented]
-    U = [p for p, side in zip(dented, sides) if "U" in side]
-    D = [p for p, side in zip(dented, sides) if "D" in side]
-    free = [p for p in range(1, top + 1) if p not in dented]
-    most = min(len(free), x // 2 if family == "RS" else x)
-    B = draw(st.lists(st.sampled_from(free), max_size=most, unique=True)) if most else []
-    if family in ("Fbar", "Wbar") and (y + len(U) < 1 or y + len(D) < 1):
-        y = 1
-    return RegionSpec(family, x=x, y=y, U=tuple(U), D=tuple(D), B=tuple(B))
+            dents = keywords["base_dents"]
+            assert not dents or (rows >= 1 and dents[0] >= 1), named
+            assert not dents or rp(rows) - lp(rows) >= 2 * dents[-1], named
+        checked += 1
+    assert checked >= 10**4 + 5000
 
 
 @given(valid_specs())

@@ -18,6 +18,7 @@ from denthex import (
     check_shuffling,
     f_spec,
     fbar_spec,
+    h_spec,
     random_shuffle_cases,
     run_suite,
     summary_table,
@@ -83,6 +84,14 @@ def test_check_kuo_rejects_y_zero():
         check_kuo_recurrence(f_spec(2, 0, (1,), (2,)))
 
 
+def test_kuo_counts_refusals():
+    with pytest.raises(InvalidSpec, match="^kuo_counts expects an F or Fbar spec$"):
+        verify.kuo_counts(h_spec(2, 1, (1,), (2,)))
+    # F(0, 1) with U = {1}, D = {2} leaves only axis position 3 free
+    with pytest.raises(InvalidSpec, match="^kuo_counts needs at least two free axis positions$"):
+        verify.kuo_counts(f_spec(0, 1, (1,), (2,)))
+
+
 def test_check_base_cases_y0():
     assert check_base_cases(f_spec(2, 0, (1, 3), (2,))).passed
     assert check_base_cases(fbar_spec(2, 0, (1, 3), (2,))).passed
@@ -102,6 +111,13 @@ def test_check_base_cases_empty_up_side():
 def test_check_base_cases_rejects_non_base():
     with pytest.raises(InvalidSpec, match="not a base case"):
         check_base_cases(f_spec(2, 1, (1,), (2,)))
+
+
+def test_split_checks_refuse_other_families():
+    with pytest.raises(InvalidSpec, match="^check_base_cases expects an F or Fbar spec$"):
+        check_base_cases(h_spec(2, 0, (1,), (2,)))
+    with pytest.raises(InvalidSpec, match="^check_decomposition expects an F spec$"):
+        check_decomposition(fbar_spec(1, 1, (2,), (1,)))
 
 
 def test_check_decomposition():
@@ -141,6 +157,12 @@ def test_cluster_validation():
         Cluster(2, U=(1, 2), B=(2,))
     c = Cluster.from_pattern("UDB")
     assert (c.U, c.D, c.B) == ((1,), (2,), (3,))
+    with pytest.raises(InvalidSpec, match="^cluster pattern may contain only U, D and B$"):
+        Cluster.from_pattern("UX")
+    with pytest.raises(InvalidSpec, match="^need exactly one gap between consecutive clusters$"):
+        ClusterSpec((c, Cluster(0)), (1, 2))
+    with pytest.raises(InvalidSpec, match="^gaps must be positive$"):
+        ClusterSpec((c, Cluster(0)), (0,))
 
 
 def test_fern_single_dent_no_forced():
@@ -202,6 +224,21 @@ def test_probe_rejects_layout_mismatch():
     b = ClusterSpec((Cluster.from_pattern("UD"), Cluster(0)), (2,))
     with pytest.raises(InvalidSpec):
         asymptotic_probe(a, b, "F", 0, 1)
+
+
+def test_probe_refusals():
+    C = Cluster.from_pattern
+    a = ClusterSpec((C("UD"), Cluster(0)), (1,))
+    with pytest.raises(InvalidSpec, match="^unknown probe family 'H'$"):
+        asymptotic_probe(a, a, "H", 0, 1)
+    uu = ClusterSpec((C("UU"), Cluster(0)), (1,))
+    with pytest.raises(InvalidSpec, match="^shuffled clusters must preserve size, u, d and b counts$"):
+        asymptotic_probe(a, uu, "F", 0, 1)
+    # on Fbar a side with no dent would be a quartered hexagon of -1 rows
+    d = ClusterSpec((C("D"), Cluster(0)), (1,))
+    message = "^Fbar probe needs at least one dent of each orientation per cluster$"
+    with pytest.raises(InvalidSpec, match=message):
+        asymptotic_probe(d, d, "Fbar", 0, 1)
 
 
 def test_cluster_layout_must_fill_the_axis():
@@ -307,15 +344,55 @@ def test_run_suite_unknown_name():
         run_suite("nonsense")
 
 
-def test_suite_digests_are_pinned():
-    # per suite, a digest of every report record but its elapsed_ms, each
-    # suite run from an empty memo; see tests/data/make_verify_digests.py
+def _digest_maker():
     path = DATA / "make_verify_digests.py"
     spec = importlib.util.spec_from_file_location("make_verify_digests", path)
     maker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(maker)
+    return maker
+
+
+def _pinned_digests() -> list[dict]:
     lines = (DATA / "verify_digests.jsonl").read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
+    return [json.loads(line) for line in lines]
+
+
+def test_suite_digests_are_pinned():
+    # per suite, a digest of every report record but its elapsed_ms, each
+    # suite run from an empty memo; see tests/data/make_verify_digests.py
+    maker = _digest_maker()
+    records = _pinned_digests()
     assert [r["suite"] for r in records] == list(verify.SUITES)
     for record in records:
         assert maker.suite_digest(record["suite"]) == record
+
+
+def test_run_suite_all_runs_the_six_suites_in_order():
+    # "all" is the six suites' reports in SUITES order, each slice the
+    # pinned records of its suite at the default seeds
+    maker = _digest_maker()
+    records = maker.bare_records(run_suite("all"))
+    assert len(records) == 394
+    start = 0
+    for pinned in _pinned_digests():
+        end = start + pinned["records"]
+        assert maker.records_digest(pinned["suite"], records[start:end]) == pinned
+        start = end
+    assert start == len(records)
+
+
+def test_run_suite_all_seeds_only_the_seeded_suites():
+    # a seed and budget reach the four seeded suites; fern and asymptotic
+    # keep their fixed cases
+    maker = _digest_maker()
+    records = maker.bare_records(run_suite("all", seed=1, budget=2))
+    seeded = [
+        record
+        for name in ("shuffling", "kuo", "base", "decomposition")
+        for record in maker.bare_records(run_suite(name, seed=1, budget=2))
+    ]
+    assert len(seeded) == 8 and len(records) == 68
+    assert records[:8] == seeded
+    pinned = {p["suite"]: p for p in _pinned_digests()}
+    assert maker.records_digest("fern", records[8:48]) == pinned["fern"]
+    assert maker.records_digest("asymptotic", records[48:]) == pinned["asymptotic"]
