@@ -94,43 +94,39 @@ def _loads(text: str, lineno: int):
 def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionSpec]]:
     """Parse a spec file; returns (line, spec) pairs.
 
-    Accepts a single JSON object, a JSON array of objects, or JSON lines.  A
-    spec of more than ``max_cells`` cells is refused with its line.
+    The first line that is neither blank nor a ``#`` comment sets the form:
+    one starting with ``[`` opens a JSON array of objects, one holding a
+    whole JSON value starts JSON lines, and any other opens one object over
+    several lines.  Each spec, and each refusal, names the line the spec
+    starts on; a spec of more than ``max_cells`` cells is refused.
     """
     text = _read_text(path)
-    stripped = text.strip()
-    if not stripped:
+    if not text.strip():
         raise SpecFileError("line 1: empty spec file")
-    if stripped.startswith("["):  # an array, never JSON lines, which hold objects
-        whole = _loads(text, 1)
-    else:
-        try:
-            whole = json.loads(stripped)
-        except (ValueError, RecursionError):
-            # JSON lines, read again line by line below, when the first spec
-            # line holds a whole value; otherwise one object spread over
-            # several lines, refused at the line where the parser stops
-            lines = (line.strip() for line in text.split("\n"))
-            first = next((line for line in lines if line and not line.startswith("#")), None)
-            if first is not None and not _is_value(first):
-                _loads(text, 1)
-            whole = None
-    if isinstance(whole, dict):
-        return [(1, _parse_or_raise(whole, 1, max_cells))]
-    if isinstance(whole, list):
-        return [
-            (line, _parse_or_raise(obj, line, max_cells)) for line, obj in _array_items(text)
-        ]
-    out = []
     # only "\n" ends a line, as in _read_text and _load_ratio (not a form feed)
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((lineno, _parse_or_raise(_loads(line, lineno), lineno, max_cells)))
-    if not out:
+    lines = text.split("\n")
+    spec_lines = (
+        (lineno, stripped)
+        for lineno, line in enumerate(lines, start=1)
+        if (stripped := line.strip()) and not stripped.startswith("#")
+    )
+    start, first = next(spec_lines, (1, ""))
+    if not first:
         raise SpecFileError("line 1: no region specs found")
-    return out
+    array = first.startswith("[")
+    if not array and _is_value(first):
+        return [
+            (n, _parse_or_raise(_loads(line, n), n, max_cells))
+            for n, line in ((start, first), *spec_lines)
+        ]
+    rest = "\n".join(lines[start - 1 :])
+    whole = _loads(rest, start)
+    if array:
+        return [
+            (line, _parse_or_raise(obj, line, max_cells))
+            for line, obj in _array_items(rest, start)
+        ]
+    return [(start, _parse_or_raise(whole, start, max_cells))]
 
 
 def _is_value(line: str) -> bool:
@@ -146,10 +142,11 @@ def _is_value(line: str) -> bool:
 _JSON_SEPARATOR = re.compile(r"[ \t\n\r]*,?[ \t\n\r]*")
 
 
-def _array_items(text: str) -> list[tuple[int, object]]:
+def _array_items(text: str, line: int) -> list[tuple[int, object]]:
     """(line, element) for each element of the JSON array ``text``, which is
-    known to parse, with the line the element starts on."""
-    decoder, out, line, seen = json.JSONDecoder(), [], 1, 0
+    known to parse and starts on line ``line``, with the line the element
+    starts on."""
+    decoder, out, seen = json.JSONDecoder(), [], 0
     pos = _JSON_SEPARATOR.match(text, text.index("[") + 1).end()
     while text[pos] != "]":
         line, seen = line + text.count("\n", seen, pos), pos

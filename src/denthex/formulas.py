@@ -135,7 +135,9 @@ def delta(positions, kind: str) -> int:
     return out
 
 
-QUARTERED_VARIANTS = ("L-even", "L-odd", "Lbar-even", "Lbar-odd")
+# quartered variant -> the halved family it quarters
+_QUARTERED_HALVES = {"L-even": "F", "L-odd": "Fbar", "Lbar-even": "W", "Lbar-odd": "Wbar"}
+QUARTERED_VARIANTS = tuple(_QUARTERED_HALVES)
 
 
 def quartered(variant: str, dents) -> Fraction:
@@ -146,30 +148,23 @@ def quartered(variant: str, dents) -> Fraction:
     Lbar-even   Lbar(2k, n):  2^-k * prod(a_j-a_i) * prod_{i<=j}(a_i+a_j-1) / h2(2k+1)
     Lbar-odd    Lbar(2k-1,n): prod(a_j-a_i) * prod_{i<j}(a_i+a_j-2) / h2(2k)
 
-    The value does not depend on n.  Empty dent sets are allowed for the even
-    variants (the region is empty, count 1).
+    Each is the ratio term of the halved family it quarters (F, Fbar, W and
+    Wbar in that order, see ``_RATIO_TERMS``) at y = 0, which L-even also
+    multiplies by a_1...a_k and Lbar-even by 2^-k.  The value does not
+    depend on n.  Empty dent sets are allowed for the even variants (the
+    region is empty, count 1).
     """
     a = normalize_positions(dents)
+    if variant not in QUARTERED_VARIANTS:
+        raise InvalidSpec(
+            f"unknown quartered variant {variant!r}; expected one of {QUARTERED_VARIANTS}"
+        )
     k = len(a)
-    if variant == "L-even":
-        num = 1
-        for v in a:
-            num *= v
-        num *= delta(a, "Squares")  # = prod(diff) * prod(sum)
-        return Fraction(num, h2(2 * k + 1))
-    if variant == "L-odd":
-        if k == 0:
-            raise InvalidSpec("L-odd requires at least one dent")
-        return Fraction(delta(a, "OddShift"), h2(2 * k))
-    if variant == "Lbar-even":
-        return Fraction(delta(a, "WeightedTri"), 2**k * h2(2 * k + 1))
-    if variant == "Lbar-odd":
-        if k == 0:
-            raise InvalidSpec("Lbar-odd requires at least one dent")
-        return Fraction(delta(a, "EvenShift"), h2(2 * k))
-    raise InvalidSpec(
-        f"unknown quartered variant {variant!r}; expected one of {QUARTERED_VARIANTS}"
-    )
+    if k == 0 and variant.endswith("odd"):
+        raise InvalidSpec(f"{variant} requires at least one dent")
+    kind, _, b = _RATIO_TERMS[_QUARTERED_HALVES[variant]]
+    num = delta(a, kind) * (prod(a) if variant == "L-even" else 1)
+    return Fraction(num, h2(2 * k + b) << (k if variant == "Lbar-even" else 0))
 
 
 RATIO_FAMILIES = ("H", "RS-odd", "RS-even", "F", "Fbar", "W", "Wbar")

@@ -7,12 +7,13 @@ table's row count, its closed-form cell count, its boundaries and the dent,
 barrier and tooth keywords; ``build_region`` reads that one function, and
 ``table_size`` sizes a spec from it without building anything.
 ``_assemble`` turns the table into runs of cells, one run per row and
-orientation, decides dents, barriers and weighted teeth on those runs, and
-translates each run into the first quadrant of the cell grid as one range of
-integer cell codes, checking the parity convention once per run.  The codes
-are a region's stored form (``Region.codes``): counting, ``restrict``, the
-forced reduction and the fold (``fold_half``) read only them, and ``cells``
-and ``order`` are views made from them when the renderer or the search asks.
+orientation, decides dents, barriers and weighted teeth on those runs,
+splits each run at its dented cells, and translates each run into the first
+quadrant of the cell grid as one range of integer cell codes, checking the
+parity convention once per run.  The codes are a region's stored form
+(``Region.codes``): counting, ``restrict``, the forced reduction and the
+fold (``fold_half``) read only them, and ``cells`` and ``order`` are views
+made from them when the renderer or the search asks.
 ``kasteleyn_rows`` is the one sweep that turns the codes into the dual graph,
 Kasteleyn-signed, with no plain-weight mode: the determinant reads its rows,
 and ``lozenges`` and the forced reduction their absolute values, which are
@@ -87,9 +88,7 @@ def _is_int(value) -> bool:
     return hasattr(type(value), "__index__") and not isinstance(value, bool)
 
 
-def normalize_positions(
-    value, name: str = "positions", *, upper: int | None = None
-) -> tuple[int, ...]:
+def normalize_positions(value, name: str = "positions") -> tuple[int, ...]:
     if value is None:
         value = ()
     try:
@@ -103,8 +102,6 @@ def normalize_positions(
         raise InvalidSpec(f"{name} must be strictly increasing (duplicate position)")
     if tup and tup[0] < 1:
         raise InvalidSpec(f"{name} positions must be >= 1")
-    if upper is not None and tup and tup[-1] > upper:
-        raise InvalidSpec(f"{name} positions must be <= {upper} (got {tup[-1]})")
     return tup
 
 
@@ -233,11 +230,15 @@ def _validate_spec(s: RegionSpec) -> None:
         raise InvalidSpec("P/Pprime: the staircase cut requires a <= b")
     if "dents" in optional:
         if s.family == "DentedSemihex":
-            k, upper, rule = s.a, s.a + s.b, f"a={s.a}"
+            k, rule, upper, bound = s.a, f"a={s.a}", s.a + s.b, "a+b"
         else:  # L, Lbar
             k = (s.m + 1) // 2
-            upper, rule = s.n + k, f"floor((m+1)/2)={k}"
-        dents = normalize_positions(s.dents, "dents", upper=upper)
+            rule, upper, bound = f"floor((m+1)/2)={k}", s.n + k, "n+floor((m+1)/2)"
+        dents = normalize_positions(s.dents, "dents")
+        if dents and dents[-1] > upper:
+            raise InvalidSpec(
+                f"{s.family}: dents positions must be <= {bound} = {upper} (got {dents[-1]})"
+            )
         if len(dents) != k:
             raise InvalidSpec(f"{s.family}: exactly {rule} dents required (got {len(dents)})")
         set_attr(s, "dents", dents)
@@ -492,15 +493,15 @@ def _assemble(
     r and its up cells on line r + 1, each a run (layer, first pos, last pos,
     orient) of positions stepping by 2 from ``lp`` of that line to the last
     one before its ``rp``.  Dents, barriers and teeth are decided on the runs
-    and a small ``removed`` set of geo cells.  The shift into the
-    first quadrant is taken from the first present cell of each run and the
-    axis cells, dented or not.  Each run, trimmed to its present ends, is one
-    ``range`` of codes with step 4 (see ``Region.codes``); one sort merges
-    the runs and the removed cells are dropped by code, so no cell of the
-    region is made.  A run's positions share one parity, so one
-    ``canonical_orient`` call per run checks the parity convention for every
-    cell of it.  Only the axis pairs and the cells of barred and weighted
-    edges become ``TriangleCell``s.
+    and a small ``removed`` set of geo cells, and each run is split at its
+    removed cells, so that the runs hold present cells only.  The shift into
+    the first quadrant is taken from the first cell of each run and the axis
+    cells, dented or not.  Each run is one ``range`` of codes with step 4
+    (see ``Region.codes``) and one sort merges the runs, so no cell of the
+    region is made, nor the code of a removed one.  A run's positions share
+    one parity, so one ``canonical_orient`` call per run checks the parity
+    convention for every cell of it.  Only the axis pairs and the cells of
+    barred and weighted edges become ``TriangleCell``s.
 
     The keywords are trusted: ``_validate_spec`` has refused every dent or
     barrier off its line, on a side with no rows, or on a dent, so this
@@ -557,18 +558,19 @@ def _assemble(
                 if removed.isdisjoint(pair) and pair not in barred:
                     weighted.append(pair)
 
-    # trim each run to its first and last present cell; cells removed inside
-    # a run are dropped by code below
-    present = runs
-    if removed:
-        present = []
-        for layer, first, last, o in runs:
-            while first <= last and (layer, first, o) in removed:
-                first += 2
-            while last > first and (layer, last, o) in removed:
-                last -= 2
-            if first <= last:
-                present.append((layer, first, last, o))
+    # split each run at its removed cells, which validation keeps on the run,
+    # so every run holds present cells only
+    cuts: dict[tuple, list[int]] = {}
+    for layer, p, o in sorted(removed):
+        cuts.setdefault((layer, o), []).append(p)
+    present = []
+    for layer, first, last, o in runs:
+        for p in cuts.get((layer, o), ()):
+            if first < p:
+                present.append((layer, first, p - 2, o))
+            first = p + 2
+        if first <= last:
+            present.append((layer, first, last, o))
 
     # translate into the first quadrant with the parity convention
     firsts = [run[1] for run in present]
@@ -580,7 +582,7 @@ def _assemble(
         shift = 1
 
     # each run is one range of codes with step 4, and the runs come sorted,
-    # so one sort merges them; removed cells are then dropped by code
+    # so one sort merges them
     stride, layer0, index0, codes = 4, 0, 0, []
     if present:
         layer0 = present[0][0]
@@ -596,13 +598,6 @@ def _assemble(
             for layer, first, last, o in present
         ]
         codes = sorted(chain.from_iterable(ranges))
-        for layer, p, o in removed:
-            # a removed cell west or east of every present one has no code
-            if 0 <= 2 * (p + shift - index0) < stride - 2:
-                c = layer * stride + 2 * p + o - base
-                i = bisect_left(codes, c)
-                if i < len(codes) and codes[i] == c:
-                    del codes[i]
 
     new = tuple.__new__
 

@@ -521,15 +521,9 @@ def _random_shuffle_group(rng: random.Random, family: str):
         U2, D2 = split()
         if family == "RS-even" and y == 0 and not (U and D and U2 and D2):
             continue
-        if family in ("Fbar", "Wbar") and (
-            y + len(U) < 1 or y + len(D) < 1 or y + len(U2) < 1 or y + len(D2) < 1
-        ):
-            continue
         rs = RatioSpec(family, U, D, U2, D2, y)
         free = [p for p in universe if p not in chosen]
         bmax = x // 2 if rs_family else x
-        if bmax < 1 or len(free) < 2:
-            continue
         variants = [(), (free[0],), (free[1],)]
         if bmax >= 2 and rng.random() < 0.5:
             variants[2] = (free[0], free[1])
@@ -578,9 +572,7 @@ def random_kuo_specs(seed: int, budget: int) -> list[RegionSpec]:
             D = U[-1:]
         # the y-1 shifted regions keep D but lose a row pair, so Fbar needs
         # y + d >= 2 for all six condensation regions to exist
-        if family == "Fbar" and (y + len(U) < 1 or y + len(D) < 2):
-            continue
-        if len(free) < 2:
+        if family == "Fbar" and y + len(D) < 2:
             continue
         nb = rng.randint(0, min(x - 1, len(free) - 2))
         B = tuple(sorted(rng.sample(free[1:-1], nb))) if nb else ()
@@ -605,12 +597,8 @@ def random_base_case_specs(seed: int, budget: int) -> list[RegionSpec]:
         U, D, free = _draw_dents(rng, x + y + n, n, 0.5)
         if family == "Fbar" and (y + len(U) < 1 or y + len(D) < 1):
             continue
-        if kind == "xb":
-            if len(free) < x + y:  # need x barriers and y free spots
-                continue
-            B = tuple(sorted(rng.sample(free, x)))
-        else:
-            B = tuple(sorted(rng.sample(free, rng.randint(0, min(x, len(free))))))
+        # the x + y free positions hold x barriers, or up to x when y = 0
+        B = tuple(sorted(rng.sample(free, x if kind == "xb" else rng.randint(0, x))))
         out.append(RegionSpec(family, x=x, y=y, U=U, D=D, B=B))
     return out
 
@@ -623,7 +611,7 @@ def random_decomposition_specs(seed: int, budget: int) -> list[RegionSpec]:
         n = rng.randint(1, 3)
         x = rng.randint(1, max(1, 6 - y - n))
         U, D, free = _draw_dents(rng, x + y + n, n, 0.5)
-        nb = rng.randint(0, min(x, max(0, len(free) - y)))
+        nb = rng.randint(0, x)
         B = tuple(sorted(rng.sample(free, nb))) if nb else ()
         out.append(f_spec(x, y, U, D, B))
     return out

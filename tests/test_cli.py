@@ -298,6 +298,42 @@ def test_pretty_printed_object_syntax_error_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("2  [Hex(a=1, b=1, c=1) ")
 
 
+ONE_LINE_OBJECT = '{"family": "Hex", "a": -1, "b": 1, "c": 1}\n'
+PRETTY_OBJECT = '{\n  "family": "Hex",\n  "a": -1,\n  "b": 1, "c": 1\n}\n'
+
+
+@pytest.mark.parametrize("prefix", ["\n\n", "# a comment\n"], ids=["blank-lines", "comment"])
+@pytest.mark.parametrize("obj", [ONE_LINE_OBJECT, PRETTY_OBJECT], ids=["one-line", "pretty"])
+def test_single_object_after_skipped_lines_names_its_line(tmp_path, capsys, prefix, obj):
+    # the line of the object's "{" names it, whatever blank or comment lines come first
+    line = prefix.count("\n") + 1
+    for verb in SPEC_VERBS:
+        assert main([verb, write(tmp_path, "spec.json", prefix + obj)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {line}: a must be a nonnegative integer (got -1)\n"
+    good = write(tmp_path, "good.json", prefix + obj.replace("-1", "2"))
+    assert cli.load_specs(good) == [(line, hex_spec(2, 1, 1))]
+    # a syntax error inside the object names its own line
+    bad = write(tmp_path, "bad.json", prefix + obj.replace('"b"', ',"b"'))
+    assert main(["count", bad]) == 2
+    b_line = line + obj[: obj.index('"b"')].count("\n")
+    expected = f"error: line {b_line}: Expecting property name enclosed in double quotes\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_array_after_a_comment_names_the_lines_of_its_elements(tmp_path):
+    text = """# two hexagons
+[
+  {"family": "Hex", "a": 1, "b": 1, "c": 1},
+  {"family": "Hex", "a": 2, "b": 2, "c": 2}
+]
+"""
+    assert cli.load_specs(write(tmp_path, "specs.json", text)) == [
+        (3, hex_spec(1, 1, 1)),
+        (4, hex_spec(2, 2, 2)),
+    ]
+
+
 def test_json_lines_syntax_error_names_its_line(tmp_path, capsys):
     lines = """{"family": "Hex", "a": 1, "b": 1, "c": 1}
 # a comment

@@ -478,9 +478,13 @@ def test_rejects_out_of_range_dents():
         f_spec(1, 1, (4,), ())  # axis is 1+1+1 = 3
     # the base line of DentedSemihex(a, b) holds a + b positions, and that of
     # L(m, n) n + floor((m+1)/2)
-    with pytest.raises(InvalidSpec, match=r"^dents positions must be <= 3 \(got 4\)$"):
+    with pytest.raises(
+        InvalidSpec, match=r"^DentedSemihex: dents positions must be <= a\+b = 3 \(got 4\)$"
+    ):
         semihex_spec(2, 1, (1, 4))
-    with pytest.raises(InvalidSpec, match=r"^dents positions must be <= 4 \(got 5\)$"):
+    with pytest.raises(
+        InvalidSpec, match=r"^L: dents positions must be <= n\+floor\(\(m\+1\)/2\) = 4 \(got 5\)$"
+    ):
         l_spec(3, 2, (1, 5))
 
 

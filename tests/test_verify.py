@@ -304,6 +304,24 @@ def test_shuffle_groups_have_three_barrier_variants():
     assert len(full) >= len(groups) - 1  # last group may be truncated by the budget
 
 
+@pytest.mark.parametrize(
+    "generate",
+    [
+        verify.random_shuffle_cases,
+        verify.random_kuo_specs,
+        verify.random_base_case_specs,
+        verify.random_decomposition_specs,
+    ],
+    ids=["shuffling", "kuo", "base", "decomposition"],
+)
+def test_seeded_generators_return_the_budget_on_every_seed(generate):
+    # every kept draw is a valid spec (its constructor validates it), and the
+    # retries always end: each generator returns its whole budget
+    for seed in range(300):
+        budget = 1 + seed % 40
+        assert len(generate(seed, budget)) == budget, seed
+
+
 def test_fixed_case_lists():
     assert len(fern_cases()) >= 20
     assert len(probe_cases()) == 20
