@@ -97,8 +97,11 @@ def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionS
     The first line that is neither blank nor a ``#`` comment sets the form:
     one starting with ``[`` opens a JSON array of objects, one holding a
     whole JSON value starts JSON lines, and any other opens one object over
-    several lines.  Each spec, and each refusal, names the line the spec
-    starts on; a spec of more than ``max_cells`` cells is refused.
+    several lines.  Blank lines (by ``str.strip``) and ``#`` comment lines
+    are skipped before the first spec, between JSON lines, and after an
+    array or a multi-line object.  Each spec is decoded once.  Each spec,
+    and each refusal, names the line the spec starts on; a spec of more
+    than ``max_cells`` cells is refused.
     """
     text = _read_text(path)
     if not text.strip():
@@ -114,46 +117,80 @@ def load_specs(path: str, max_cells: int = MAX_CELLS) -> list[tuple[int, RegionS
     if not first:
         raise SpecFileError("line 1: no region specs found")
     array = first.startswith("[")
-    if not array and _is_value(first):
-        return [
-            (n, _parse_or_raise(_loads(line, n), n, max_cells))
-            for n, line in ((start, first), *spec_lines)
-        ]
+    if not array:
+        try:
+            value = json.loads(first)
+        except (ValueError, RecursionError):
+            pass  # not a whole value: one object over several lines
+        else:
+            later = ((n, _loads(line, n)) for n, line in spec_lines)
+            return [
+                (n, _parse_or_raise(obj, n, max_cells))
+                for n, obj in itertools.chain([(start, value)], later)
+            ]
     rest = "\n".join(lines[start - 1 :])
-    whole = _loads(rest, start)
     if array:
-        return [
-            (line, _parse_or_raise(obj, line, max_cells))
-            for line, obj in _array_items(rest, start)
-        ]
-    return [(start, _parse_or_raise(whole, start, max_cells))]
+        items, end = _array_items(rest, start)
+    else:
+        try:
+            value, end = _DECODER.raw_decode(rest, _JSON_SPACE.match(rest).end())
+        except (ValueError, RecursionError):
+            _loads(rest, start)  # raises JSON's own refusal, such as that of a byte order mark
+        items = [(start, value)]
+    _refuse_extra(rest, end, start)
+    return [(line, _parse_or_raise(obj, line, max_cells)) for line, obj in items]
 
 
-def _is_value(line: str) -> bool:
-    """True when ``line`` on its own parses as one JSON value."""
-    try:
-        json.loads(line)
-    except (ValueError, RecursionError):
-        return False
-    return True
+_DECODER = json.JSONDecoder()
+# JSON's own whitespace, which is all it skips between tokens
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
 
 
-# what may lie between two elements of a JSON array, or after its "["
-_JSON_SEPARATOR = re.compile(r"[ \t\n\r]*,?[ \t\n\r]*")
+def _array_items(text: str, line: int) -> tuple[list[tuple[int, object]], int]:
+    """(line, element) for each element of the JSON array that ``text`` opens,
+    with the line the element starts on, and where the array ends; ``text``
+    starts on line ``line``.
+
+    Each element is decoded once, by JSON's own decoder from where it starts;
+    this reads only the brackets, commas and whitespace between them, by
+    JSON's grammar.  An array that JSON refuses is decoded again whole,
+    through ``_loads``, so that the refusal carries JSON's own message and
+    line, which can depend on the Python version.
+    """
+    items, lineno, seen, closed = [], line, 0, False
+    pos = _JSON_SPACE.match(text).end()
+    if text[pos : pos + 1] == "[":
+        pos = _JSON_SPACE.match(text, pos + 1).end()
+        closed = text[pos : pos + 1] == "]"
+        while not closed:
+            lineno, seen = lineno + text.count("\n", seen, pos), pos
+            try:
+                obj, end = _DECODER.raw_decode(text, pos)
+            except (ValueError, RecursionError):
+                break
+            items.append((lineno, obj))
+            pos = _JSON_SPACE.match(text, end).end()
+            after = text[pos : pos + 1]
+            if after == ",":
+                pos = _JSON_SPACE.match(text, pos + 1).end()
+            elif after == "]":
+                closed = True
+            else:
+                break
+    if not closed:
+        _loads(text, line)  # raises: JSON refuses whatever this scan refuses
+    return items, pos + 1
 
 
-def _array_items(text: str, line: int) -> list[tuple[int, object]]:
-    """(line, element) for each element of the JSON array ``text``, which is
-    known to parse and starts on line ``line``, with the line the element
-    starts on."""
-    decoder, out, seen = json.JSONDecoder(), [], 0
-    pos = _JSON_SEPARATOR.match(text, text.index("[") + 1).end()
-    while text[pos] != "]":
-        line, seen = line + text.count("\n", seen, pos), pos
-        obj, end = decoder.raw_decode(text, pos)
-        out.append((line, obj))
-        pos = _JSON_SEPARATOR.match(text, end).end()
-    return out
+def _refuse_extra(text: str, end: int, line: int) -> None:
+    """Refuse anything after the value that ends at ``end`` in ``text``, which
+    starts on line ``line``, but blank space to the end of its last line and
+    then lines that are blank (by ``str.strip``) or ``#`` comments."""
+    line += text.count("\n", 0, end)
+    for n, tail in enumerate(text[end:].split("\n"), start=line):
+        tail = tail.strip()
+        if tail and (n == line or not tail.startswith("#")):
+            raise SpecFileError(f"line {n}: Extra data")
 
 
 def _parse_or_raise(obj, lineno: int, max_cells: int) -> RegionSpec:

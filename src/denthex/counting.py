@@ -32,7 +32,14 @@ Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
 forms in ``formulas`` (MacMahon, Cohn-Larsen-Propp, Proctor, Ciucu, the
 quartered hexagons).  The oracle, ``enumerate_tilings`` and the filter route
-of ``count_reflective`` share one iterative backtracking search.
+of ``count_reflective`` share one iterative backtracking search,
+``_matchings``, and each passes it the region that the forced reduction
+(``regions.forced_matching``) leaves: a lozenge forced in every tiling is
+not placed again in every tiling, and the search meets none of the dead
+ends that the forced cells would cause.  The oracle multiplies the forced
+weights back in, the iterator merges the forced lozenges back into each
+tiling in placement order, and the filter needs neither, because the mirror
+maps the forced lozenges onto themselves.
 
 Counts are memoized by spec: ``count_spec(spec)`` stores
 ``count_tilings(build_region(spec))`` under the ``RegionSpec`` itself, so a
@@ -58,11 +65,13 @@ from .regions import (
     RegionSpec,
     build_region,
     fold_half,
+    forced_matching,
     kasteleyn_rows,
     lozenges,
     mirror_constant,
     mirror_edge,
     reduce_reflective,
+    remove_forced_lozenges,
 )
 
 ZERO = Fraction(0)
@@ -267,13 +276,20 @@ def _matchings(
 
 
 def count_tilings_oracle(region: Region, cap: int = 60) -> Fraction:
-    """Exhaustive matching enumeration; refuses regions with more than ``cap`` cells."""
+    """Exhaustive matching enumeration; refuses regions with more than ``cap`` cells.
+
+    The cap applies to the region as given.  The search runs on the region
+    that ``remove_forced_lozenges`` leaves, and the count is the forced
+    factor times the weighted sum over its matchings.
+    """
     ncells = len(region)
     if ncells > cap:
         raise CapExceeded(f"oracle cell cap {cap} exceeded ({ncells} cells)")
-    edges = lozenges(region)
+    reduced, factor = remove_forced_lozenges(region)
+    edges = lozenges(reduced)
     weights = [w for _, _, w in edges]
-    return sum((math.prod(weights[e] for e in m) for m in _matchings(region, edges)), ZERO)
+    matchings = _matchings(reduced, edges)
+    return factor * sum((math.prod(weights[e] for e in m) for m in matchings), ZERO)
 
 
 def _capped(matchings: Iterator[tuple[int, ...]], cap: int) -> Iterator[tuple[int, ...]]:
@@ -291,13 +307,26 @@ def iter_tilings(region: Region, cap: int) -> Iterator[tuple[Lozenge, ...]]:
     """The tilings one at a time, in the order of ``enumerate_tilings``, so a
     caller that wants the first few draws no more than those.  A tiling is a
     tuple of ``lozenges(region)`` entries ``(up, down, weight)``, in placement
-    order; its weight is the product of theirs.
+    order, that is by first cell in sorted order; its weight is the product
+    of theirs.
+
+    The search runs on the region that ``forced_matching`` leaves, and the
+    forced lozenges are merged back into each tiling by first cell.  A
+    lozenge's first cell is the one the search places it from, so the
+    tilings and their order are those of the search over the whole region,
+    without its dead ends at the forced cells.
 
     Raises CapExceeded on drawing tiling number ``cap + 1``.
     """
-    edges = lozenges(region)
-    for m in _capped(_matchings(region, edges), cap):
-        yield tuple(edges[e] for e in m)
+    reduced, forced = forced_matching(region)
+    edges = lozenges(reduced)
+    cell = dict(zip(region.codes[3], region.order))
+    code = region.code
+    # each lozenge under the code of its first cell, which no other lozenge of a tiling shares
+    fixed = [(min(u, d), (cell[u], cell[d], w)) for u, d, w in forced]
+    keyed = [(min(code(z[0]), code(z[1])), z) for z in edges]
+    for m in _capped(_matchings(reduced, edges), cap):
+        yield tuple(z for _, z in sorted([*fixed, *(keyed[e] for e in m)]))
 
 
 def enumerate_tilings(region: Region, cap: int) -> list[tuple[Lozenge, ...]]:
@@ -324,10 +353,16 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
     """Number of tilings invariant under the horizontal mirror of an RS region.
 
     ``method="filter"`` enumerates all tilings (cap applies) and keeps the
-    mirror-invariant ones; ``method="reduce"`` counts the halved hexagon the
-    symmetric tilings biject onto, or folds the region cell by cell in the
-    corners that ``reduce_reflective`` refuses, y = 0 with U or D empty,
-    where one side of the axis has no rows.  The corner is told by the
+    mirror-invariant ones.  It searches the region that
+    ``remove_forced_lozenges`` leaves: the mirror maps the forced lozenges
+    onto themselves, so a tiling is mirror-invariant exactly when its
+    lozenges in the reduced region are, and ``mirror_constant`` of the
+    reduced region raises if the reduction broke that.
+
+    ``method="reduce"`` counts the halved hexagon the symmetric tilings
+    biject onto, or folds the region cell by cell in the corners that
+    ``reduce_reflective`` refuses, y = 0 with U or D empty, where one side
+    of the axis has no rows.  The corner is told by the
     spec's shape, so a reduction that fails on any other spec raises rather
     than hiding behind the fold.  Odd x admits no symmetric tiling.
     """
@@ -338,13 +373,15 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
     if spec.x % 2 == 1:
         return ZERO
     if method == "filter":
-        region = build_region(spec)
-        k = mirror_constant(region)
-        edges = lozenges(region)
+        reduced, _ = remove_forced_lozenges(build_region(spec))
+        if reduced.untileable:
+            return ZERO
+        k = mirror_constant(reduced)
+        edges = lozenges(reduced)
         index = {(u, d): e for e, (u, d, _) in enumerate(edges)}
         mirror = [index[mirror_edge((u, d), k)] for u, d, _ in edges]
         invariant = 0
-        for m in _capped(_matchings(region, edges), cap):
+        for m in _capped(_matchings(reduced, edges), cap):
             chosen = set(m)
             invariant += all(mirror[e] in chosen for e in m)
         return Fraction(invariant)

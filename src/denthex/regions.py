@@ -974,17 +974,23 @@ def restrict(region: Region, codes: Iterable[int], untileable: bool = False) -> 
     return Region._coded((*frame, codes), weights, barred, region.label, region.axis, untileable)
 
 
-def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
-    """Strip lozenges present in every tiling.
+def forced_matching(region: Region) -> tuple[Region, list[tuple[int, int, Fraction]]]:
+    """The lozenges present in every tiling, and the region they leave.
 
     Repeatedly matches any cell with a single admissible neighbor and removes
-    the pair; the returned factor is the product of the forced weights, so
-    ``count(region) == factor * count(reduced)``.  A cell with no admissible
-    neighbor makes the region untileable; it is returned flagged as such.
-    The queue runs on codes, which sort like the cells.
+    the pair, until every cell left has two or more; the queue runs on codes,
+    which sort like the cells.  Returns the region ``restrict``ed to the cells
+    left and the forced lozenges as ``(up code, down code, weight)`` in
+    ``region.codes``, in the order they were found, so ``count(region) ==
+    product of the weights * count(reduced)``.  A cell with no admissible
+    neighbor makes the region untileable: the cells left then are returned
+    flagged as such.  Otherwise the cells left do not depend on the order of
+    the queue (removing one forced pair leaves every other forced pair
+    forced), so a mirror that maps the region onto itself maps them onto
+    themselves too.
     """
     if region.untileable:
-        return region, ONE
+        return region, []
     codes = region.codes[3]
     ups = [c for c in codes if not c & 1]
     downs = [c for c in codes if c & 1]
@@ -995,7 +1001,7 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
             partners[u].append((downs[j], w))
             partners[downs[j]].append((u, w))
     alive = set(codes)
-    factor = ONE
+    forced: list[tuple[int, int, Fraction]] = []
     untileable = False
     queue = deque(codes)
     while queue:
@@ -1008,11 +1014,25 @@ def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
             break
         if len(ps) == 1:
             other, w = ps[0]
-            factor *= w
+            forced.append((other, c, w) if c & 1 else (c, other, w))
             alive.discard(c)
             alive.discard(other)
             queue.extend(nb for nb, _ in partners[c] + partners[other] if nb in alive)
-    return restrict(region, alive, untileable), factor
+    return restrict(region, alive, untileable), forced
+
+
+def remove_forced_lozenges(region: Region) -> tuple[Region, Fraction]:
+    """Strip lozenges present in every tiling (``forced_matching``).
+
+    Returns the reduced region and the product of the forced weights, so
+    ``count(region) == factor * count(reduced)``; an untileable region comes
+    back flagged as such.
+    """
+    reduced, forced = forced_matching(region)
+    factor = ONE
+    for _, _, w in forced:
+        factor *= w
+    return reduced, factor
 
 
 def axis_midpoint_mirror(spec: RegionSpec) -> int:

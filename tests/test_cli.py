@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -334,6 +336,89 @@ def test_array_after_a_comment_names_the_lines_of_its_elements(tmp_path):
     ]
 
 
+THREE_HEXAGONS = [hex_spec(1, 1, 1), hex_spec(2, 1, 1), hex_spec(2, 2, 2)]
+THREE_OBJECTS = [regions.spec_to_dict(spec) for spec in THREE_HEXAGONS]
+
+
+@pytest.mark.parametrize("tail", ["\x0c\n", "# the end\n", "\n  \x0c\n# the end\n\n"])
+@pytest.mark.parametrize("form", ["object", "array"])
+def test_pretty_printed_value_is_followed_by_skipped_lines(tmp_path, form, tail):
+    # lines skipped before the first spec are skipped after the value too, as
+    # between JSON lines; JSON itself refuses a form feed or a comment there
+    value = THREE_OBJECTS[0] if form == "object" else THREE_OBJECTS
+    text = json.dumps(value, indent=2) + "\n" + tail
+    # indent=2 puts each array element on six lines, from line 2
+    lines = [1] if form == "object" else [2, 8, 14]
+    expected = list(zip(lines, THREE_HEXAGONS))
+    assert cli.load_specs(write(tmp_path, "spec.json", text)) == expected
+
+
+@pytest.mark.parametrize("form", ["object", "array"])
+def test_extra_data_after_a_pretty_printed_value_names_its_line(tmp_path, capsys, form):
+    value = THREE_OBJECTS[0] if form == "object" else THREE_OBJECTS[:1]
+    pretty = json.dumps(value, indent=2)
+    last = pretty.count("\n") + 1
+    for tail, line in [(" 7\n", last), ("\n\x0c\n# c\n7\n", last + 3), ("\n# c\n{}\n", last + 2)]:
+        assert main(["count", write(tmp_path, "spec.json", pretty + tail)]) == 2
+        assert capsys.readouterr().err == f"error: line {line}: Extra data\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(THREE_OBJECTS, indent=2),
+        json.dumps(THREE_OBJECTS),
+        "\n".join(map(json.dumps, THREE_OBJECTS)),
+        json.dumps(THREE_OBJECTS[0], indent=2),
+    ],
+    ids=["pretty-array", "one-line-array", "json-lines", "pretty-object"],
+)
+def test_each_spec_is_decoded_once(tmp_path, monkeypatch, text):
+    # json.loads decodes through JSONDecoder.raw_decode too, so this sees every decode
+    decoded = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counting(self, s, idx=0):
+        obj, end = raw_decode(self, s, idx)
+        decoded.extend(obj if isinstance(obj, list) else [obj])
+        return obj, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+    specs = [spec for _, spec in cli.load_specs(write(tmp_path, "spec.json", text))]
+    assert specs == THREE_HEXAGONS[: len(specs)] and len(decoded) == len(specs)
+    assert decoded == [regions.spec_to_dict(spec) for spec in specs]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[\n  {},\n]",
+        "[\n  {}\n  {}\n]",
+        "[\n  {},\n  {}",
+        "[\n  {} ,, {}\n]",
+        "\x0c[{}]",
+        '{\n  "family": "Hex"\n',
+        '\ufeff{"family": "Hex", "a": 1, "b": 1, "c": 1}',
+    ],
+    ids=[
+        "trailing-comma",
+        "missing-comma",
+        "unclosed",
+        "double-comma",
+        "form-feed-before",
+        "unclosed-object",
+        "byte-order-mark",
+    ],
+)
+def test_malformed_value_gets_json_own_message_and_line(tmp_path, capsys, text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as e:
+        expected = f"error: line {e.lineno}: {e.msg}\n"
+    assert main(["count", write(tmp_path, "spec.json", text)]) == 2
+    assert capsys.readouterr().err == expected
+
+
 def test_json_lines_syntax_error_names_its_line(tmp_path, capsys):
     lines = """{"family": "Hex", "a": 1, "b": 1, "c": 1}
 # a comment
@@ -597,6 +682,25 @@ def test_render_first_tiling_of_a_large_region(tmp_path, capsys):
     path = write(tmp_path, "spec.json", spec)
     assert main(["render", path, "--tiling", "0"]) == 0
     assert "tiling weight=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "L", "m": 9, "n": 8, "dents": [1, 2, 4, 7, 9]},
+        {"family": "DentedSemihex", "a": 6, "b": 8, "dents": [4, 5, 6, 7, 9, 12]},
+    ],
+    ids=["L", "DentedSemihex"],
+)
+def test_render_first_tiling_past_the_forced_dead_ends(tmp_path, spec):
+    # two golden regions whose first tiling the search over the whole region
+    # reached only after its dead ends at the forced cells: over 60 s and
+    # about 5 s; a fresh interpreter, as a user runs it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    argv = [sys.executable, "-m", "denthex", "render", write(tmp_path, "spec.json", spec)]
+    done = subprocess.run(argv + ["--tiling", "0"], env=env, capture_output=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert b"tiling weight=1" in done.stdout
 
 
 def test_render_tiling_follows_enumeration_order(tmp_path, capsys):

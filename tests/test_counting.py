@@ -996,6 +996,59 @@ def test_deep_search_has_no_recursion_limit():
     assert count_tilings_oracle(region, cap=4000) == 1
 
 
+def test_deep_search_on_a_region_with_nothing_forced():
+    # Hex(40, 40, 0) above is all forced lozenges, so the search never sees
+    # it; Hex(2, 2, 400) has none, and its first tiling is 1604 lozenges deep
+    region = build_region(hex_spec(2, 2, 400))
+    assert len(remove_forced_lozenges(region)[0]) == len(region) == 3208
+    assert len(list(itertools.islice(counting.iter_tilings(region, cap=5), 5))) == 5
+
+
+def unreduced_tilings(region: Region) -> list[tuple]:
+    """The tilings as the search lists them over the whole region, forced
+    lozenges included, as ``lozenges(region)`` entries in placement order."""
+    edges = lozenges(region)
+    return [tuple(edges[e] for e in m) for m in counting._matchings(region, edges)]
+
+
+def test_enumeration_equals_the_unreduced_search_on_golden_regions():
+    # every golden region with at most 3000 tilings (counted with its weights
+    # dropped) but one: the unreduced search runs for seconds into the dead
+    # ends of DentedSemihex(6, 8), which test_cli renders from the command line
+    dead_ends = semihex_spec(6, 8, (4, 5, 6, 7, 9, 12))
+    regions_seen = tilings_seen = with_forced = 0
+    for rec in golden_records():
+        spec = parse_spec(rec["spec"])
+        if spec == dead_ends or Fraction(rec["count"]) > 3000:  # a weight is at most 1
+            continue
+        region = build_region(spec)
+        if count_tilings(Region(cells=region.cells, barred=region.barred)) > 3000:
+            continue
+        want = unreduced_tilings(region)
+        assert enumerate_tilings(region, cap=3000) == want, spec.describe()
+        regions_seen += 1
+        tilings_seen += len(want)
+        with_forced += len(remove_forced_lozenges(region)[0]) < len(region)
+    assert (regions_seen, tilings_seen) == (59, 37303)
+    assert with_forced > 0
+
+
+def test_enumeration_merges_forced_lozenges_by_first_cell():
+    # RS(4, 1; B = 1, 3; D = 2) keeps 18 of its 44 cells after the forced
+    # reduction, and forced lozenges come before, between and after the others
+    region = build_region(rs_spec(4, 1, (), (2,), (1, 3)))
+    reduced, _ = remove_forced_lozenges(region)
+    assert (len(region), len(reduced)) == (44, 18)
+    tilings = enumerate_tilings(region, cap=8)
+    assert tilings == unreduced_tilings(region) and len(tilings) == 8
+    left = reduced.cells
+    for tiling in tilings:
+        firsts = [min(u, d) for u, d, _ in tiling]
+        assert firsts == sorted(firsts) and len(tiling) * 2 == len(region)
+        kinds = [u in left for u, _, _ in tiling]
+        assert kinds[0] is False and kinds[-1] is False and True in kinds
+
+
 def test_tiling_weight_product():
     region = build_region(pprime_spec(1, 1, 1))
     weights = [math.prod(w for _, _, w in t) for t in enumerate_tilings(region, cap=10)]
@@ -1068,6 +1121,66 @@ def test_count_reflective_empty_region():
 def test_count_reflective_filter_cap():
     with pytest.raises(CapExceeded):
         count_reflective(rs_spec(4, 2, (1,)), "filter", cap=3)
+
+
+# RS specs whose forced reduction removes cells: (spec, cells, cells left, tilings)
+RS_WITH_FORCED = [
+    (rs_spec(4, 1, (), (2,), (1, 3)), 44, 18, 8),
+    (rs_spec(4, 2, (4,), (4,), (1, 3)), 92, 56, 225),
+    (rs_spec(4, 3, (2, 4), (4,), (1, 3)), 184, 50, 48),
+    (rs_spec(4, 3, (4,), (), (1, 2)), 108, 18, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,cells,left,total", RS_WITH_FORCED, ids=[spec.describe() for spec, *_ in RS_WITH_FORCED]
+)
+def test_count_reflective_filter_cap_with_forced_lozenges(spec, cells, left, total):
+    # the filter searches what the forced lozenges leave, but the cap still
+    # bounds every tiling of the region
+    region = build_region(spec)
+    assert (len(region), len(remove_forced_lozenges(region)[0])) == (cells, left)
+    assert count_tilings(region) == total
+    got = count_reflective(spec, "filter", cap=total)
+    assert got == count_reflective(spec, "reduce") > 0
+    with pytest.raises(CapExceeded):
+        count_reflective(spec, "filter", cap=total - 1)
+
+
+def test_count_reflective_filter_raises_on_a_broken_forced_reduction(monkeypatch):
+    # the mirror maps the forced lozenges onto themselves, so a reduced region
+    # that is not mirror-symmetric is a broken reduction and must raise
+    spec = RS_WITH_FORCED[1][0]
+    real = counting.remove_forced_lozenges
+
+    def broken(region):
+        reduced, factor = real(region)
+        return regions.restrict(reduced, reduced.codes[3][2:]), factor
+
+    monkeypatch.setattr(counting, "remove_forced_lozenges", broken)
+    with pytest.raises(InvalidSpec, match="not mirror-symmetric"):
+        count_reflective(spec, "filter")
+
+
+def symmetric_dead_region() -> Region:
+    """RS(2, 1; U = 1) with every lozenge of one up cell and of its mirror
+    image barred: balanced and mirror-symmetric, and the forced reduction
+    finds the two cells dead at once."""
+    region = build_region(rs_spec(2, 1, (1,)))
+    k = regions.mirror_constant(region)
+    cell = min(u for u, _, _ in lozenges(region))
+    dead = {cell, regions.mirror_cell(cell, k)}
+    barred = frozenset((u, d) for u, d, _ in lozenges(region) if u in dead)
+    return Region(cells=region.cells, barred=barred)
+
+
+def test_every_route_counts_a_dead_region_zero(monkeypatch):
+    dead = symmetric_dead_region()
+    assert dead.balanced and remove_forced_lozenges(dead)[0].untileable
+    assert count_tilings(dead) == count_tilings_oracle(dead) == 0
+    assert enumerate_tilings(dead, cap=0) == []
+    monkeypatch.setattr(counting, "build_region", lambda spec: dead)
+    assert count_reflective(rs_spec(2, 1, (1,)), "filter", cap=0) == 0
 
 
 def test_count_reflective_method_is_not_coerced():
