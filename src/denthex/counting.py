@@ -11,12 +11,14 @@ holes, barriers, halved regions and hand-built regions need no special case:
 a region holds lattice cells only (``Region`` refuses any other), one
 honeycomb, where the rule is proved.
 ``regions.kasteleyn_rows`` is the one sweep: it emits the signed rows over
-the region's integer cell codes (``Region.codes``), and ``regions.lozenges``
-and the forced reduction read the absolute values of the same rows, which
-are the weights, so adjacency is decided in one place, and the rule and its
-proof live there.  The codes are a region's stored form and its cells a view
-of them: a count of a built region reads only the codes and makes no cell
-view.
+the region's integer cell codes (``Region.codes``), and
+``regions.lozenge_codes`` reads the absolute values of the same rows, which
+are the weights, as ``(up code, down code, weight)`` lozenges, so adjacency
+is decided in one place, and the rule and its proof live there.  The codes
+are a region's stored form and its cells a view of them: every count here,
+the determinant, the oracle and the reflective filter alike, reads only the
+codes and makes no cell view.  Cells are made for a caller of
+``iter_tilings`` alone, whose tilings the renderer draws.
 The determinant is taken over the whole region by fraction-free Bareiss
 elimination in integers, in one pass.  A row that holds a fractional weight
 is scaled to integers, and the scale is divided out at the end.  The weighted
@@ -25,8 +27,9 @@ rows and their fractional columns are eliminated first, so the row of each
 the unit pivot of its step: that step is the degree-2 vertex contraction of
 the dual graph, done by the one elimination.  A lozenge forced in every
 tiling is a row or column with a single entry, which the elimination strips
-as it goes.  The search below takes its edges from ``regions.lozenges``,
-and a tiling is a tuple of that list's ``(up, down, weight)`` entries.
+as it goes.  The search below takes its edges from
+``regions.lozenge_codes``, and a tiling is a tuple of ``regions.lozenges``
+entries ``(up, down, weight)``, that list's cell view.
 
 Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
@@ -39,7 +42,8 @@ not placed again in every tiling, and the search meets none of the dead
 ends that the forced cells would cause.  The oracle multiplies the forced
 weights back in, the iterator merges the forced lozenges back into each
 tiling in placement order, and the filter needs neither, because the mirror
-maps the forced lozenges onto themselves.
+maps the forced lozenges onto themselves.  The filter's mirror is a
+permutation of the lozenge codes, read from ``regions.mirror_images``.
 
 Counts are memoized by spec: ``count_spec(spec)`` stores
 ``count_tilings(build_region(spec))`` under the ``RegionSpec`` itself, so a
@@ -67,9 +71,9 @@ from .regions import (
     fold_half,
     forced_matching,
     kasteleyn_rows,
-    lozenges,
+    lozenge_codes,
     mirror_constant,
-    mirror_edge,
+    mirror_images,
     reduce_reflective,
     remove_forced_lozenges,
 )
@@ -227,22 +231,24 @@ def count_spec(spec: RegionSpec) -> Fraction:
 
 
 def _matchings(
-    region: Region, edges: list[tuple[TriangleCell, TriangleCell, Fraction]]
+    region: Region, edges: list[tuple[int, int, Fraction]]
 ) -> Iterator[tuple[int, ...]]:
-    """Every perfect matching of ``region``, as indices into its ``lozenges``
-    list ``edges`` in placement order.
+    """Every perfect matching of ``region``, as indices into its
+    ``lozenge_codes`` list ``edges`` in placement order.
 
-    Backtracking that always covers the first free cell in sorted order,
-    trying its lozenges in ``edges`` order.  Every cell before that one is
-    covered, so only lozenges to later cells are tried.  The stack is explicit,
-    so depth is bounded by memory, not by the recursion limit.
+    Backtracking over the rank of each code in ``region.codes``, which is
+    its cell's rank in sorted order, so no cell view is made: it always
+    covers the first free cell, trying its lozenges in ``edges`` order.
+    Every cell before that one is covered, so only lozenges to later cells
+    are tried.  The stack is explicit, so depth is bounded by memory, not by
+    the recursion limit.
     """
     if region.untileable or not region.balanced:
         return
-    order = region.order
-    n = len(order)
-    pos = {c: i for i, c in enumerate(order)}
-    later: list[list[tuple[int, int]]] = [[] for _ in order]  # (edge, other cell)
+    codes = region.codes[3]
+    n = len(codes)
+    pos = dict(zip(codes, range(n)))
+    later: list[list[tuple[int, int]]] = [[] for _ in codes]  # (edge, other cell)
     for e, (u, d, _) in enumerate(edges):
         a, b = sorted((pos[u], pos[d]))
         later[a].append((e, b))
@@ -286,7 +292,7 @@ def count_tilings_oracle(region: Region, cap: int = 60) -> Fraction:
     if ncells > cap:
         raise CapExceeded(f"oracle cell cap {cap} exceeded ({ncells} cells)")
     reduced, factor = remove_forced_lozenges(region)
-    edges = lozenges(reduced)
+    edges = lozenge_codes(reduced)
     weights = [w for _, _, w in edges]
     matchings = _matchings(reduced, edges)
     return factor * sum((math.prod(weights[e] for e in m) for m in matchings), ZERO)
@@ -314,17 +320,28 @@ def iter_tilings(region: Region, cap: int) -> Iterator[tuple[Lozenge, ...]]:
     forced lozenges are merged back into each tiling by first cell.  A
     lozenge's first cell is the one the search places it from, so the
     tilings and their order are those of the search over the whole region,
-    without its dead ends at the forced cells.
+    without its dead ends at the forced cells.  The reduced region's codes
+    are its own, re-based, but they list the cells left in sorted order, so
+    each maps to the region's code of the same rank: every lozenge, forced
+    or searched, is decoded into cells once, through the region's ``order``,
+    and sorted by the code of its first cell.
 
     Raises CapExceeded on drawing tiling number ``cap + 1``.
     """
     reduced, forced = forced_matching(region)
-    edges = lozenges(reduced)
-    cell = dict(zip(region.codes[3], region.order))
-    code = region.code
-    # each lozenge under the code of its first cell, which no other lozenge of a tiling shares
-    fixed = [(min(u, d), (cell[u], cell[d], w)) for u, d, w in forced]
-    keyed = [(min(code(z[0]), code(z[1])), z) for z in edges]
+    codes = region.codes[3]
+    cell = dict(zip(codes, region.order))
+    taken = {c for u, d, _ in forced for c in (u, d)}
+    # the reduced region holds the cells left in their order, under codes of its own
+    code = dict(zip(reduced.codes[3], [c for c in codes if c not in taken]))
+    edges = lozenge_codes(reduced)
+
+    def entry(u: int, d: int, w: Fraction) -> tuple[int, Lozenge]:
+        # a lozenge under the code of its first cell, which no other lozenge of a tiling shares
+        return min(u, d), (cell[u], cell[d], w)
+
+    fixed = [entry(u, d, w) for u, d, w in forced]
+    keyed = [entry(code[u], code[d], w) for u, d, w in edges]
     for m in _capped(_matchings(reduced, edges), cap):
         yield tuple(z for _, z in sorted([*fixed, *(keyed[e] for e in m)]))
 
@@ -357,7 +374,9 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
     ``remove_forced_lozenges`` leaves: the mirror maps the forced lozenges
     onto themselves, so a tiling is mirror-invariant exactly when its
     lozenges in the reduced region are, and ``mirror_constant`` of the
-    reduced region raises if the reduction broke that.
+    reduced region raises if the reduction broke that.  The mirror acts on
+    the reduced region's ``lozenge_codes`` as the permutation that
+    ``mirror_images`` makes of their codes, so no cell view is made.
 
     ``method="reduce"`` counts the halved hexagon the symmetric tilings
     biject onto, or folds the region cell by cell in the corners that
@@ -376,10 +395,10 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
         reduced, _ = remove_forced_lozenges(build_region(spec))
         if reduced.untileable:
             return ZERO
-        k = mirror_constant(reduced)
-        edges = lozenges(reduced)
+        image = dict(zip(reduced.codes[3], mirror_images(reduced, mirror_constant(reduced))))
+        edges = lozenge_codes(reduced)
         index = {(u, d): e for e, (u, d, _) in enumerate(edges)}
-        mirror = [index[mirror_edge((u, d), k)] for u, d, _ in edges]
+        mirror = [index[image[u], image[d]] for u, d, _ in edges]
         invariant = 0
         for m in _capped(_matchings(reduced, edges), cap):
             chosen = set(m)

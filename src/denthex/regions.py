@@ -11,13 +11,14 @@ orientation, decides dents, barriers and weighted teeth on those runs,
 splits each run at its dented cells, and translates each run into the first
 quadrant of the cell grid as one range of integer cell codes, checking the
 parity convention once per run.  The codes are a region's stored form
-(``Region.codes``): counting, ``restrict``, the forced reduction and the
-fold (``fold_half``) read only them, and ``cells`` and ``order`` are views
-made from them when the renderer or the search asks.
+(``Region.codes``): counting, ``restrict``, the forced reduction, the mirror
+(``mirror_images``) and the fold (``fold_half``) read only them, and
+``cells`` and ``order`` are views made from them when the renderer, a caller
+of ``lozenges`` or the tiling iterator asks.
 ``kasteleyn_rows`` is the one sweep that turns the codes into the dual graph,
 Kasteleyn-signed, with no plain-weight mode: the determinant reads its rows,
-and ``lozenges`` and the forced reduction their absolute values, which are
-the weights.  Conventions shared by every family:
+and ``lozenge_codes`` their absolute values, which are the weights, as the
+one list of lozenges on codes.  Conventions shared by every family:
 
 * Dent and barrier positions along the horizontal axis are 1-based, counted
   west to east over the axis' unit segments.
@@ -844,8 +845,8 @@ def kasteleyn_rows(region: Region) -> tuple[list[dict], dict[int, dict]]:
     weight, in ``neighbors`` order (west, east, vertical).  Also returns the
     rows that hold a weight, by row number.  Every weight is a positive int
     or ``Fraction``, so ``abs`` of an entry is the lozenge's weight: the
-    determinant reads the rows, ``lozenges`` and the forced reduction their
-    absolute values.
+    determinant reads the rows, and ``lozenge_codes`` alone turns them into
+    lozenges, with their absolute values.
 
     The one place that decides which lozenges may be placed: both cells in
     the region and the edge not barred.  Neighbours are looked up by code in
@@ -938,21 +939,29 @@ def kasteleyn_rows(region: Region) -> tuple[list[dict], dict[int, dict]]:
     return rows, weighted
 
 
-def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]]:
-    """The admissible lozenges, i.e. the edges of the dual graph, as (up, down,
-    weight), read from ``kasteleyn_rows`` with the signs dropped.  They come
-    by up cell in sorted order, then in ``neighbors`` order (west, east,
-    vertical); the cells are the region's own, and an unweighted lozenge
-    carries the int 1.  The exhaustive search and the reflective filter work
-    from this list, and a tiling is a tuple of its entries, which the
-    renderer reads; the forced reduction and the determinant work from the
-    same sweep's rows.
+def lozenge_codes(region: Region) -> list[tuple[int, int, Fraction]]:
+    """The admissible lozenges, i.e. the edges of the dual graph, as ``(up
+    code, down code, weight)`` in ``region.codes``, read from
+    ``kasteleyn_rows`` with the signs dropped: the one place its rows become
+    lozenges.  They come by up cell in sorted order, then in ``neighbors``
+    order (west, east, vertical), and an unweighted lozenge carries the int
+    1.  The search, the reflective filter and the forced reduction work from
+    this list; the determinant works from the rows themselves.
     """
     rows, _ = kasteleyn_rows(region)
-    order = region.order
-    ups = [c for c in order if not c[2]]
-    downs = [c for c in order if c[2]]
+    codes = region.codes[3]
+    ups = [c for c in codes if not c & 1]
+    downs = [c for c in codes if c & 1]
     return [(u, downs[j], abs(w)) for u, row in zip(ups, rows) for j, w in row.items()]
+
+
+def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]]:
+    """``lozenge_codes`` as cells: ``(up, down, weight)`` in the same order,
+    with the region's own cells.  A tiling is a tuple of these entries, which
+    the renderer reads; a count makes no cell view and never calls this.
+    """
+    cell = dict(zip(region.codes[3], region.order))
+    return [(cell[u], cell[d], w) for u, d, w in lozenge_codes(region)]
 
 
 def restrict(region: Region, codes: Iterable[int], untileable: bool = False) -> Region:
@@ -978,9 +987,10 @@ def forced_matching(region: Region) -> tuple[Region, list[tuple[int, int, Fracti
     """The lozenges present in every tiling, and the region they leave.
 
     Repeatedly matches any cell with a single admissible neighbor and removes
-    the pair, until every cell left has two or more; the queue runs on codes,
-    which sort like the cells.  Returns the region ``restrict``ed to the cells
-    left and the forced lozenges as ``(up code, down code, weight)`` in
+    the pair, until every cell left has two or more; the neighbours are read
+    from ``lozenge_codes``, and the queue runs on codes, which sort like the
+    cells, so no cell view is made.  Returns the region ``restrict``ed to the
+    cells left and the forced lozenges as ``(up code, down code, weight)`` in
     ``region.codes``, in the order they were found, so ``count(region) ==
     product of the weights * count(reduced)``.  A cell with no admissible
     neighbor makes the region untileable: the cells left then are returned
@@ -992,14 +1002,10 @@ def forced_matching(region: Region) -> tuple[Region, list[tuple[int, int, Fracti
     if region.untileable:
         return region, []
     codes = region.codes[3]
-    ups = [c for c in codes if not c & 1]
-    downs = [c for c in codes if c & 1]
     partners: dict[int, list[tuple[int, Fraction]]] = {c: [] for c in codes}
-    for u, row in zip(ups, kasteleyn_rows(region)[0]):
-        for j, w in row.items():
-            w = abs(w)
-            partners[u].append((downs[j], w))
-            partners[downs[j]].append((u, w))
+    for u, d, w in lozenge_codes(region):
+        partners[u].append((d, w))
+        partners[d].append((u, w))
     alive = set(codes)
     forced: list[tuple[int, int, Fraction]] = []
     untileable = False
@@ -1075,18 +1081,32 @@ def reduce_reflective(spec: RegionSpec) -> RegionSpec:
 # -- mirror symmetry -----------------------------------------------------------
 
 
+def mirror_images(region: Region, k: int) -> list[int]:
+    """The code of each cell's image under the mirror ``index -> k - index``,
+    in ``region.codes`` order: the one mirror on codes.  An image keeps its
+    cell's layer and orientation, so with ``c - c % stride`` for the layer's
+    first address it is ``2 * (layer address + k - 2 * index0 + orient) -
+    code``.  A code above its image lies east of the mirror column, and one
+    equal to it on the column.  An image is a member of ``region.codes`` only
+    where the region is symmetric (see ``mirror_constant``).
+    """
+    stride, _, index0, codes = region.codes
+    turn = 2 * (k - 2 * index0)
+    return [turn + 2 * (c - c % stride + (c & 1)) - c for c in codes]
+
+
 def mirror_constant(region: Region) -> int:
     """Constant K of the horizontal mirror ``index -> K - index``.
 
     Raises InvalidSpec when the region (with its barriers and weights) is not
     invariant under any such mirror.  Read from ``codes``: ``bisect`` finds
     where each layer starts in the sorted codes, and every layer's first and
-    last code give one K.  The mirror image of a code of layer L is then
-    ``2 * (L * stride + K - 2 * index0) + 2 * orient - code``, in the same
-    layer's span, so the region is symmetric exactly when its codes equal
-    their mirror images sorted, one list comparison for all layers.  Only a
-    region that fails it is scanned code by code, in sorted order, so the
-    error names the least cell whose mirror image is missing.
+    last code give one K.  The region's cells are symmetric exactly when
+    their ``mirror_images`` are their codes, sorted: one list comparison for
+    all layers.  Only a region that fails it is scanned code by code, in
+    sorted order, so the error names the least cell whose mirror image is
+    missing.  Barriers and weights are stored as cell pairs, so they are
+    mirrored with ``mirror_edge``.
     """
     stride, layer0, index0, codes = region.codes
     if not codes:
@@ -1103,9 +1123,7 @@ def mirror_constant(region: Region) -> int:
     k = 2 * index0 + (ends[0] >> 1)
     if k % 2 == 1:
         raise InvalidSpec("region is not mirror-symmetric (odd mirror constant)")
-    # the image of each code, with c - c % stride for L * stride
-    turn = 2 * (k - 2 * index0)
-    images = [turn + 2 * (c - c % stride + (c & 1)) - c for c in codes]
+    images = mirror_images(region, k)
     if sorted(images) != codes:
         members = set(codes)
         for c, image in zip(codes, images):
@@ -1128,19 +1146,19 @@ def fold_half(region: Region) -> Optional[Region]:
     vertically among themselves, so the column must split, in layer order,
     into unbarred vertical pairs: each a down cell at its up cell's code +
     stride + 1.  Once those forced lozenges are fixed, the halves tile
-    independently and mirror each other.  The half is ``restrict``ed to the
-    codes east of the column.  Raises like ``mirror_constant`` on a region
-    that is not mirror-symmetric.
+    independently and mirror each other.  The column is the codes equal to
+    their ``mirror_images``, and the half is ``restrict``ed to the codes
+    above them, east of the column.  Raises like ``mirror_constant`` on a
+    region that is not mirror-symmetric.
     """
-    k = mirror_constant(region)
-    stride, _, index0, codes = region.codes
-    mid = k // 2 - index0
-    column = [c for c in codes if c % stride >> 1 == mid]  # in layer order
+    images = mirror_images(region, mirror_constant(region))
+    stride, _, _, codes = region.codes
+    column = [c for c, image in zip(codes, images) if c == image]  # in layer order
     barred = {(region.code(u), region.code(d)) for u, d in region.barred}
     pairs = zip(column[::2], column[1::2])
     if len(column) % 2 or any(d != u + stride + 1 or (u, d) in barred for u, d in pairs):
         return None
-    return restrict(region, (c for c in codes if c % stride >> 1 > mid))
+    return restrict(region, (c for c, image in zip(codes, images) if c > image))
 
 
 def mirror_cell(cell: TriangleCell, k: int) -> TriangleCell:

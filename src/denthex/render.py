@@ -35,26 +35,25 @@ def _header(region: Region) -> str:
     )
 
 
+def _text_grid(region: Region, marks) -> list[str]:
+    """The text rows of ``region``'s bounding box, two per layer: ``marks``
+    are ``(row, index, char)`` with row ``2 * layer`` for a cell and ``2 *
+    layer + 1`` for the row below it, which is kept only when it holds a
+    mark.  A mark outside the box's layers is dropped."""
+    lo_l, hi_l, lo_i, hi_i = _bounds(region.cells)
+    grid = [[" "] * (hi_i - lo_i + 1) for _ in range(2 * (hi_l - lo_l + 1))]
+    for row, index, ch in marks:
+        if 0 <= row - 2 * lo_l < len(grid):
+            grid[row - 2 * lo_l][index - lo_i] = ch
+    rows = ["".join(row).rstrip() for row in grid]
+    return [text for r, text in enumerate(rows) if text or r % 2 == 0]
+
+
 def region_ascii(region: Region) -> str:
     """One character per cell ('^' up, 'v' down); barrier rows use '='."""
-    lines = [_header(region)]
-    lo_l, hi_l, lo_i, hi_i = _bounds(region.cells)
-    width = hi_i - lo_i + 1
-    grid = [[" "] * width for _ in range(hi_l - lo_l + 1)]
-    for c in region.order:
-        grid[c.layer - lo_l][c.index - lo_i] = "^" if c.orient is Orient.UP else "v"
-    barrier_below: dict[int, set[int]] = {}
-    for up, down in region.barred:
-        barrier_below.setdefault(up.layer, set()).add(up.index)
-    for layer, row in enumerate(grid, lo_l):
-        lines.append("".join(row).rstrip())
-        marks = barrier_below.get(layer)
-        if marks:
-            sep = [" "] * width
-            for i in marks:
-                sep[i - lo_i] = "="
-            lines.append("".join(sep).rstrip())
-    return "\n".join(lines)
+    cells = [(2 * c.layer, c.index, "v" if c.orient else "^") for c in region.order]
+    bars = [(2 * up.layer + 1, up.index, "=") for up, _ in region.barred]
+    return "\n".join([_header(region), *_text_grid(region, cells + bars)])
 
 
 def _kind(up: TriangleCell, down: TriangleCell) -> str:
@@ -72,18 +71,14 @@ def tiling_ascii(region: Region, tiling: tuple[Lozenge, ...]) -> str:
 
     Lozenges of weight other than 1 are lowercase.
     """
-    lines = [_header(region), f"tiling weight={math.prod(w for _, _, w in tiling)}"]
-    lo_l, hi_l, lo_i, hi_i = _bounds(region.cells)
-    width = hi_i - lo_i + 1
-    grid = [[" "] * width for _ in range(hi_l - lo_l + 1)]
+    marks = []
     for up, down, weight in tiling:
         ch = _KIND_CHAR[_kind(up, down)]
         if weight != 1:
             ch = ch.lower()
-        for c in (up, down):
-            grid[c.layer - lo_l][c.index - lo_i] = ch
-    lines.extend("".join(row).rstrip() for row in grid)
-    return "\n".join(lines)
+        marks += [(2 * c.layer, c.index, ch) for c in (up, down)]
+    weight = math.prod(w for _, _, w in tiling)
+    return "\n".join([_header(region), f"tiling weight={weight}", *_text_grid(region, marks)])
 
 
 # -- SVG -------------------------------------------------------------------------
@@ -97,18 +92,11 @@ def _fmt(v: float) -> str:
 
 
 def _corners(cell: TriangleCell):
-    x0 = cell.index * _SIDE / 2
-    if cell.orient is Orient.UP:
-        return [
-            (x0, (cell.layer + 1) * _H),
-            (x0 + _SIDE, (cell.layer + 1) * _H),
-            (x0 + _SIDE / 2, cell.layer * _H),
-        ]
-    return [
-        (x0, cell.layer * _H),
-        (x0 + _SIDE, cell.layer * _H),
-        (x0 + _SIDE / 2, (cell.layer + 1) * _H),
-    ]
+    # the horizontal edge at the base, then the apex: an up cell's base is
+    # its layer's lower line, a down cell's its upper line
+    layer, index, orient = cell
+    x0, base, apex = index * _SIDE / 2, (layer + 1 - orient) * _H, (layer + orient) * _H
+    return [(x0, base), (x0 + _SIDE, base), (x0 + _SIDE / 2, apex)]
 
 
 def _polygon(points, fill, stroke="#444444", width=1.0, extra="") -> str:

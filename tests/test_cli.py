@@ -843,6 +843,20 @@ def test_tiling_svg_weighted_core():
     assert "#999999" in svg
 
 
+def test_svg_pictures_are_pinned():
+    # the exact SVG text of a region with a barrier and two dents and of a
+    # half-weight tiling, as the renderer wrote them when each orientation had
+    # its own corner rule
+    data = Path(__file__).parent / "data"
+    region = build_region(h_spec(2, 1, (1,), (2,), (3,)))
+    assert region_svg(region) == (data / "h21_region.svg").read_text(encoding="utf-8")
+    region = build_region(pprime_spec(1, 1, 1))
+    weighted = [t for t in enumerate_tilings(region, cap=10) if tiling_weight(t) != 1]
+    assert len(weighted) == 1
+    want = (data / "pprime_half_tiling.svg").read_text(encoding="utf-8")
+    assert tiling_svg(region, weighted[0]) == want
+
+
 def test_tiling_ascii_letters():
     region = build_region(hex_spec(1, 1, 1))
     t = enumerate_tilings(region, cap=10)[0]

@@ -783,6 +783,27 @@ def test_counts_of_built_regions_make_no_cell_view(monkeypatch):
     assert len(region) == len(region.cells) == 2 * region.down_count
 
 
+def test_the_oracle_and_the_filter_make_no_cell_view(monkeypatch):
+    # both search the region the forced reduction leaves over its lozenge
+    # codes, and the filter mirrors those codes: neither the region given or
+    # built nor the reduced one gets its cells or their sorted order
+    seen = []
+
+    def spy(region):
+        reduced, factor = remove_forced_lozenges(region)
+        seen.append((region, reduced))
+        return reduced, factor
+
+    monkeypatch.setattr(counting, "remove_forced_lozenges", spy)
+    region = build_region(h_spec(2, 1, (1,), (4,)))
+    assert count_tilings_oracle(region) == count_tilings(region) == 8
+    assert count_reflective(rs_spec(4, 1, (), (2,), (1, 3)), "filter") == 2
+    assert [(len(r), len(reduced)) for r, reduced in seen] == [(30, 26), (44, 18)]
+    for r, reduced in seen:
+        for view in (r, reduced):
+            assert not set(CELL_VIEWS) & vars(view).keys(), r.label.describe()
+
+
 def test_hand_built_regions_rebuild_the_built_ones():
     # every region of the region-digest sweep, rebuilt from its cells as a
     # hand-built region, equals it, hashes equally and counts from the same
@@ -1008,7 +1029,8 @@ def unreduced_tilings(region: Region) -> list[tuple]:
     """The tilings as the search lists them over the whole region, forced
     lozenges included, as ``lozenges(region)`` entries in placement order."""
     edges = lozenges(region)
-    return [tuple(edges[e] for e in m) for m in counting._matchings(region, edges)]
+    codes = regions.lozenge_codes(region)
+    return [tuple(edges[e] for e in m) for m in counting._matchings(region, codes)]
 
 
 def test_enumeration_equals_the_unreduced_search_on_golden_regions():

@@ -140,7 +140,9 @@ def test_h2_values():
     assert h2(4) == 2  # 0!2!
     assert h2(5) == 6  # 1!3!
     assert h2(7) == 720  # 1!3!5!
-    assert h2(2501) == h2(2499) * factorial(2499)  # deeper than the recursion limit
+    # the large n squares products of millions of bits at each exponent bit:
+    # h2(2501) has 14 263 545 bits
+    assert h2(2501) == h2(2499) * factorial(2499)
     with pytest.raises(InvalidSpec, match="^h2 requires a nonnegative argument$"):
         h2(-1)
 

@@ -142,6 +142,35 @@ def test_region_equality_ignores_the_order_of_weights():
     assert half.weights == tuple(sorted(half.weights))
 
 
+def decoded_lozenge_codes(region: Region) -> list:
+    cell = dict(zip(region.codes[3], region.order))
+    return [(cell[u], cell[d], w) for u, d, w in regions.lozenge_codes(region)]
+
+
+def test_lozenges_are_the_lozenge_codes_decoded():
+    # on every golden region, and on hand-built regions with a barrier, a
+    # weight, and edges that name a cell outside the region
+    lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
+    for record in map(json.loads, lines):
+        region = build_region(parse_spec(record["spec"]))
+        assert regions.lozenges(region) == decoded_lozenge_codes(region), record
+    hexagon = build_region(hex_spec(2, 3, 2))
+    edges = _edges(hexagon)
+    outside = (up(0, 40), down(0, 41))
+    assert not set(outside) & hexagon.cells
+    cases = [
+        Region(cells=hexagon.cells, barred=frozenset({edges[2]})),
+        Region(cells=hexagon.cells, weights=((edges[4], Fraction(1, 3)),)),
+        Region(cells=hexagon.cells, barred=frozenset({outside}), weights=((outside, 5),)),
+    ]
+    for region in cases:
+        assert regions.lozenges(region) == decoded_lozenge_codes(region)
+    barred, weighted, apart = (regions.lozenges(r) for r in cases)
+    assert len(barred) == len(edges) - 1 and edges[2] not in [e[:2] for e in barred]
+    assert weighted[4] == (*edges[4], Fraction(1, 3))
+    assert apart == regions.lozenges(hexagon)
+
+
 def test_region_refuses_a_lozenge_weighted_twice():
     region = build_region(hex_spec(1, 1, 1))
     edge = _edges(region)[0]
@@ -397,6 +426,58 @@ def mirror_outcome(find_k, region):
         return find_k(region)
     except InvalidSpec as e:
         return str(e)
+
+
+def symmetric_regions() -> list[Region]:
+    # every golden RS region and every RS region of the region-digest sweep
+    lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
+    specs = [parse_spec(r["spec"]) for r in map(json.loads, lines) if r["spec"]["family"] == "RS"]
+    return [build_region(s) for s in specs + _load_digest_maker().sweep_specs("RS")]
+
+
+def middle_column_fold(region: Region):
+    # fold_half by the arithmetic of the mirror column's index: the column is
+    # the codes at index k / 2, and the half the codes east of it
+    k = mirror_constant(region)
+    stride, _, index0, codes = region.codes
+    mid = k // 2 - index0
+    column = [c for c in codes if c % stride >> 1 == mid]
+    barred = {(region.code(u), region.code(d)) for u, d in region.barred}
+    pairs = zip(column[::2], column[1::2])
+    if len(column) % 2 or any(d != u + stride + 1 or (u, d) in barred for u, d in pairs):
+        return None
+    return regions.restrict(region, [c for c in codes if c % stride >> 1 > mid])
+
+
+def test_mirror_images_are_the_mirror_of_every_cell():
+    # on every symmetric region the images permute the codes, twice over is
+    # the identity, and each image is the code of mirror_cell of its cell
+    checked = on_column = 0
+    for region in symmetric_regions():
+        k = mirror_constant(region)
+        codes = region.codes[3]
+        images = regions.mirror_images(region, k)
+        rank = dict(zip(codes, range(len(codes))))
+        assert sorted(images) == codes, region.label.describe()
+        assert [images[rank[image]] for image in images] == codes, region.label.describe()
+        mirrored = [region.order[rank[image]] for image in images]
+        assert mirrored == [regions.mirror_cell(c, k) for c in region.order]
+        checked += 1
+        on_column += any(c == image for c, image in zip(codes, images))
+    assert checked >= 500 and on_column >= 100
+
+
+def test_fold_half_keeps_the_cells_east_of_the_middle_column():
+    halves = uncovered = 0
+    for region in symmetric_regions():
+        half, want = regions.fold_half(region), middle_column_fold(region)
+        assert half == want, region.label.describe()
+        if half is None:
+            uncovered += 1
+        else:
+            assert half.cells == want.cells
+            halves += 1
+    assert halves >= 100 and uncovered >= 100
 
 
 def test_mirror_constant_names_a_cell_that_breaks_symmetry_inside_the_spans():

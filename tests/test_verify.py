@@ -414,3 +414,20 @@ def test_run_suite_all_seeds_only_the_seeded_suites():
     pinned = {p["suite"]: p for p in _pinned_digests()}
     assert maker.records_digest("fern", records[8:48]) == pinned["fern"]
     assert maker.records_digest("asymptotic", records[48:]) == pinned["asymptotic"]
+
+
+class _Highest:
+    """An rng that always draws the largest value it may."""
+
+    def randint(self, a, b):
+        return b
+
+    def choice(self, seq):
+        return seq[-1]
+
+
+@pytest.mark.parametrize("family", ["RS-odd", "RS-even"])
+def test_random_shuffle_group_gives_up_outside_the_envelope(family):
+    # x = 4, n = 4 and y = 3 or 2 leave x + y + n <= 8 on every attempt
+    with pytest.raises(RuntimeError, match=f"could not generate a shuffle case for family {family}"):
+        verify._random_shuffle_group(_Highest(), family)
