@@ -36,14 +36,17 @@ exhaustive enumeration that refuses regions above a cell cap, and the closed
 forms in ``formulas`` (MacMahon, Cohn-Larsen-Propp, Proctor, Ciucu, the
 quartered hexagons).  The oracle, ``enumerate_tilings`` and the filter route
 of ``count_reflective`` share one iterative backtracking search,
-``_matchings``, and each passes it the region that the forced reduction
+``_matchings``, which keeps each placed lozenge's cell on its trail with
+the iterator over that cell's options and resumes the iterator when it
+backtracks, and each passes it the region that the forced reduction
 (``regions.forced_matching``) leaves: a lozenge forced in every tiling is
 not placed again in every tiling, and the search meets none of the dead
 ends that the forced cells would cause.  The oracle multiplies the forced
 weights back in, the iterator merges the forced lozenges back into each
 tiling in placement order, and the filter needs neither, because the mirror
 maps the forced lozenges onto themselves.  The filter's mirror is a
-permutation of the lozenge codes, read from ``regions.mirror_images``.
+permutation of the lozenge codes, read from ``regions.mirror_images``, and
+a tiling is invariant when its set of lozenges holds every image.
 
 Counts are memoized by spec: ``count_spec(spec)`` stores
 ``count_tilings(build_region(spec))`` under the ``RegionSpec`` itself, so a
@@ -241,7 +244,11 @@ def _matchings(
     covers the first free cell, trying its lozenges in ``edges`` order.
     Every cell before that one is covered, so only lozenges to later cells
     are tried.  The stack is explicit, so depth is bounded by memory, not by
-    the recursion limit.
+    the recursion limit.  Each placed lozenge keeps its cell's options as a
+    list iterator on the trail: when the search comes back to that cell, the
+    lozenge is lifted and the same iterator goes on from the next option,
+    so no option is scanned twice.  After a tiling is yielded its last
+    lozenge is lifted this way.
     """
     if region.untileable or not region.balanced:
         return
@@ -252,33 +259,33 @@ def _matchings(
     for e, (u, d, _) in enumerate(edges):
         a, b = sorted((pos[u], pos[d]))
         later[a].append((e, b))
-    free = bytearray(b"\1") * n
+    free = bytearray(b"\1") * (n + 1)  # free[n] stops the scan for a free cell
     placed: list[int] = []
-    trail: list[tuple[int, int, int]] = []  # (cell, other cell, option tried)
-    cell = k = 0
+    trail: list[tuple[int, int, Iterator[tuple[int, int]]]] = []  # (cell, other, options left)
+    cell = 0
     while True:
-        while cell < n and not free[cell]:
+        while not free[cell]:
             cell += 1
         if cell == n:
             yield tuple(placed)
-            options = ()
+            options = iter(())
         else:
-            options = later[cell]
-        while k < len(options) and not free[options[k][1]]:
-            k += 1
-        if k < len(options):
-            e, other = options[k]
-            free[cell] = free[other] = 0
-            placed.append(e)
-            trail.append((cell, other, k))
-            k = 0
-            continue
-        if not trail:
-            return
-        cell, other, k = trail.pop()
-        placed.pop()
-        free[cell] = free[other] = 1
-        k += 1
+            options = iter(later[cell])
+        while True:
+            for e, other in options:
+                if free[other]:
+                    break
+            else:
+                if not trail:
+                    return
+                cell, other, options = trail.pop()
+                placed.pop()
+                free[cell] = free[other] = 1
+                continue
+            break
+        free[cell] = free[other] = 0
+        placed.append(e)
+        trail.append((cell, other, options))
 
 
 def count_tilings_oracle(region: Region, cap: int = 60) -> Fraction:
@@ -401,8 +408,7 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
         mirror = [index[image[u], image[d]] for u, d, _ in edges]
         invariant = 0
         for m in _capped(_matchings(reduced, edges), cap):
-            chosen = set(m)
-            invariant += all(mirror[e] in chosen for e in m)
+            invariant += set(m).issuperset(map(mirror.__getitem__, m))
         return Fraction(invariant)
     if spec.y == 0 and not (spec.U and spec.D):
         return _reflective_fold(build_region(spec))

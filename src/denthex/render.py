@@ -39,11 +39,13 @@ def _text_grid(region: Region, marks) -> list[str]:
     """The text rows of ``region``'s bounding box, two per layer: ``marks``
     are ``(row, index, char)`` with row ``2 * layer`` for a cell and ``2 *
     layer + 1`` for the row below it, which is kept only when it holds a
-    mark.  A mark outside the box's layers is dropped."""
+    mark.  A mark outside the box, on a layer or at an index past its cells,
+    is dropped: a barrier of a hand-built region may name cells it does not
+    hold."""
     lo_l, hi_l, lo_i, hi_i = _bounds(region.cells)
     grid = [[" "] * (hi_i - lo_i + 1) for _ in range(2 * (hi_l - lo_l + 1))]
     for row, index, ch in marks:
-        if 0 <= row - 2 * lo_l < len(grid):
+        if 0 <= row - 2 * lo_l < len(grid) and lo_i <= index <= hi_i:
             grid[row - 2 * lo_l][index - lo_i] = ch
     rows = ["".join(row).rstrip() for row in grid]
     return [text for r, text in enumerate(rows) if text or r % 2 == 0]

@@ -1071,6 +1071,109 @@ def test_enumeration_merges_forced_lozenges_by_first_cell():
         assert kinds[0] is False and kinds[-1] is False and True in kinds
 
 
+def indexed_matchings(region: Region, edges: list, budget: float = math.inf):
+    """The search as it was before it kept each cell's options as an
+    iterator: it rescanned them by index and took their length at every
+    node.  The reference for ``counting._matchings``, which must yield the
+    same matchings in the same order.  It stops after ``budget`` placements."""
+    if region.untileable or not region.balanced:
+        return
+    codes = region.codes[3]
+    n = len(codes)
+    pos = dict(zip(codes, range(n)))
+    later: list[list[tuple[int, int]]] = [[] for _ in codes]
+    for e, (u, d, _) in enumerate(edges):
+        a, b = sorted((pos[u], pos[d]))
+        later[a].append((e, b))
+    free = bytearray(b"\1") * n
+    placed: list[int] = []
+    trail: list[tuple[int, int, int]] = []
+    cell = k = 0
+    while True:
+        while cell < n and not free[cell]:
+            cell += 1
+        if cell == n:
+            yield tuple(placed)
+            options = ()
+        else:
+            options = later[cell]
+        while k < len(options) and not free[options[k][1]]:
+            k += 1
+        if k < len(options):
+            budget -= 1
+            if budget < 0:
+                return
+            e, other = options[k]
+            free[cell] = free[other] = 0
+            placed.append(e)
+            trail.append((cell, other, k))
+            k = 0
+            continue
+        if not trail:
+            return
+        cell, other, k = trail.pop()
+        placed.pop()
+        free[cell] = free[other] = 1
+        k += 1
+
+
+def left_by_forced(region: Region) -> tuple[Region, list]:
+    # the region every route searches, and its edges
+    reduced, _ = regions.forced_matching(region)
+    return reduced, regions.lozenge_codes(reduced)
+
+
+def test_search_draws_the_indexed_search_order_on_golden_regions():
+    # the first 3000 matchings of what the forced lozenges leave, or as many
+    # as the indexed search draws in 80 000 placements: a few golden regions
+    # hold it in dead ends for minutes.  178 of the 208 regions are compared
+    # in full, over 3000 matchings or all they have
+    records = golden_records()
+    in_full = drawn = 0
+    for rec in records:
+        region = build_region(parse_spec(rec["spec"]))
+        reduced, edges = left_by_forced(region)
+        want = list(itertools.islice(indexed_matchings(reduced, edges, 80_000), 3000))
+        got = list(itertools.islice(counting._matchings(reduced, edges), len(want)))
+        assert got == want, rec["spec"]
+        unweighted = count_tilings(Region(cells=region.cells, barred=region.barred))
+        in_full += len(want) == min(3000, unweighted)
+        drawn += len(want)
+    assert (len(records), in_full, drawn) == (208, 178, 412858)
+
+
+def test_search_draws_the_indexed_search_order_on_the_c10_sweep():
+    # every matching that the filter draws on the reflective acceptance sweep
+    from test_acceptance import _rs_sweep
+
+    seen = drawn = 0
+    for spec in _rs_sweep():
+        region = build_region(spec)
+        if count_tilings(region) > 5000:
+            continue
+        reduced, edges = left_by_forced(region)
+        want = list(indexed_matchings(reduced, edges))
+        assert list(counting._matchings(reduced, edges)) == want, spec.describe()
+        seen += 1
+        drawn += len(want)
+    assert (seen, drawn) == (214, 179301)
+
+
+def test_search_on_empty_unbalanced_and_untileable_regions():
+    hexagon = build_region(hex_spec(1, 1, 1))
+    unbalanced = Region(cells=frozenset(sorted(hexagon.cells)[:-1]))
+    # balanced, but both down cells can only pair with the one up cell
+    stuck = Region(cells=frozenset({down(0, 1), up(0, 2), down(0, 3), up(2, 0)}))
+    flagged = Region(cells=hexagon.cells, untileable=True)
+    dead, _ = regions.forced_matching(symmetric_dead_region())
+    assert stuck.balanced and flagged.balanced and dead.untileable
+    for search in (counting._matchings, indexed_matchings):
+        assert list(search(Region(cells=frozenset()), [])) == [()]
+        for region in (unbalanced, stuck, flagged, dead):
+            assert list(search(region, regions.lozenge_codes(region))) == []
+    assert len(list(counting._matchings(hexagon, regions.lozenge_codes(hexagon)))) == 2
+
+
 def test_tiling_weight_product():
     region = build_region(pprime_spec(1, 1, 1))
     weights = [math.prod(w for _, _, w in t) for t in enumerate_tilings(region, cap=10)]
