@@ -378,7 +378,7 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
 
     ``method="filter"`` enumerates all tilings (cap applies) and keeps the
     mirror-invariant ones.  It searches the region that
-    ``remove_forced_lozenges`` leaves: the mirror maps the forced lozenges
+    ``forced_matching`` leaves: the mirror maps the forced lozenges
     onto themselves, so a tiling is mirror-invariant exactly when its
     lozenges in the reduced region are, and ``mirror_constant`` of the
     reduced region raises if the reduction broke that.  The mirror acts on
@@ -399,7 +399,7 @@ def count_reflective(spec: RegionSpec, method: str = "reduce", cap: int = 5000) 
     if spec.x % 2 == 1:
         return ZERO
     if method == "filter":
-        reduced, _ = remove_forced_lozenges(build_region(spec))
+        reduced, _ = forced_matching(build_region(spec))
         if reduced.untileable:
             return ZERO
         image = dict(zip(reduced.codes[3], mirror_images(reduced, mirror_constant(reduced))))

@@ -10,11 +10,15 @@ barrier and tooth keywords; ``build_region`` reads that one function, and
 orientation, decides dents, barriers and weighted teeth on those runs,
 splits each run at its dented cells, and translates each run into the first
 quadrant of the cell grid as one range of integer cell codes, checking the
-parity convention once per run.  The codes are a region's stored form
-(``Region.codes``): counting, ``restrict``, the forced reduction, the mirror
-(``mirror_images``) and the fold (``fold_half``) read only them, and
-``cells`` and ``order`` are views made from them when the renderer, a caller
-of ``lozenges`` or the tiling iterator asks.
+parity convention once per run; its barred and weighted edges come out as
+pairs of the same codes.  The codes and those pairs are a region's stored
+form (``Region.codes``, ``Region.barred``, ``Region.weights``): counting,
+``restrict``, the forced reduction, the mirror (``mirror_images``) and the
+fold (``fold_half``) read only them, and ``cells`` and ``order`` are views
+made from them when the renderer, a caller of ``lozenges`` or the tiling
+iterator asks; ``edge_cells`` decodes the edges into cells for a picture.
+A hand-built ``Region`` checks each edge it is given once, so no reader of
+the edges checks them again.
 ``kasteleyn_rows`` is the one sweep that turns the codes into the dual graph,
 Kasteleyn-signed, with no plain-weight mode: the determinant reads its rows,
 and ``lozenge_codes`` their absolute values, which are the weights, as the
@@ -319,16 +323,33 @@ def spec_to_dict(spec: RegionSpec) -> dict:
 class Region:
     """An immutable finite cell set with lozenge weights and barred edges.
 
-    The stored form is ``codes``, the cells as sorted integers: ``_assemble``
-    emits them straight from its row runs, ``restrict`` selects and re-bases
-    them, and counting reads nothing else of the cell set.  ``cells`` and
-    ``order`` are views made from the codes the first time a caller asks for
-    one (the renderer, the search).  A hand-built region passes its cells,
-    which become its ``cells`` view, and its codes are derived from them
-    once, after any cell that is not a lattice cell
-    (``lattice.is_canonical``), any weight that is not a positive int or
-    ``Fraction``, and any lozenge weighted twice, is refused with
-    ``InvalidSpec``.  Both constructors store the weights sorted by edge.
+    The stored form is ``codes``, the cells as sorted integers, and the
+    edges on those codes: ``weights`` holds ``((up code, down code),
+    weight)`` sorted by edge, and ``barred`` a frozenset of ``(up code, down
+    code)``.  ``_assemble`` emits all of them straight from its row runs,
+    ``restrict`` selects and re-bases them together, and counting, the
+    mirror and the fold read nothing else.  ``cells`` and ``order`` are views
+    made from the codes the first time a caller asks for one (the renderer,
+    the search), and ``edge_cells`` decodes the edges for a picture.
+
+    ``codes`` is ``(stride, layer0, index0, codes)``: each cell as the int
+    ``(layer - layer0) * stride + 2 * (index - index0) + orient``, sorted,
+    with layer0 and index0 the least layer and index.  The codes sort like
+    the cells and tell them apart.  The stride is twice the index span plus
+    4, so the west, east and vertical neighbours of an up cell are its code
+    -1, +3 and +stride+1, and a neighbour address past either end of a
+    layer's span is no cell's code, however far the region lies from the
+    origin.
+
+    A hand-built region passes its cells, which become its ``cells`` view,
+    and its edges as (up cell, down cell) pairs.  Any cell that is not a
+    lattice cell (``lattice.is_canonical``) is refused, the codes are derived
+    from the cells, and each edge is checked once, before anything is
+    sorted: an edge that is not an (up, down) lozenge of the region's own
+    cells, a weight that is not a positive int or ``Fraction``, a lozenge
+    weighted or barred twice, and a lozenge both barred and weighted are
+    refused with ``InvalidSpec`` naming the edge.  So every stored edge is
+    one of the region's lozenges, and no reader of the edges checks them.
 
     Two regions are equal, and hash equally, when they hold the same cells,
     weights, barred edges and untileable flag; ``label`` and ``axis`` do not
@@ -341,35 +362,58 @@ class Region:
     def __init__(
         self,
         cells: Iterable[TriangleCell],
-        weights: tuple[tuple[Edge, Fraction], ...] = (),
-        barred: frozenset[Edge] = frozenset(),
+        weights: Iterable[tuple[Edge, Fraction]] = (),
+        barred: Iterable[Edge] = frozenset(),
         untileable: bool = False,
     ):
         cells = frozenset(cells)
         if bad := [c for c in cells if not is_canonical(c)]:
             raise InvalidSpec(f"{min(bad)} is not a lattice cell (see lattice.is_canonical)")
-        weights = _sorted_weights(weights)
+        layer0 = min([c.layer for c in cells], default=0)
+        index0 = min([c.index for c in cells], default=0)
+        stride = 2 * (max([c.index for c in cells], default=index0) - index0) + 4
+        code = {c: (c.layer - layer0) * stride + 2 * (c.index - index0) + c.orient for c in cells}
+
+        def lozenge(edge) -> tuple[int, int]:
+            # an up cell and its west, east or vertical neighbour (see codes)
+            try:
+                u, d = map(code.__getitem__, edge)
+            except (KeyError, TypeError, ValueError):  # not a pair of the region's cells
+                pass
+            else:
+                if not u & 1 and d - u in (-1, 3, stride + 1):
+                    return u, d
+            raise InvalidSpec(f"edge {edge!r} is not an (up, down) lozenge of the region")
+
+        coded: dict[tuple[int, int], Fraction] = {}
         for edge, w in weights:
+            pair = lozenge(edge)
             if isinstance(w, bool) or not isinstance(w, (int, Fraction)) or w <= 0:
                 raise InvalidSpec(
                     f"weight of lozenge {edge} must be a positive int or Fraction (got {w!r})"
                 )
-        vars(self).update(
-            cells=cells,
-            weights=weights,
-            barred=barred,
-            untileable=untileable,
-            label=None,
-            axis=None,
-        )
+            if pair in coded:
+                raise InvalidSpec(f"lozenge {edge} is weighted twice")
+            coded[pair] = w
+        bars: set[tuple[int, int]] = set()
+        for edge in barred:
+            pair = lozenge(edge)
+            if pair in bars or pair in coded:
+                twice = "barred twice" if pair in bars else "both barred and weighted"
+                raise InvalidSpec(f"lozenge {edge} is {twice}")
+            bars.add(pair)
+        codes = (stride, layer0, index0, sorted(code.values()))
+        vars(self).update(cells=cells, codes=codes, weights=tuple(sorted(coded.items())))
+        vars(self).update(barred=frozenset(bars), untileable=untileable, label=None, axis=None)
 
     @classmethod
     def _coded(cls, codes, weights, barred, label, axis, untileable=False) -> Region:
-        """The region whose stored form is ``codes``, with no cell view made."""
+        """The region whose stored form is ``codes`` and the edges on them,
+        which are trusted to be its lozenges, with no cell view made."""
         region = cls.__new__(cls)
         weights = _sorted_weights(weights)
-        vars(region).update(codes=codes, weights=weights, barred=barred, label=label, axis=axis)
-        vars(region)["untileable"] = untileable
+        vars(region).update(codes=codes, weights=weights, barred=barred, untileable=untileable)
+        vars(region).update(label=label, axis=axis)
         return region
 
     def __setattr__(self, name, value):
@@ -396,34 +440,6 @@ class Region:
         stored = vars(self)
         names = ("cells" if "cells" in stored else "codes", "weights", "barred", "untileable")
         return "Region(" + ", ".join(f"{k}={stored[k]!r}" for k in names if k in stored) + ")"
-
-    @cached_property
-    def codes(self) -> tuple[int, int, int, list[int]]:
-        """``(stride, layer0, index0, codes)``: each cell as the int ``(layer -
-        layer0) * stride + 2 * (index - index0) + orient``, sorted, with
-        layer0 and index0 the least layer and index.  The codes sort like the
-        cells and tell them apart.  The stride is twice the index span plus
-        4, so the west, east and vertical neighbours of an up cell are its
-        code -1, +3 and +stride+1, and a neighbour address past either end of
-        a layer's span is no cell's code, however far the region lies from
-        the origin.  Stored by
-        ``_assemble``; derived here, once, for a hand-built region."""
-        cells = self.cells
-        if not cells:
-            return 4, 0, 0, []
-        layers, indices, _ = zip(*cells)
-        layer0, index0 = min(layers), min(indices)
-        stride = 2 * (max(indices) - index0) + 4
-        base = layer0 * stride + 2 * index0
-        return stride, layer0, index0, sorted(l * stride + 2 * i + o - base for l, i, o in cells)
-
-    def code(self, cell: TriangleCell) -> int:
-        """The code of ``cell`` (see ``codes``), or -1 for an index outside the
-        region's span, where a code would alias a cell of the layer above or below."""
-        stride, layer0, index0, _ = self.codes
-        layer, index, orient = cell
-        offset = 2 * (index - index0)
-        return (layer - layer0) * stride + offset + orient if 0 <= offset < stride - 2 else -1
 
     @cached_property
     def order(self) -> tuple[TriangleCell, ...]:
@@ -458,9 +474,9 @@ class Region:
 UP, DOWN = ORIENTS
 
 
-def _sorted_weights(weights: Iterable[tuple[Edge, Fraction]]) -> tuple:
-    """``weights`` sorted by edge, so that equal regions store equal weights;
-    a lozenge weighted twice is refused."""
+def _sorted_weights(weights: Iterable[tuple[tuple[int, int], Fraction]]) -> tuple:
+    """``weights`` on codes sorted by edge, so that equal regions store equal
+    weights; a lozenge weighted twice is refused."""
     out = tuple(sorted(weights, key=operator.itemgetter(0)))
     for (edge, _), (other, _) in zip(out, out[1:]):
         if edge == other:
@@ -501,8 +517,9 @@ def _assemble(
     (see ``Region.codes``) and one sort merges the runs, so no cell of the
     region is made, nor the code of a removed one.  A run's positions share
     one parity, so one ``canonical_orient`` call per run checks the parity
-    convention for every cell of it.  Only the axis pairs and the cells of
-    barred and weighted edges become ``TriangleCell``s.
+    convention for every cell of it.  Barred and weighted edges are emitted
+    as code pairs by the same formula, so only the axis pairs become
+    ``TriangleCell``s.
 
     The keywords are trusted: ``_validate_spec`` has refused every dent or
     barrier off its line, on a side with no rows, or on a dent, so this
@@ -584,7 +601,7 @@ def _assemble(
 
     # each run is one range of codes with step 4, and the runs come sorted,
     # so one sort merges them
-    stride, layer0, index0, codes = 4, 0, 0, []
+    stride, layer0, index0, codes, base = 4, 0, 0, [], 0
     if present:
         layer0 = present[0][0]
         index0 = min(firsts) + shift
@@ -600,11 +617,10 @@ def _assemble(
         ]
         codes = sorted(chain.from_iterable(ranges))
 
+    def code(geo) -> int:
+        return geo[0] * stride + 2 * geo[1] + geo[2] - base
+
     new = tuple.__new__
-
-    def tr(geo) -> TriangleCell:
-        return new(TriangleCell, (geo[0], geo[1] + shift, geo[2]))
-
     axis = [
         (
             a and new(TriangleCell, (a[0], a[1] + shift, UP)),
@@ -614,8 +630,8 @@ def _assemble(
     ]
     return Region._coded(
         (stride, layer0, index0, codes),
-        weights=tuple([((tr(u), tr(d)), HALF) for u, d in weighted]),
-        barred=frozenset([(tr(u), tr(d)) for u, d in barred]),
+        weights=tuple([((code(u), code(d)), HALF) for u, d in weighted]),
+        barred=frozenset([(code(u), code(d)) for u, d in barred]),
         label=spec,
         axis=tuple(axis) or None,
     )
@@ -851,9 +867,9 @@ def kasteleyn_rows(region: Region) -> tuple[list[dict], dict[int, dict]]:
     The one place that decides which lozenges may be placed: both cells in
     the region and the edge not barred.  Neighbours are looked up by code in
     an int-keyed dict of the down cells.  Barriers and weights are applied
-    afterwards, edge by edge, and only when the region has any: each edge's
-    cells are looked up by code in the same dicts, so an edge naming a cell
-    outside the region changes nothing, and no cell view is made.
+    afterwards, edge by edge, and only when the region has any: each edge is
+    a pair of codes, which ``Region`` holds to be one of these lozenges, so
+    its row and column are looked up with no check, and no cell view is made.
 
     The signs come from ``_RAY_SIGNS``, indexed by the ray parity of an up
     cell (see below): they give the sign of its two same-layer lozenges, and
@@ -919,23 +935,12 @@ def kasteleyn_rows(region: Region) -> tuple[list[dict], dict[int, dict]]:
     if region.barred or region.weights:
         ups = [c for c in codes if not c & 1]
         row_of = dict(zip(ups, range(len(ups))))
-
-        def lozenge(edge: Edge) -> tuple[int, int]:
-            # (row, column) of an edge that is one of the rows' lozenges, else
-            # (-1, -1); an up code is even and a down code odd, so row_of
-            # holds only up cells and col only down cells
-            i, j = row_of.get(region.code(edge[0]), -1), col.get(region.code(edge[1]), -1)
-            return (i, j) if i >= 0 and j in rows[i] else (-1, -1)
-
-        for edge in region.barred:
-            i, j = lozenge(edge)
-            if i >= 0:
-                del rows[i][j]
-        for edge, w in region.weights:
-            i, j = lozenge(edge)
-            if i >= 0:
-                rows[i][j] *= w
-                weighted[i] = rows[i]
+        for u, d in region.barred:
+            del rows[row_of[u]][col[d]]
+        for (u, d), w in region.weights:
+            i = row_of[u]
+            rows[i][col[d]] *= w
+            weighted[i] = rows[i]
     return rows, weighted
 
 
@@ -964,22 +969,38 @@ def lozenges(region: Region) -> list[tuple[TriangleCell, TriangleCell, Fraction]
     return [(cell[u], cell[d], w) for u, d, w in lozenge_codes(region)]
 
 
+def edge_cells(region: Region) -> tuple[tuple[tuple[Edge, Fraction], ...], frozenset[Edge]]:
+    """``region.weights`` and ``region.barred`` with each code decoded into
+    its cell, as ``Region`` takes them: ``Region(region.cells,
+    *edge_cells(region), region.untileable) == region``.  The weights keep
+    their stored order, which is their cells' sorted order.  Pictures read
+    the edges this way; a count never calls this."""
+    cell = dict(zip(region.codes[3], region.order))
+    weights = tuple([((cell[u], cell[d]), w) for (u, d), w in region.weights])
+    return weights, frozenset([(cell[u], cell[d]) for u, d in region.barred])
+
+
 def restrict(region: Region, codes: Iterable[int], untileable: bool = False) -> Region:
     """The region on ``codes``, a subset of ``region.codes[3]``, with the weights
     and barriers of the edges that have both codes in it, and ``region``'s label
-    and axis.  The codes are re-based to the subset's own least layer, least index
-    and stride, so the result equals the hand-built region of its cells."""
+    and axis.  The codes and the edges are re-based together to the subset's own
+    least layer, least index and stride, so the result equals the hand-built
+    region of its cells and their edges."""
     stride, layer0, index0, _ = region.codes
     kept = set(codes)
-    code = region.code
-    weights = tuple((e, w) for e, w in region.weights if code(e[0]) in kept and code(e[1]) in kept)
-    barred = frozenset(e for e in region.barred if code(e[0]) in kept and code(e[1]) in kept)
-    codes, frame = sorted(kept), (4, 0, 0)
-    if codes:
-        top, offsets = codes[0] // stride, [c % stride for c in codes]
-        west, east = min(offsets) & ~1, max(offsets) & ~1  # 2 * (index - index0)
-        frame = east - west + 4, layer0 + top, index0 + (west >> 1)
-        codes = [(c // stride - top) * frame[0] + o - west for c, o in zip(codes, offsets)]
+    codes = sorted(kept)
+    offsets = [c % stride for c in codes]
+    top = codes[0] // stride if codes else 0
+    west = min(offsets, default=0) & ~1  # 2 * (index - index0)
+    width = (max(offsets, default=0) & ~1) - west + 4
+
+    def move(c: int) -> int:
+        return (c // stride - top) * width + c % stride - west
+
+    frame = (width, layer0 + top, index0 + (west >> 1)) if codes else (4, 0, 0)
+    weights = tuple([(tuple(map(move, e)), w) for e, w in region.weights if kept.issuperset(e)])
+    barred = frozenset([tuple(map(move, e)) for e in region.barred if kept.issuperset(e)])
+    codes = [move(c) for c in codes]
     return Region._coded((*frame, codes), weights, barred, region.label, region.axis, untileable)
 
 
@@ -1103,12 +1124,12 @@ def mirror_constant(region: Region) -> int:
     where each layer starts in the sorted codes, and every layer's first and
     last code give one K.  The region's cells are symmetric exactly when
     their ``mirror_images`` are their codes, sorted: one list comparison for
-    all layers.  Only a region that fails it is scanned code by code, in
-    sorted order, so the error names the least cell whose mirror image is
-    missing.  Barriers and weights are stored as cell pairs, so they are
-    mirrored with ``mirror_edge``.
+    all layers.  Only a region that fails it is scanned cell by cell, in
+    sorted order, through its ``order`` view, so the error names the least
+    cell whose mirror image is missing.  Barriers and weights are code
+    pairs, mirrored by the same images.
     """
-    stride, layer0, index0, codes = region.codes
+    stride, _, index0, codes = region.codes
     if not codes:
         return 0
     starts = [bisect_left(codes, layer * stride) for layer in range(codes[-1] // stride + 2)]
@@ -1126,15 +1147,15 @@ def mirror_constant(region: Region) -> int:
     images = mirror_images(region, k)
     if sorted(images) != codes:
         members = set(codes)
-        for c, image in zip(codes, images):
+        for cell, image in zip(region.order, images):
             if image not in members:
-                index = index0 + (c % stride >> 1)
-                cell = TriangleCell(layer0 + c // stride, index, ORIENTS[c & 1])
                 raise InvalidSpec(f"region is not mirror-symmetric (cell {cell})")
-    if region.barred and frozenset(mirror_edge(e, k) for e in region.barred) != region.barred:
-        raise InvalidSpec("barriers are not mirror-symmetric")
-    if _sorted_weights((mirror_edge(e, k), w) for e, w in region.weights) != region.weights:
-        raise InvalidSpec("weights are not mirror-symmetric")
+    if region.barred or region.weights:
+        image = dict(zip(codes, images)).__getitem__
+        if frozenset([tuple(map(image, e)) for e in region.barred]) != region.barred:
+            raise InvalidSpec("barriers are not mirror-symmetric")
+        if _sorted_weights([(tuple(map(image, e)), w) for e, w in region.weights]) != region.weights:
+            raise InvalidSpec("weights are not mirror-symmetric")
     return k
 
 
@@ -1154,16 +1175,8 @@ def fold_half(region: Region) -> Optional[Region]:
     images = mirror_images(region, mirror_constant(region))
     stride, _, _, codes = region.codes
     column = [c for c, image in zip(codes, images) if c == image]  # in layer order
-    barred = {(region.code(u), region.code(d)) for u, d in region.barred}
     pairs = zip(column[::2], column[1::2])
-    if len(column) % 2 or any(d != u + stride + 1 or (u, d) in barred for u, d in pairs):
+    if len(column) % 2 or any(d != u + stride + 1 or (u, d) in region.barred for u, d in pairs):
         return None
     return restrict(region, (c for c, image in zip(codes, images) if c > image))
 
-
-def mirror_cell(cell: TriangleCell, k: int) -> TriangleCell:
-    return TriangleCell(cell.layer, k - cell.index, cell.orient)
-
-
-def mirror_edge(edge: Edge, k: int) -> Edge:
-    return (mirror_cell(edge[0], k), mirror_cell(edge[1], k))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .counting import Lozenge
 from .lattice import Orient, TriangleCell
-from .regions import Region
+from .regions import Region, edge_cells
 
 HALF = Fraction(1, 2)
 
@@ -39,14 +39,13 @@ def _text_grid(region: Region, marks) -> list[str]:
     """The text rows of ``region``'s bounding box, two per layer: ``marks``
     are ``(row, index, char)`` with row ``2 * layer`` for a cell and ``2 *
     layer + 1`` for the row below it, which is kept only when it holds a
-    mark.  A mark outside the box, on a layer or at an index past its cells,
-    is dropped: a barrier of a hand-built region may name cells it does not
-    hold."""
+    mark.  Every mark lies in the box: a cell's on the cell, and a barrier's
+    under the up cell of one of the region's lozenges, the only edges a
+    ``Region`` holds."""
     lo_l, hi_l, lo_i, hi_i = _bounds(region.cells)
     grid = [[" "] * (hi_i - lo_i + 1) for _ in range(2 * (hi_l - lo_l + 1))]
     for row, index, ch in marks:
-        if 0 <= row - 2 * lo_l < len(grid) and lo_i <= index <= hi_i:
-            grid[row - 2 * lo_l][index - lo_i] = ch
+        grid[row - 2 * lo_l][index - lo_i] = ch
     rows = ["".join(row).rstrip() for row in grid]
     return [text for r, text in enumerate(rows) if text or r % 2 == 0]
 
@@ -54,7 +53,7 @@ def _text_grid(region: Region, marks) -> list[str]:
 def region_ascii(region: Region) -> str:
     """One character per cell ('^' up, 'v' down); barrier rows use '='."""
     cells = [(2 * c.layer, c.index, "v" if c.orient else "^") for c in region.order]
-    bars = [(2 * up.layer + 1, up.index, "=") for up, _ in region.barred]
+    bars = [(2 * up.layer + 1, up.index, "=") for up, _ in edge_cells(region)[1]]
     return "\n".join([_header(region), *_text_grid(region, cells + bars)])
 
 
@@ -131,10 +130,10 @@ def _shaded_core(a: TriangleCell, b: TriangleCell) -> str:
     return _polygon(pts, "#999999", stroke="none", width=0.0)
 
 
-def _barrier_lines(region: Region) -> list[str]:
-    """A bold bar along the shared edge of each barred vertical pair."""
+def _barrier_lines(barred) -> list[str]:
+    """A bold bar along the shared edge of each barred vertical pair of cells."""
     lines = []
-    for up, _ in sorted(region.barred):
+    for up, _ in sorted(barred):
         y = (up.layer + 1) * _H
         x0 = up.index * _SIDE / 2
         lines.append(
@@ -155,8 +154,9 @@ def region_svg(region: Region) -> str:
     for cell in axis_cells:
         if cell not in region.cells:
             body.append(_polygon(_corners(cell), "#333333"))
-    body.extend(_barrier_lines(region))
-    for (up, downc), w in region.weights:
+    weights, barred = edge_cells(region)
+    body.extend(_barrier_lines(barred))
+    for (up, downc), w in weights:
         if w == HALF:
             body.append(_shaded_core(up, downc))
     return _svg_document(body, region.cells.union(axis_cells))
@@ -175,5 +175,5 @@ def tiling_svg(region: Region, tiling: tuple[Lozenge, ...]) -> str:
         body.append(_polygon(quad, fills[_kind(up, down)]))
         if weight != 1:
             body.append(_shaded_core(up, down))
-    body.extend(_barrier_lines(region))
+    body.extend(_barrier_lines(edge_cells(region)[1]))
     return _svg_document(body, region.cells)

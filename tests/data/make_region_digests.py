@@ -7,7 +7,8 @@ dent sets of the trapezoid families, dent and barrier sets of up to two and
 one positions on the axis families, and the degenerate corners x = 0 and
 y = 0.  For each spec the digest takes the built region's label, sorted cells,
 weights (in their stored order), sorted barred edges, axis and untileable
-flag; every spec that validates builds.
+flag, with the edges decoded into cells by ``regions.edge_cells``; every spec
+that validates builds.
 
 The committed file was written by the cell-set builder that translated each
 geo cell on its own; the test that reads it pins the builder's output across
@@ -22,7 +23,7 @@ import json
 import sys
 
 from denthex import InvalidSpec, RegionSpec, build_region
-from denthex.regions import FAMILIES, spec_to_dict
+from denthex.regions import FAMILIES, edge_cells, spec_to_dict
 
 
 def _subsets(positions, most: int):
@@ -67,11 +68,12 @@ def _cell(c) -> list[int]:
 def region_record(spec: RegionSpec) -> list:
     """What the digest takes of ``build_region(spec)``, JSON-ready."""
     r = build_region(spec)
+    weights, barred = edge_cells(r)
     return [
         spec_to_dict(r.label),
         [_cell(c) for c in sorted(r.cells)],
-        [[_cell(u), _cell(d), str(w)] for (u, d), w in r.weights],
-        [[_cell(u), _cell(d)] for u, d in sorted(r.barred)],
+        [[_cell(u), _cell(d), str(w)] for (u, d), w in weights],
+        [[_cell(u), _cell(d)] for u, d in sorted(barred)],
         None if r.axis is None else [[a and _cell(a), b and _cell(b)] for a, b in r.axis],
         r.untileable,
     ]

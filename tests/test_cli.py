@@ -824,22 +824,25 @@ def test_region_ascii_barrier_row():
     ]
 
 
-def test_region_ascii_drops_barrier_marks_outside_the_box():
-    # a hand-built region may bar edges between cells it does not hold; the
-    # count ignores them, and the picture drops their marks whether they lie
+def test_barriers_outside_the_box_are_refused():
+    # a hand-built region once barred edges between cells it did not hold,
     # east of the box (past the end of a row) or west of it (at a negative
-    # offset, which would wrap to the row's far end)
+    # offset, which would wrap to the row's far end), and the picture had to
+    # drop their marks; the region now refuses them, so every barrier mark
+    # lies under an up cell of the box
     def shift(cell):
         return cell._replace(index=cell.index + 10)
 
     cells = frozenset(map(shift, build_region(hex_spec(1, 1, 1)).cells))
     west, east = (up(0, 8), down(0, 9)), (up(0, 40), down(0, 41))
-    plain = region_ascii(regions.Region(cells=cells)).splitlines()
     for barred in ({west}, {east}, {west, east}):
-        text = region_ascii(regions.Region(cells=cells, barred=frozenset(barred)))
-        header, *grid = text.splitlines()
-        assert f"barriers={len(barred)}" in header
-        assert grid == plain[1:] == ["^v^", "v^v"]
+        with pytest.raises(regions.InvalidSpec, match=r"is not an \(up, down\) lozenge"):
+            regions.Region(cells=cells, barred=frozenset(barred))
+    plain = region_ascii(regions.Region(cells=cells)).splitlines()
+    text = region_ascii(regions.Region(cells=cells, barred=frozenset({(up(0, 10), down(1, 10))})))
+    header, *grid = text.splitlines()
+    assert "barriers=1" in header and "barriers=0" in plain[0]
+    assert grid == ["^v^", "=", "v^v"] and plain[1:] == ["^v^", "v^v"]
 
 
 def test_region_svg_shades_each_half_weight_slot():

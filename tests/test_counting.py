@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import threading
 import weakref
@@ -48,7 +49,7 @@ from denthex import (
 from denthex import counting, regions
 from denthex.counting import _bareiss_abs_det, _reflective_fold
 from denthex.lattice import TriangleCell, neighbors
-from denthex.regions import FAMILIES, expand_rs, lozenges, spec_to_dict
+from denthex.regions import FAMILIES, edge_cells, expand_rs, lozenges, spec_to_dict
 from denthex.verify import free_axis_positions
 
 DATA = Path(__file__).parent / "data"
@@ -102,7 +103,8 @@ def test_dual_graph_follows_lattice_neighbors_on_golden_regions():
     seen = {"barred": 0, "weighted": 0}
     for record in golden_records():
         region = build_region(parse_spec(record["spec"]))
-        cells, barred, weights = region.cells, region.barred, dict(region.weights)
+        weights, barred = edge_cells(region)
+        cells, weights = region.cells, dict(weights)
         reference = [
             (c, nb, weights.get((c, nb), 1))
             for c in up_down(region)[0]
@@ -369,7 +371,7 @@ def hand_built_regions(draw):
     barred, halves = set(), set()
     if edges:
         barred = draw(st.sets(st.sampled_from(edges), max_size=2))
-        halves = draw(st.sets(st.sampled_from(edges), max_size=4))
+        halves = draw(st.sets(st.sampled_from(edges), max_size=4)) - barred
     return Region(
         cells=cells,
         weights=tuple((e, Fraction(1, 2)) for e in sorted(halves)),
@@ -422,7 +424,7 @@ def weighted_hand_built_regions(draw):
         weights[e] = draw(ratios)
     for e in some(by_down.values(), lambda n: n >= 2)[:2]:
         weights[e] = draw(units)
-    barred = draw(st.sets(st.sampled_from(edges), max_size=1))
+    barred = draw(st.sets(st.sampled_from(edges), max_size=1)) - weights.keys()
     return Region(cells=cells, weights=tuple(sorted(weights.items())), barred=frozenset(barred))
 
 
@@ -662,17 +664,19 @@ def translate(region: Region, dl: int, di: int) -> Region:
     def move(cell):
         return TriangleCell(cell.layer + dl, cell.index + di, cell.orient)
 
+    weights, barred = edge_cells(region)
     return Region(
         cells=frozenset(map(move, region.cells)),
-        weights=tuple(((move(u), move(d)), w) for (u, d), w in region.weights),
-        barred=frozenset((move(u), move(d)) for u, d in region.barred),
+        weights=tuple(((move(u), move(d)), w) for (u, d), w in weights),
+        barred=frozenset((move(u), move(d)) for u, d in barred),
         untileable=region.untileable,
     )
 
 
 def lattice_lozenges(region: Region) -> list:
     """The lozenge list written out from ``lattice.neighbors``."""
-    cells, barred, weights = region.cells, region.barred, dict(region.weights)
+    weights, barred = edge_cells(region)
+    cells, weights = region.cells, dict(weights)
     return [
         (c, nb, weights.get((c, nb), 1))
         for c in up_down(region)[0]
@@ -789,12 +793,17 @@ def test_the_oracle_and_the_filter_make_no_cell_view(monkeypatch):
     # built nor the reduced one gets its cells or their sorted order
     seen = []
 
-    def spy(region):
-        reduced, factor = remove_forced_lozenges(region)
-        seen.append((region, reduced))
-        return reduced, factor
+    def spy(reduction):
+        def spied(region):
+            reduced, rest = reduction(region)
+            seen.append((region, reduced))
+            return reduced, rest
 
-    monkeypatch.setattr(counting, "remove_forced_lozenges", spy)
+        return spied
+
+    # the oracle reduces through the one, the filter through the other
+    monkeypatch.setattr(counting, "remove_forced_lozenges", spy(remove_forced_lozenges))
+    monkeypatch.setattr(counting, "forced_matching", spy(regions.forced_matching))
     region = build_region(h_spec(2, 1, (1,), (4,)))
     assert count_tilings_oracle(region) == count_tilings(region) == 8
     assert count_reflective(rs_spec(4, 1, (), (2,), (1, 3)), "filter") == 2
@@ -805,9 +814,11 @@ def test_the_oracle_and_the_filter_make_no_cell_view(monkeypatch):
 
 
 def test_hand_built_regions_rebuild_the_built_ones():
-    # every region of the region-digest sweep, rebuilt from its cells as a
-    # hand-built region, equals it, hashes equally and counts from the same
-    # codes and Kasteleyn rows
+    # every region of the region-digest sweep, rebuilt from its cells and its
+    # edges decoded into cells as a hand-built region, equals it, hashes
+    # equally and counts from the same codes and Kasteleyn rows; the
+    # constructor derives the codes, which it checks the edges on, but makes
+    # no sorted-order view
     sys.path.insert(0, str(DATA))
     try:
         from make_region_digests import sweep_specs
@@ -817,13 +828,14 @@ def test_hand_built_regions_rebuild_the_built_ones():
     for family in FAMILIES:
         for spec in sweep_specs(family):
             region = build_region(spec)
+            weights, barred = edge_cells(region)
             hand = Region(
                 cells=frozenset(sorted(region.cells)),
-                weights=region.weights,
-                barred=region.barred,
+                weights=weights,
+                barred=barred,
                 untileable=region.untileable,
             )
-            assert "codes" not in vars(hand)
+            assert "order" not in vars(hand)
             assert hand == region and hash(hand) == hash(region), spec.describe()
             assert hand.codes == region.codes, spec.describe()
             assert regions.kasteleyn_rows(hand) == regions.kasteleyn_rows(region)
@@ -831,11 +843,12 @@ def test_hand_built_regions_rebuild_the_built_ones():
     assert rebuilt >= 5000
 
 
-def test_edges_naming_cells_outside_the_region_change_nothing():
-    # barred and weighted edges are looked up by code; an edge naming a cell
-    # outside the region must not reach the region cell whose code it would
-    # alias without the span check: (layer + 1, index0 - 2) would land on
-    # (layer, index0 + span), the east end of the layer above
+def test_edges_naming_cells_outside_the_region_are_refused():
+    # a barred or weighted edge must be an (up, down) lozenge of the region's
+    # own cells, or the region is refused, naming it; the codes of the first
+    # one would alias a region cell without a span check: (layer + 1, index0
+    # - 2) would land on (layer, index0 + span), the east end of the layer
+    # above
     hexagon = build_region(hex_spec(2, 3, 2))
     stride, layer0, index0, _ = hexagon.codes
     east = index0 + (stride - 4) // 2
@@ -849,16 +862,15 @@ def test_edges_naming_cells_outside_the_region_change_nothing():
         (up(layer, east + 2), down(layer, east + 1)),  # east of the span
         (edges[0][0], down(layer0 + 40, index0)),  # one cell in, one out
         (edges[1][1], edges[1][0]),  # down cell first: no lozenge
+        (edges[0][0], edges[-1][1]),  # two cells of the region, not adjacent
     ]
-    plain = Region(cells=hexagon.cells)
-    region = Region(
-        cells=hexagon.cells,
-        weights=tuple((e, Fraction(1, 3)) for e in elsewhere),
-        barred=frozenset(elsewhere),
-    )
-    assert lozenges(region) == lattice_lozenges(region) == lozenges(plain)
+    for edge in elsewhere:
+        for kwargs in ({"weights": ((edge, Fraction(1, 3)),)}, {"barred": frozenset({edge})}):
+            with pytest.raises(InvalidSpec, match=re.escape(f"edge {edge!r} is not an (up, down)")):
+                Region(cells=hexagon.cells, **kwargs)
     for dl, di in [(0, 0), (3, 1), (2**41, 2**40)]:
-        moved = translate(region, dl, di)
+        moved = translate(hexagon, dl, di)
+        assert lozenges(moved) == lattice_lozenges(moved)
         assert count_tilings(moved) == count_tilings_oracle(moved) == pp(2, 3, 2)
 
 
@@ -867,20 +879,24 @@ def test_forced_reduction_agrees_with_engine_on_golden_regions():
     # is a second route to every count; barring one lozenge at a forced cell
     # adds regions whose reduction runs into an uncoverable cell
     lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
-    checked = {"reduced": 0, "untileable": 0}
+    checked = {"reduced": 0, "untileable": 0, "weighted": 0}
     for record in map(json.loads, lines):
         region = build_region(parse_spec(record["spec"]))
         reduced, _ = remove_forced_lozenges(region)
         variants = [region]
         if reduced != region:
             edge = next((u, d) for u, d, _ in lozenges(region) if u not in reduced.cells)
-            variants.append(
-                Region(cells=region.cells, weights=region.weights, barred=region.barred | {edge})
-            )
+            weights, barred = edge_cells(region)
+            kept = [(e, w) for e, w in weights if e != edge]
+            if len(kept) < len(weights):  # a lozenge is not both barred and weighted
+                checked["weighted"] += 1
+                with pytest.raises(InvalidSpec, match="both barred and weighted"):
+                    Region(region.cells, weights, barred | {edge})
+            variants.append(Region(region.cells, kept, barred | {edge}))
         for variant in variants:
             reduced, factor = remove_forced_lozenges(variant)
-            # the reduction re-bases its codes to the cells it keeps
-            hand = Region(reduced.cells, reduced.weights, reduced.barred, reduced.untileable)
+            # the reduction re-bases its codes and edges to the cells it keeps
+            hand = Region(reduced.cells, *edge_cells(reduced), reduced.untileable)
             assert reduced == hand and hash(reduced) == hash(hand), record
             count = count_tilings(variant)
             if reduced.untileable:
@@ -889,7 +905,7 @@ def test_forced_reduction_agrees_with_engine_on_golden_regions():
             else:
                 checked["reduced"] += reduced != variant
                 assert count == factor * count_tilings(reduced), record
-    assert checked["reduced"] >= 100 and checked["untileable"] >= 50
+    assert checked["reduced"] >= 100 and checked["untileable"] >= 50 and checked["weighted"] >= 5
 
 
 @st.composite
@@ -1044,7 +1060,7 @@ def test_enumeration_equals_the_unreduced_search_on_golden_regions():
         if spec == dead_ends or Fraction(rec["count"]) > 3000:  # a weight is at most 1
             continue
         region = build_region(spec)
-        if count_tilings(Region(cells=region.cells, barred=region.barred)) > 3000:
+        if count_tilings(Region(cells=region.cells, barred=edge_cells(region)[1])) > 3000:
             continue
         want = unreduced_tilings(region)
         assert enumerate_tilings(region, cap=3000) == want, spec.describe()
@@ -1136,7 +1152,7 @@ def test_search_draws_the_indexed_search_order_on_golden_regions():
         want = list(itertools.islice(indexed_matchings(reduced, edges, 80_000), 3000))
         got = list(itertools.islice(counting._matchings(reduced, edges), len(want)))
         assert got == want, rec["spec"]
-        unweighted = count_tilings(Region(cells=region.cells, barred=region.barred))
+        unweighted = count_tilings(Region(cells=region.cells, barred=edge_cells(region)[1]))
         in_full += len(want) == min(3000, unweighted)
         drawn += len(want)
     assert (len(records), in_full, drawn) == (208, 178, 412858)
@@ -1276,15 +1292,19 @@ def test_count_reflective_filter_raises_on_a_broken_forced_reduction(monkeypatch
     # the mirror maps the forced lozenges onto themselves, so a reduced region
     # that is not mirror-symmetric is a broken reduction and must raise
     spec = RS_WITH_FORCED[1][0]
-    real = counting.remove_forced_lozenges
+    real = counting.forced_matching
 
     def broken(region):
-        reduced, factor = real(region)
-        return regions.restrict(reduced, reduced.codes[3][2:]), factor
+        reduced, forced = real(region)
+        return regions.restrict(reduced, reduced.codes[3][2:]), forced
 
-    monkeypatch.setattr(counting, "remove_forced_lozenges", broken)
+    monkeypatch.setattr(counting, "forced_matching", broken)
     with pytest.raises(InvalidSpec, match="not mirror-symmetric"):
         count_reflective(spec, "filter")
+
+
+def mirror_cell(cell: TriangleCell, k: int) -> TriangleCell:
+    return TriangleCell(cell.layer, k - cell.index, cell.orient)
 
 
 def symmetric_dead_region() -> Region:
@@ -1294,7 +1314,7 @@ def symmetric_dead_region() -> Region:
     region = build_region(rs_spec(2, 1, (1,)))
     k = regions.mirror_constant(region)
     cell = min(u for u, _, _ in lozenges(region))
-    dead = {cell, regions.mirror_cell(cell, k)}
+    dead = {cell, mirror_cell(cell, k)}
     barred = frozenset((u, d) for u, d, _ in lozenges(region) if u in dead)
     return Region(cells=region.cells, barred=barred)
 

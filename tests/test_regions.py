@@ -111,7 +111,35 @@ def test_region_accepts_positive_int_and_fraction_weights():
     region = build_region(hex_spec(1, 1, 1))
     edge = _edges(region)[0]
     for weight in (1, 3, Fraction(2, 5)):
-        assert dict(Region(cells=region.cells, weights=((edge, weight),)).weights)[edge] == weight
+        weights, _ = regions.edge_cells(Region(cells=region.cells, weights=((edge, weight),)))
+        assert dict(weights)[edge] == weight
+
+
+E = (up(0, 0), down(0, 1))  # a lozenge of Hex(1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        # a traceback from the sort of the weights
+        ({"weights": [((1, 2), 2), (E, 3)]}, "edge (1, 2) is not an (up, down) lozenge"),
+        # counted, then an IndexError from the sweep
+        ({"weights": [((E[0],), 3)]}, f"edge {(E[0],)!r} is not an (up, down) lozenge"),
+        # counted, then a TypeError from the sweep
+        ({"barred": frozenset({(1, 2)})}, "edge (1, 2) is not an (up, down) lozenge"),
+        # stored as a list, so the region could not be hashed
+        ({"barred": [E, E]}, f"lozenge {E} is barred twice"),
+        # the weight was dropped without a word
+        ({"weights": [(E, 3)], "barred": [E]}, f"lozenge {E} is both barred and weighted"),
+        ({"barred": [E[::-1]]}, f"edge {E[::-1]!r} is not an (up, down) lozenge"),
+    ],
+    ids=["int-pair-weight", "one-cell-weight", "int-pair-barrier", "barred-twice", "both", "down-first"],
+)
+def test_region_refuses_bad_hand_built_edges(edges, message):
+    cells = build_region(hex_spec(1, 1, 1)).cells
+    assert Region(cells=cells, weights=[(E, 3)], barred=[]).weights
+    with pytest.raises(InvalidSpec, match="^" + re.escape(message)):
+        Region(cells=cells, **edges)
 
 
 def test_region_is_immutable_and_equal_only_to_regions():
@@ -129,9 +157,10 @@ def test_region_equality_ignores_the_order_of_weights():
     # reversing the six weights of a W region gave a region that was neither
     # equal nor of equal hash, although its weight map and count agreed
     built = build_region(w_spec(2, 2, (1,), (2,)))
-    assert len(built.weights) == 6
-    shuffled = Region(cells=built.cells, weights=tuple(reversed(built.weights)))
-    same = Region(cells=built.cells, weights=built.weights)
+    weights, _ = regions.edge_cells(built)
+    assert len(weights) == 6
+    shuffled = Region(cells=built.cells, weights=tuple(reversed(weights)))
+    same = Region(cells=built.cells, weights=weights)
     assert shuffled == same == built and hash(shuffled) == hash(same) == hash(built)
     assert shuffled.weights == built.weights == tuple(sorted(built.weights))
     assert count_tilings(shuffled) == count_tilings(built)
@@ -148,8 +177,8 @@ def decoded_lozenge_codes(region: Region) -> list:
 
 
 def test_lozenges_are_the_lozenge_codes_decoded():
-    # on every golden region, and on hand-built regions with a barrier, a
-    # weight, and edges that name a cell outside the region
+    # on every golden region, and on hand-built regions with a barrier and a
+    # weight; edges that name a cell outside the region are refused
     lines = (DATA / "golden_counts.jsonl").read_text(encoding="utf-8").splitlines()
     for record in map(json.loads, lines):
         region = build_region(parse_spec(record["spec"]))
@@ -161,14 +190,15 @@ def test_lozenges_are_the_lozenge_codes_decoded():
     cases = [
         Region(cells=hexagon.cells, barred=frozenset({edges[2]})),
         Region(cells=hexagon.cells, weights=((edges[4], Fraction(1, 3)),)),
-        Region(cells=hexagon.cells, barred=frozenset({outside}), weights=((outside, 5),)),
     ]
     for region in cases:
         assert regions.lozenges(region) == decoded_lozenge_codes(region)
-    barred, weighted, apart = (regions.lozenges(r) for r in cases)
+    barred, weighted = (regions.lozenges(r) for r in cases)
     assert len(barred) == len(edges) - 1 and edges[2] not in [e[:2] for e in barred]
     assert weighted[4] == (*edges[4], Fraction(1, 3))
-    assert apart == regions.lozenges(hexagon)
+    for apart in ({"barred": frozenset({outside})}, {"weights": ((outside, 5),)}):
+        with pytest.raises(InvalidSpec, match=re.escape(f"edge {outside!r} is not")):
+            Region(cells=hexagon.cells, **apart)
 
 
 def test_region_refuses_a_lozenge_weighted_twice():
@@ -177,8 +207,9 @@ def test_region_refuses_a_lozenge_weighted_twice():
     for weights in (((edge, 2), (edge, 2)), ((edge, 2), (edge, Fraction(1, 2)))):
         with pytest.raises(InvalidSpec, match=re.escape(f"lozenge {edge} is weighted twice")):
             Region(cells=region.cells, weights=weights)
+        coded = [(regions.lozenge_codes(region)[0][:2], w) for _, w in weights]
         with pytest.raises(InvalidSpec, match="weighted twice"):
-            Region._coded(region.codes, weights, frozenset(), None, None)
+            Region._coded(region.codes, coded, frozenset(), None, None)
 
 
 def _edges(region: Region):
@@ -309,7 +340,7 @@ def test_built_reduced_and_folded_regions_hold_only_lattice_cells(monkeypatch):
     assert all(map(lattice_only, halves))
     # restrict re-bases the half's codes to its own cells
     for half in halves:
-        hand = Region(half.cells, half.weights, half.barred)
+        hand = Region(half.cells, *regions.edge_cells(half))
         assert half == hand and hash(half) == hash(hand)
 
 
@@ -396,6 +427,10 @@ def test_rs_region_is_mirror_symmetric():
     mirror_constant(region)  # raises when asymmetric
 
 
+def mirror_cell(cell: TriangleCell, k: int) -> TriangleCell:
+    return TriangleCell(cell.layer, k - cell.index, cell.orient)
+
+
 def literal_mirror_constant(region: Region) -> int:
     # the definition read cell by cell: one K from every layer's span, and the
     # mirror image of every cell, barred edge and weight is one of the region's
@@ -412,11 +447,16 @@ def literal_mirror_constant(region: Region) -> int:
     if k % 2 == 1:
         raise InvalidSpec("region is not mirror-symmetric (odd mirror constant)")
     for c in sorted(region.cells):  # the least cell whose image is missing
-        if regions.mirror_cell(c, k) not in region.cells:
+        if mirror_cell(c, k) not in region.cells:
             raise InvalidSpec(f"region is not mirror-symmetric (cell {c})")
-    if frozenset(regions.mirror_edge(e, k) for e in region.barred) != region.barred:
+    weights, barred = regions.edge_cells(region)
+
+    def mirror_edge(edge):
+        return mirror_cell(edge[0], k), mirror_cell(edge[1], k)
+
+    if frozenset(map(mirror_edge, barred)) != barred:
         raise InvalidSpec("barriers are not mirror-symmetric")
-    if {regions.mirror_edge(e, k): w for e, w in region.weights} != dict(region.weights):
+    if {mirror_edge(e): w for e, w in weights} != dict(weights):
         raise InvalidSpec("weights are not mirror-symmetric")
     return k
 
@@ -442,9 +482,8 @@ def middle_column_fold(region: Region):
     stride, _, index0, codes = region.codes
     mid = k // 2 - index0
     column = [c for c in codes if c % stride >> 1 == mid]
-    barred = {(region.code(u), region.code(d)) for u, d in region.barred}
     pairs = zip(column[::2], column[1::2])
-    if len(column) % 2 or any(d != u + stride + 1 or (u, d) in barred for u, d in pairs):
+    if len(column) % 2 or any(d != u + stride + 1 or (u, d) in region.barred for u, d in pairs):
         return None
     return regions.restrict(region, [c for c in codes if c % stride >> 1 > mid])
 
@@ -461,7 +500,7 @@ def test_mirror_images_are_the_mirror_of_every_cell():
         assert sorted(images) == codes, region.label.describe()
         assert [images[rank[image]] for image in images] == codes, region.label.describe()
         mirrored = [region.order[rank[image]] for image in images]
-        assert mirrored == [regions.mirror_cell(c, k) for c in region.order]
+        assert mirrored == [mirror_cell(c, k) for c in region.order]
         checked += 1
         on_column += any(c == image for c, image in zip(codes, images))
     assert checked >= 500 and on_column >= 100
@@ -486,27 +525,28 @@ def test_mirror_constant_names_a_cell_that_breaks_symmetry_inside_the_spans():
     cell = up(3, 7)  # inside its layer's span and off the mirror column
     layer = [c.index for c in region.cells if c.layer == cell.layer]
     assert cell in region.cells and min(layer) < cell.index < max(layer) and 2 * cell.index != k
-    broken = Region(cells=region.cells - {cell}, weights=region.weights, barred=region.barred)
+    broken = Region(region.cells - {cell}, *regions.edge_cells(region))
     for layer in {c.layer for c in broken.cells}:
         indices = [c.index for c in broken.cells if c.layer == layer]
         assert min(indices) + max(indices) == k
-    with pytest.raises(InvalidSpec, match=re.escape(f"(cell {regions.mirror_cell(cell, k)})")):
+    with pytest.raises(InvalidSpec, match=re.escape(f"(cell {mirror_cell(cell, k)})")):
         mirror_constant(broken)
 
 
 def test_mirror_constant_matches_the_cell_by_cell_definition():
-    # every single-cell removal from two RS regions, plus hand-built cases for
-    # each message, give the definition's constant or its exact message
+    # every single-cell removal from two RS regions, with the edges of the
+    # cell removed, plus hand-built cases for each message, give the
+    # definition's constant or its exact message
     cases = []
     for spec in (rs_spec(4, 2, (2,), (1,), (3,)), rs_spec(2, 1, (1,))):
         region = build_region(spec)
         cases.append(region)
-        cases += [
-            Region(cells=region.cells - {c}, weights=region.weights, barred=region.barred)
-            for c in sorted(region.cells)
-        ]
+        weights, barred = regions.edge_cells(region)
+        for c in sorted(region.cells):
+            kept = [(e, w) for e, w in weights if c not in e]
+            cases.append(Region(region.cells - {c}, kept, {e for e in barred if c not in e}))
         edge = tuple(regions.lozenges(region)[0][:2])  # its mirror image is another edge
-        cells, weights, barred = region.cells, region.weights, region.barred
+        cells = region.cells
         cases.append(Region(cells=cells, weights=weights, barred=frozenset({edge})))
         cases.append(Region(cells=cells, weights=((edge, Fraction(1, 2)),), barred=barred))
     cases.append(Region(cells=frozenset({up(0, 0), down(0, 1)})))  # odd constant
@@ -542,8 +582,10 @@ def test_barrier_stored_as_barred_edge_not_removed_cells():
     barred = build_region(h_spec(2, 1, (1,), (2,), (3,)))
     assert barred.cells == plain.cells
     assert len(barred.barred) == 1
-    (up_cell, down_cell), = barred.barred
+    (up_code, down_code), = barred.barred
+    (up_cell, down_cell), = regions.edge_cells(barred)[1]
     assert up_cell.orient is Orient.UP and down_cell.orient is Orient.DOWN
+    assert (up_code % 2, down_code - up_code) == (0, barred.codes[0] + 1)  # vertical, in codes
 
 
 # -- validation errors -------------------------------------------------------
