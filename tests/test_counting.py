@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from denthex import (
     CapExceeded,
     InvalidSpec,
+    RatioSpec,
     Region,
     RegionSpec,
     build_region,
@@ -43,6 +44,7 @@ from denthex import (
     remove_forced_lozenges,
     rs_spec,
     semihex_spec,
+    shuffle_ratio,
     up,
     w_spec,
 )
@@ -195,14 +197,62 @@ def test_bareiss_matches_fraction_elimination(matrix, data):
 
 
 def test_bareiss_non_unit_pivots_and_deferred_rescale():
-    # every pivot is 3 or -3, so no division is by 1; rows 2 and 1 become
-    # pivots at steps 1 and 2 without being touched before, so each needs its
-    # deferred rescale, and row 0 is updated at step 1 having missed step 0's.
-    # Skipping the divisions gives 9, dropping a deferred rescale gives 1
+    # under Bareiss pivots alone every pivot is 3 or -3, so no division is by
+    # 1; rows 2 and 1 become pivots at steps 1 and 2 without being touched
+    # before, so each needs its deferred rescale, and row 0 is updated at step
+    # 1 having missed step 0's.  Skipping the divisions gives 9, dropping a
+    # deferred rescale gives 1.  The elimination now takes +-1 pivots on 3 of
+    # the 4 steps; the same matrix times 3, below, keeps every step on Bareiss
     matrix = [[0, -1, 3, 1], [0, 0, 1, 0], [0, -1, 0, 0], [3, 0, 0, 0]]
     assert fraction_det(matrix) == -3
     rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
     assert _bareiss_abs_det(rows, range(4)) == 3
+
+
+def test_bareiss_without_unit_entries_takes_every_rescale():
+    # the matrix above times 3: no entry is +-1, so every column is moved to
+    # the end once and comes back with none, and every step is a Bareiss step
+    # with the same pivot rows as above, deferred rescales included
+    matrix = [[0, -1, 3, 1], [0, 0, 1, 0], [0, -1, 0, 0], [3, 0, 0, 0]]
+    matrix = [[3 * v for v in r] for r in matrix]
+    assert fraction_det(matrix) == -243
+    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
+    assert _bareiss_abs_det(rows, range(4)) == 243
+
+
+@st.composite
+def non_unit_matrices(draw):
+    """Square matrices of order <= 7 with entries in {0, +-2, +-3}, mostly
+    zero, so that no step of the elimination starts on a unit pivot."""
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, -3, -2, 2, 3])
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_unit_matrices(), st.data())
+def test_bareiss_on_non_unit_entries_matches_fraction_elimination(matrix, data):
+    want = abs(fraction_det(matrix))
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    cols = data.draw(st.permutations(range(len(rows))))
+    assert _bareiss_abs_det(rows, cols) == want
+
+
+def test_bareiss_column_moved_to_the_end_gains_a_unit_entry():
+    # column 0 holds 2, 3 and 2, so it goes to the end of the walk; the unit
+    # pivots of columns 1 and 2 leave 1 there in row 1, which is then its
+    # pivot, although row 3 has fewer entries.  Column 3 is left with 6 in
+    # row 3 alone and, moved once already, is the one step whose pivot is not 1
+    matrix = [
+        [2, 1, 0, 1],
+        [3, 1, 1, 2],
+        [0, 0, 1, 4],
+        [2, 0, 0, 0],
+    ]
+    assert fraction_det(matrix) == -6
+    for cols in ([0, 1, 2, 3], [0, 2, 1, 3], [3, 0, 1, 2]):
+        rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
+        assert _bareiss_abs_det(rows, cols) == 6, cols
 
 
 @st.composite
@@ -514,8 +564,27 @@ def test_random_off_parity_regions_are_refused(case):
 
 
 def test_large_hexagons_match_macmahon():
-    for k in (10, 12):
+    # up to 3456 cells, odd sides included; the unit pivots keep each count
+    # under a tenth of a second
+    for k in (10, 12, 16, 17, 24):
         assert count_tilings(build_region(hex_spec(k, k, k))) == pp(k, k, k)
+
+
+def test_large_shuffled_pair_matches_shuffle_ratio():
+    # two 4972-cell regions, F(20, 16) dented at U, D and at the shuffle U', D'
+    rs = RatioSpec("F", (3, 9, 22), (5, 14, 30), (3, 14, 30), (5, 9, 22), 16)
+    pair = [build_region(f_spec(20, 16, U, D)) for U, D in ((rs.U, rs.D), (rs.Uprime, rs.Dprime))]
+    assert [len(region) for region in pair] == [4972, 4972]
+    num, den = map(count_tilings, pair)
+    assert num / den == shuffle_ratio(rs)
+
+
+def test_large_quartered_hexagon_matches_closed_form():
+    # Lbar(40, 20) dented at 1, 3, ..., 39: 2400 cells with weight-1/2 teeth
+    dents = tuple(range(1, 41, 2))
+    region = build_region(lbar_spec(40, 20, dents))
+    assert len(region) == 2400 and region.weights
+    assert count_tilings(region) == quartered("Lbar-even", dents)
 
 
 def test_large_weighted_quartered_hexagon_matches_closed_form():

@@ -142,6 +142,38 @@ def test_region_refuses_bad_hand_built_edges(edges, message):
         Region(cells=cells, **edges)
 
 
+@pytest.mark.parametrize(
+    "arguments,message",
+    [
+        # each escaped as a bare TypeError from the loop over the container
+        ({"weights": [5]}, "weights must be (edge, weight) pairs (got [5])"),
+        ({"weights": 5}, "weights must be (edge, weight) pairs (got 5)"),
+        ({"weights": [(E, 3, 4)]}, "weights must be (edge, weight) pairs"),
+        ({"barred": 5}, "barred must be an iterable of edges (got 5)"),
+        # accepted, stored as given, and every count was 0
+        ({"untileable": "no"}, "untileable must be a bool (got 'no')"),
+        ({"untileable": 0}, "untileable must be a bool (got 0)"),
+        ({"untileable": None}, "untileable must be a bool (got None)"),
+    ],
+    ids=[
+        "weights-of-ints",
+        "weights-int",
+        "weights-triple",
+        "barred-int",
+        "untileable-str",
+        "untileable-int",
+        "untileable-none",
+    ],
+)
+def test_region_refuses_malformed_arguments_naming_them(arguments, message):
+    cells = build_region(hex_spec(1, 1, 1)).cells
+    with pytest.raises(InvalidSpec, match="^" + re.escape(message)):
+        Region(cells=cells, **arguments)
+    # any iterable of pairs or of edges will do, a generator too
+    region = Region(cells=cells, weights=iter([(E, 3)]), barred=iter([]), untileable=False)
+    assert region == Region(cells=cells, weights=[(E, 3)])
+
+
 def test_region_is_immutable_and_equal_only_to_regions():
     region = build_region(hex_spec(1, 1, 1))
     with pytest.raises(AttributeError, match=r"^Region is immutable \(cannot set 'label'\)$"):
