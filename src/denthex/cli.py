@@ -381,8 +381,8 @@ def _cmd_bench(args) -> int:
         f_spec(2, 2, (1, 4), (2,)),
         w_spec(2, 2, (1, 4), (2,)),
     ]
-    # the weighted families, whose 1/2 teeth the elimination takes first, as
-    # unit pivots: Lbar(3k, 2k) alternates the odd and even quartered variants
+    # the weighted families, whose 1/2 teeth are scaled to integers before the
+    # elimination: Lbar(3k, 2k) alternates the odd and even quartered variants
     ladder += [lbar_spec(3 * k, 2 * k, range(1, 3 * k + 1, 2)) for k in sizes]
     ladder += [pprime_spec(k, k + 2, k) for k in sizes]
     for spec in ladder:

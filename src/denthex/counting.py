@@ -27,13 +27,10 @@ once.  Fraction-free Bareiss elimination takes over from the first pivot
 that is not 1 and is left a dense remainder of about one side of a hexagon:
 on a 2-vCPU host Hex(32) counts in about 0.1 s and Hex(64) in about 2 s.  A
 row that holds a fractional weight is scaled to integers, and the scale is
-divided out at the end.  The weighted rows and their fractional columns are
-eliminated first, so the row of each 1/2 tooth of the weighted families,
-scaled to {tooth: +-1, other: +-2}, is the unit pivot of its step: that step
-is the degree-2 vertex contraction of the dual graph, done by the one
-elimination.  A lozenge forced in every tiling is a row or column with a
-single entry, which the elimination strips as it goes.  The search below
-takes its edges from
+divided out at the end; every matrix, weighted or not, is eliminated in one
+order, its rows as the sweep emits them and its columns in index order.  A
+lozenge forced in every tiling is a row or column with a single entry, which
+the elimination strips as it goes.  The search below takes its edges from
 ``regions.lozenge_codes``, and a tiling is a tuple of ``regions.lozenges``
 entries ``(up, down, weight)``, that list's cell view.
 
@@ -98,16 +95,16 @@ class CapExceeded(RuntimeError):
 # -- Kasteleyn determinant -------------------------------------------------------
 
 
-def _bareiss_abs_det(rows: list[dict[int, int]], cols: list[int] | range) -> int:
+def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
     """|det| of a square integer matrix given as sparse rows {column: value},
     which the elimination consumes.
 
     Fraction-free Bareiss elimination, one column per step, walking the
-    columns in the order of ``cols`` (a permutation of the column indices).
-    While every pivot so far is 1, each step is plain integer elimination on
-    a unit pivot: the pivot row is the row of fewest nonzeros (lowest index
-    on ties) among those with +-1 in the column, negated when that entry is
-    -1, and a column with no +-1 entry is moved to the end of the walk, once.
+    columns in index order.  While every pivot so far is 1, each step is
+    plain integer elimination on a unit pivot: the pivot row is the row of
+    fewest nonzeros (lowest index on ties) among those with +-1 in the
+    column, negated when that entry is -1, and a column with no +-1 entry is
+    moved to the end of the walk, once.
     An unweighted Kasteleyn matrix is all +-1 at the start, so its entries
     stay small, and Bareiss is left only the dense remainder, about one side
     of a hexagon.  From the first pivot that is not 1 on, each column is
@@ -135,7 +132,7 @@ def _bareiss_abs_det(rows: list[dict[int, int]], cols: list[int] | range) -> int
             by_col[j].add(i)
     stamp = [-1] * n
     pivot = [1]  # pivot[t + 1] is the pivot of step t
-    walk = deque(cols)
+    walk = deque(range(n))
     moved = bytearray(n)  # moved[k]: column k was sent to the end of the walk
     unit = True  # every pivot so far is 1
 
@@ -200,38 +197,20 @@ def _bareiss_abs_det(rows: list[dict[int, int]], cols: list[int] | range) -> int
     return abs(pivot[-1])
 
 
-def _weighted_abs_det(rows: list[dict], weighted: dict[int, dict]) -> Fraction:
+def _weighted_abs_det(rows: list[dict], weighted: list[dict]) -> Fraction:
     """|det| of the square matrix ``rows``, whose rows listed in ``weighted``
     may hold Fractions and the others hold integers; the rows are consumed.
 
     Each weighted row is multiplied by the lcm of its denominators, and the
-    product of those factors divides the determinant at the end.  The
-    weighted rows go to the elimination first, in row order, and its column
-    order starts with their non-integer columns, so the first steps pivot on
-    them: a 1/2 tooth whose up cell has one other lozenge is scaled to the
-    row {tooth: +-1, other: +-2}, the unit pivot of its step, and that step
-    is the degree-2 vertex contraction of the dual graph.  The determinant
-    does not depend on the order, and since the elimination takes +-1 pivots
-    first it no longer saves time: W(20, 16) took 44 ms either way, and
-    Lbar(40, 20) 17.5 ms against 10.4 ms in column index order (best of 5 on
-    a 2-vCPU host).
+    product of those factors divides the determinant at the end.
     """
-    order = sorted(weighted)
-    den, first = 1, {}  # first: the non-integer columns, in row order
-    for i in order:
-        row = weighted[i]
+    den = 1
+    for row in weighted:
         m = math.lcm(*(v.denominator for v in row.values()))
         den *= m
         for j, v in row.items():
-            if v.denominator != 1:
-                first[j] = None
             row[j] = (v * m).numerator
-    n = len(rows)
-    if order:
-        rest = (row for i, row in enumerate(rows) if i not in weighted)
-        rows = [*(rows[i] for i in order), *rest]
-    cols = [*first, *(j for j in range(n) if j not in first)] if first else range(n)
-    return Fraction(_bareiss_abs_det(rows, cols), den)
+    return Fraction(_bareiss_abs_det(rows), den)
 
 
 def count_tilings(region: Region) -> Fraction:
@@ -243,9 +222,8 @@ def count_tilings(region: Region) -> Fraction:
     so a count makes no cell view.  A unit lozenge enters as its sign alone,
     so the plain regions never touch a ``Fraction``.  Unequal numbers
     of up and down cells, or an up cell without a lozenge, leave the matrix
-    singular.  One elimination, ``_weighted_abs_det``, takes the weighted
-    rows first and their fractional columns first, so each 1/2 tooth of the
-    weighted families is a unit pivot of one of its first steps.
+    singular.  ``_weighted_abs_det`` scales the weighted rows to integers
+    and runs the one elimination.
     """
     if region.untileable:
         return ZERO

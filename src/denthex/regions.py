@@ -869,12 +869,12 @@ def table_size(spec: RegionSpec) -> tuple[int, int]:
 _RAY_SIGNS = (1, -1)
 
 
-def kasteleyn_rows(region: Region) -> tuple[list[dict], dict[int, dict]]:
+def kasteleyn_rows(region: Region) -> tuple[list[dict], list[dict]]:
     """The Kasteleyn-signed dual graph in one pass over ``Region.codes``: one
     row per up cell in sorted order, mapping the column of each admissible
     down neighbour (its rank among the down cells in sorted order) to sign *
     weight, in ``neighbors`` order (west, east, vertical).  Also returns the
-    rows that hold a weight, by row number.  Every weight is a positive int
+    rows that hold a weight, in row order.  Every weight is a positive int
     or ``Fraction``, so ``abs`` of an entry is the lozenge's weight: the
     determinant reads the rows, and ``lozenge_codes`` alone turns them into
     lozenges, with their absolute values.
@@ -958,7 +958,7 @@ def kasteleyn_rows(region: Region) -> tuple[list[dict], dict[int, dict]]:
             i = row_of[u]
             rows[i][col[d]] *= w
             weighted[i] = rows[i]
-    return rows, weighted
+    return rows, list(weighted.values())
 
 
 def lozenge_codes(region: Region) -> list[tuple[int, int, Fraction]]:

@@ -184,16 +184,23 @@ def sparse_int_matrices(draw):
     return matrix
 
 
+def permuted(matrix: list[list[int]], cols) -> list[dict[int, int]]:
+    """The sparse rows of ``matrix`` with column ``cols[t]`` as column t, so
+    the elimination, which walks the columns in index order, takes the
+    columns of ``matrix`` in the order of ``cols``."""
+    return [{t: row[c] for t, c in enumerate(cols) if row[c]} for row in matrix]
+
+
 @settings(max_examples=400, deadline=None)
 @given(sparse_int_matrices(), st.data())
 def test_bareiss_matches_fraction_elimination(matrix, data):
-    # in column index order, and in a drawn column order: the steps walk the
-    # columns they are given, and the determinant is the same in any order
+    # in column index order, and with the columns drawn into another order:
+    # the determinant is the same whatever order the walk meets them in
     want = abs(fraction_det(matrix))
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    assert _bareiss_abs_det([dict(row) for row in rows], range(len(rows))) == want
-    cols = data.draw(st.permutations(range(len(rows))))
-    assert _bareiss_abs_det(rows, cols) == want
+    n = len(matrix)
+    assert _bareiss_abs_det(permuted(matrix, range(n))) == want
+    cols = data.draw(st.permutations(range(n)))
+    assert _bareiss_abs_det(permuted(matrix, cols)) == want
 
 
 def test_bareiss_non_unit_pivots_and_deferred_rescale():
@@ -205,8 +212,7 @@ def test_bareiss_non_unit_pivots_and_deferred_rescale():
     # the 4 steps; the same matrix times 3, below, keeps every step on Bareiss
     matrix = [[0, -1, 3, 1], [0, 0, 1, 0], [0, -1, 0, 0], [3, 0, 0, 0]]
     assert fraction_det(matrix) == -3
-    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
-    assert _bareiss_abs_det(rows, range(4)) == 3
+    assert _bareiss_abs_det(permuted(matrix, range(4))) == 3
 
 
 def test_bareiss_without_unit_entries_takes_every_rescale():
@@ -216,8 +222,7 @@ def test_bareiss_without_unit_entries_takes_every_rescale():
     matrix = [[0, -1, 3, 1], [0, 0, 1, 0], [0, -1, 0, 0], [3, 0, 0, 0]]
     matrix = [[3 * v for v in r] for r in matrix]
     assert fraction_det(matrix) == -243
-    rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
-    assert _bareiss_abs_det(rows, range(4)) == 243
+    assert _bareiss_abs_det(permuted(matrix, range(4))) == 243
 
 
 @st.composite
@@ -233,16 +238,16 @@ def non_unit_matrices(draw):
 @given(non_unit_matrices(), st.data())
 def test_bareiss_on_non_unit_entries_matches_fraction_elimination(matrix, data):
     want = abs(fraction_det(matrix))
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    cols = data.draw(st.permutations(range(len(rows))))
-    assert _bareiss_abs_det(rows, cols) == want
+    cols = data.draw(st.permutations(range(len(matrix))))
+    assert _bareiss_abs_det(permuted(matrix, cols)) == want
 
 
 def test_bareiss_column_moved_to_the_end_gains_a_unit_entry():
-    # column 0 holds 2, 3 and 2, so it goes to the end of the walk; the unit
-    # pivots of columns 1 and 2 leave 1 there in row 1, which is then its
-    # pivot, although row 3 has fewer entries.  Column 3 is left with 6 in
-    # row 3 alone and, moved once already, is the one step whose pivot is not 1
+    # in index order: column 0 holds 2, 3 and 2, so it goes to the end of the
+    # walk; the unit pivots of columns 1 and 2 leave 1 there in row 1, which
+    # is then its pivot, although row 3 has fewer entries.  Column 3 is left
+    # with 6 in row 3 alone and, moved once already, is the one step whose
+    # pivot is not 1.  Two other orders walk the same columns differently
     matrix = [
         [2, 1, 0, 1],
         [3, 1, 1, 2],
@@ -251,8 +256,15 @@ def test_bareiss_column_moved_to_the_end_gains_a_unit_entry():
     ]
     assert fraction_det(matrix) == -6
     for cols in ([0, 1, 2, 3], [0, 2, 1, 3], [3, 0, 1, 2]):
-        rows = [{j: v for j, v in enumerate(r) if v} for r in matrix]
-        assert _bareiss_abs_det(rows, cols) == 6, cols
+        assert _bareiss_abs_det(permuted(matrix, cols)) == 6, cols
+    # a pivot row keeps its entries in the columns walked after it, so the
+    # rows the elimination leaves show that walk: row 0 was the pivot of
+    # column 1, row 2 of column 2, row 1 of column 0 and row 3 of column 3.
+    # Taking Bareiss on row 3 at once, when column 0 has no unit entry, would
+    # leave [{3: 2}, {3: 2}, {}, {}]
+    rows = permuted(matrix, range(4))
+    _bareiss_abs_det(rows)
+    assert rows == [{0: 2, 3: 1}, {3: -3}, {3: 4}, {}]
 
 
 @st.composite
@@ -281,21 +293,21 @@ def dense(rows: list[dict], n: int) -> list[list]:
     return [[row.get(j, 0) for j in range(n)] for row in rows]
 
 
-# rows 0 and 2 are equal, so the step on row 0 (column 2) cancels row 2's
+# rows 0 and 2 are equal, so the step on row 0 (column 0) cancels row 2's
 # entry in column 1, the column row 1 is the pivot of next; an index of rows
 # by column that kept row 2 there would read an entry that is gone
-CANCELLED = [{2: Fraction(-1, 2), 1: -1}, {1: Fraction(1, 2)}, {2: Fraction(-1, 2), 1: -1}]
+CANCELLED = [{0: Fraction(-1, 2), 1: -1}, {1: Fraction(1, 2)}, {0: Fraction(-1, 2), 1: -1}]
 
 
 @settings(max_examples=400, deadline=None)
 @given(weighted_sparse_matrices())
 @example((CANCELLED, dict(enumerate(CANCELLED))))
 def test_weighted_pivot_keeps_the_determinant(case):
-    # the weighted rows and their fractional columns first, on matrices of
-    # any sign pattern, where those steps fill and cancel entries that no
-    # lozenge region reaches: the index of rows by column must stay exact
+    # the weighted rows scaled to integers, on matrices of any sign pattern,
+    # where the steps fill and cancel entries that no lozenge region reaches:
+    # the scale must be divided out, and the index of rows by column stay exact
     rows = [dict(row) for row in case[0]]
-    weighted = {i: rows[i] for i in case[1]}
+    weighted = [rows[i] for i in case[1]]
     want = abs(fraction_det(dense(rows, len(rows))))
     assert counting._weighted_abs_det(rows, weighted) == want
 
@@ -439,11 +451,11 @@ def test_engine_matches_oracle_on_random_hand_built_regions(region):
 def weighted_hand_built_regions(draw):
     """Hex(a,b,c), a, b, c <= 3, minus a random balanced cell set, with
     positive rational weights, numerator and denominator 1-5, on random
-    lozenges and on each shape the weighted pre-pivot meets when the region
-    has one: a lozenge of weight 1/q whose up cell has one other lozenge, two
-    weighted lozenges of one up cell, a weighted lozenge whose up cell has
-    three, and two weight-1/q lozenges sharing a down cell (two teeth on one
-    down cell)."""
+    lozenges and on each shape a weighted row of the engine can take when
+    the region has one: a lozenge of weight 1/q whose up cell has one other
+    lozenge (a tooth), two weighted lozenges of one up cell, a weighted
+    lozenge whose up cell has three, and two weight-1/q lozenges sharing a
+    down cell (two teeth on one down cell)."""
     a, b, c = (draw(st.integers(1, 3)) for _ in range(3))
     hexagon = build_region(hex_spec(a, b, c))
     k = draw(st.integers(0, 2))
@@ -482,43 +494,6 @@ def weighted_hand_built_regions(draw):
 @given(weighted_hand_built_regions())
 def test_engine_matches_oracle_on_random_rational_weights(region):
     assert count_tilings(region) == count_tilings_oracle(region)
-
-
-def test_weighted_families_pivot_out_every_half_tooth(monkeypatch):
-    # on the golden W, Wbar, Lbar and Pprime regions the i-th weighted row, a
-    # 1/2 tooth, reaches step i with its tooth as +-1 in column cols[i] and at
-    # most one other entry, and no row left holding that column has fewer
-    # entries, so it is the pivot (ties go to the lowest row) and the step is
-    # the degree-2 contraction on a unit.  The state before step i is what
-    # the elimination leaves after walking cols[:i] on a copy of the matrix;
-    # every earlier pivot was +-1, so no deferred rescale changes |entry|
-    seen = []  # a copy of each matrix and its column order
-    eliminate = counting._bareiss_abs_det
-    monkeypatch.setattr(
-        counting,
-        "_bareiss_abs_det",
-        lambda rows, cols: seen.append(([dict(row) for row in rows], list(cols)))
-        or eliminate(rows, cols),
-    )
-    checked = 0
-    for record in golden_records():
-        if record["spec"]["family"] not in ("W", "Wbar", "Lbar", "Pprime") or record["fold"]:
-            continue
-        region = build_region(parse_spec(record["spec"]))
-        _, weighted = regions.kasteleyn_rows(region)
-        seen.clear()
-        assert count_tilings(region) == Fraction(record["count"]), record
-        if not seen:  # unbalanced or an up cell without a lozenge: no matrix
-            continue
-        ((matrix, cols),) = seen
-        for i in range(len(weighted)):
-            rows = [dict(row) for row in matrix]
-            eliminate(rows, cols[:i])
-            row, k = rows[i], cols[i]
-            assert abs(row.get(k, 0)) == 1 and len(row) <= 2, (record, i)
-            assert all(len(other) >= len(row) for other in rows[i:] if k in other), (record, i)
-            checked += 1
-    assert checked >= 300
 
 
 def refusal(cells) -> str:
@@ -570,11 +545,16 @@ def test_large_hexagons_match_macmahon():
         assert count_tilings(build_region(hex_spec(k, k, k))) == pp(k, k, k)
 
 
-def test_large_shuffled_pair_matches_shuffle_ratio():
-    # two 4972-cell regions, F(20, 16) dented at U, D and at the shuffle U', D'
-    rs = RatioSpec("F", (3, 9, 22), (5, 14, 30), (3, 14, 30), (5, 9, 22), 16)
-    pair = [build_region(f_spec(20, 16, U, D)) for U, D in ((rs.U, rs.D), (rs.Uprime, rs.Dprime))]
-    assert [len(region) for region in pair] == [4972, 4972]
+@pytest.mark.parametrize("family", ["F", "Fbar", "W", "Wbar"])
+def test_large_shuffled_pair_matches_shuffle_ratio(family):
+    # two regions of the family at x = 20, y = 16, dented at U, D and at the
+    # shuffle U', D'; those of W and Wbar carry weight-1/2 teeth
+    cells = {"F": 4972, "Fbar": 4804, "W": 4972, "Wbar": 4804}[family]
+    rs = RatioSpec(family, (3, 9, 22), (5, 14, 30), (3, 14, 30), (5, 9, 22), 16)
+    sides = ((rs.U, rs.D), (rs.Uprime, rs.Dprime))
+    pair = [build_region(RegionSpec(family, x=20, y=16, U=U, D=D)) for U, D in sides]
+    assert [len(region) for region in pair] == [cells, cells]
+    assert all(bool(region.weights) == family.startswith("W") for region in pair)
     num, den = map(count_tilings, pair)
     assert num / den == shuffle_ratio(rs)
 
