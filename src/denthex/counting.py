@@ -20,19 +20,21 @@ the determinant, the oracle and the reflective filter alike, reads only the
 codes and makes no cell view.  Cells are made for a caller of
 ``iter_tilings`` alone, whose tilings the renderer draws.
 The determinant is taken over the whole region by one elimination in
-integers, in one pass.  An unweighted matrix starts all +-1, so while every
-pivot is 1 the elimination is plain integer elimination on +-1 pivots, whose
-entries stay small; a column with no +-1 entry waits at the end of the walk,
-once.  Fraction-free Bareiss elimination takes over from the first pivot
-that is not 1 and is left a dense remainder of about one side of a hexagon:
-on a 2-vCPU host Hex(32) counts in about 0.1 s and Hex(64) in about 2 s.  A
-row that holds a fractional weight is scaled to integers, and the scale is
-divided out at the end; every matrix, weighted or not, is eliminated in one
-order, its rows as the sweep emits them and its columns in index order.  A
-lozenge forced in every tiling is a row or column with a single entry, which
-the elimination strips as it goes.  The search below takes its edges from
-``regions.lozenge_codes``, and a tiling is a tuple of ``regions.lozenges``
-entries ``(up, down, weight)``, that list's cell view.
+integers: one walk over the columns, taken by two loops.  An unweighted
+matrix starts all +-1, so the unit loop is plain integer elimination on +-1
+pivots, whose entries stay small, with no Bareiss bookkeeping; a column with
+no +-1 entry waits at the end of the walk, once.  When such a column comes
+back with none, the Bareiss loop takes the columns left: fraction-free
+Bareiss elimination, with its deferred rescale, on a dense remainder of
+about one side of a hexagon.  On a 2-vCPU host Hex(32) counts in about
+0.08 s and Hex(64) in about 1.8 s.  A row that holds a fractional weight is
+scaled to integers, and the scale is divided out at the end; every matrix,
+weighted or not, is eliminated in one order, its rows as the sweep emits
+them and its columns in index order.  A lozenge forced in every tiling is a
+row or column with a single entry, which the elimination strips as it goes.
+The search below takes its edges from ``regions.lozenge_codes``, and a
+tiling is a tuple of ``regions.lozenges`` entries ``(up, down, weight)``,
+that list's cell view.
 
 Two independent checks stand beside the engine: ``count_tilings_oracle``, an
 exhaustive enumeration that refuses regions above a cell cap, and the closed
@@ -65,7 +67,6 @@ same spec both count it and store equal values.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -99,60 +100,92 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
     """|det| of a square integer matrix given as sparse rows {column: value},
     which the elimination consumes.
 
-    Fraction-free Bareiss elimination, one column per step, walking the
-    columns in index order.  While every pivot so far is 1, each step is
-    plain integer elimination on a unit pivot: the pivot row is the row of
-    fewest nonzeros (lowest index on ties) among those with +-1 in the
-    column, negated when that entry is -1, and a column with no +-1 entry is
-    moved to the end of the walk, once.
-    An unweighted Kasteleyn matrix is all +-1 at the start, so its entries
-    stay small, and Bareiss is left only the dense remainder, about one side
-    of a hexagon.  From the first pivot that is not 1 on, each column is
-    taken where the walk has it, with the row of fewest nonzeros as pivot
-    (lowest index on ties).  Every step is a Bareiss step under the order in
-    which the columns were taken, and negating a row flips the determinant's
-    sign alone, so |det| does not depend on the walk.
+    One walk over the columns in index order, taken by two loops.  The unit
+    loop is plain integer elimination on +-1 pivots: in each column the pivot
+    row is the row of fewest nonzeros (lowest index on ties) among those with
+    +-1 there, negated when that entry is -1, so every pivot is 1 and no step
+    multiplies, divides or rescales.  A column with no +-1 entry is moved to
+    the end of the walk, once; when it comes back with none, the unit loop
+    hands the rest of the walk to the Bareiss loop.  An unweighted Kasteleyn
+    matrix is all +-1 at the start, so its entries stay small, and Bareiss is
+    left only the dense remainder, about one side of a hexagon.
 
-    A row without an entry in the pivot column is only rescaled by Bareiss,
-    so the rescaling is deferred until the row is next touched: ``stamp[i]``
-    is the last step row i is current for.  A pivot row catches up by the
-    exact factor pivot(t-1) / pivot(stamp), skipped when the two are equal,
-    as they are while every pivot is 1.  A row that is updated folds its
-    rescale into the update, whose exact division is then by pivot(stamp)
-    instead of pivot(t-1); by Sylvester's identity the quotient is the same
-    entry.  Multiplying by a unit pivot and dividing by a unit divisor are
-    skipped.  An entry outside the pivot row's columns is only multiplied
-    and divided by nonzero pivots, so zeros are pruned at the pivot row's
-    columns alone.
+    The Bareiss loop is fraction-free Bareiss elimination on the columns the
+    walk has left, each with the row of fewest nonzeros as pivot (lowest
+    index on ties).  Every pivot before it was 1, so every row left starts
+    current at pivot 1.  Every step of either loop is a Bareiss step under
+    the order in which the columns were taken, and negating a row flips the
+    determinant's sign alone, so |det| does not depend on the walk.
+
+    In the Bareiss loop, a row without an entry in the pivot column is only
+    rescaled, so the rescaling is deferred until the row is next touched:
+    ``stamp[i]`` is the last Bareiss step row i is current for.  A pivot row
+    catches up by the exact factor pivot(t-1) / pivot(stamp), skipped when
+    the two are equal.  A row that is updated folds its rescale into the
+    update, whose exact division is then by pivot(stamp) instead of
+    pivot(t-1); by Sylvester's identity the quotient is the same entry.
+    Multiplying by a pivot of 1 and dividing by a divisor of 1 are skipped.
+    An entry outside the pivot row's columns is only multiplied and divided
+    by nonzero pivots, so zeros are pruned at the pivot row's columns alone.
     """
     n = len(rows)
     by_col: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
             by_col[j].add(i)
-    stamp = [-1] * n
-    pivot = [1]  # pivot[t + 1] is the pivot of step t
-    walk = deque(range(n))
+    walk = list(range(n))  # the loop below reaches the columns appended to it
     moved = bytearray(n)  # moved[k]: column k was sent to the end of the walk
-    unit = True  # every pivot so far is 1
 
-    while walk:
-        k = walk.popleft()
+    for w, k in enumerate(walk):
         hits = by_col[k]
         if not hits:
             return 0
-        pick = hits
-        if unit:
-            pick = [i for i in hits if rows[i][k] in (1, -1)]
-            if not pick:
-                if not moved[k]:
-                    moved[k] = 1
-                    walk.append(k)
-                    continue
-                unit = False
-                pick = hits
         p, fewest = n, n + 1
-        for i in pick:
+        for i in hits:
+            v = rows[i][k]
+            if v == 1 or v == -1:
+                m = len(rows[i])
+                if m < fewest or (m == fewest and i < p):
+                    p, fewest = i, m
+        if p == n:
+            if moved[k]:
+                break
+            moved[k] = 1
+            walk.append(k)
+            continue
+        prow = rows[p]
+        if prow.pop(k) == -1:
+            for j, v in prow.items():
+                prow[j] = -v
+        for j in prow:
+            by_col[j].discard(p)
+        hits.remove(p)  # column k is done: its set is left with the rows to update
+        for i in hits:
+            row = rows[i]
+            a = row.pop(k)
+            for j, v in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -a * v
+                    by_col[j].add(i)
+                else:
+                    x -= a * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        by_col[j].discard(i)
+    else:
+        return 1
+
+    stamp = [-1] * n
+    pivot = [1]  # pivot[t + 1] is the pivot of Bareiss step t
+    for k in walk[w:]:
+        hits = by_col[k]
+        if not hits:
+            return 0
+        p, fewest = n, n + 1
+        for i in hits:
             m = len(rows[i])
             if m < fewest or (m == fewest and i < p):
                 p, fewest = i, m
@@ -163,31 +196,27 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
             for j, v in prow.items():
                 prow[j] = v * num // den
         pv = prow.pop(k)
-        if unit and pv == -1:
-            for j, v in prow.items():
-                prow[j] = -v
-            pv = 1
         for j in prow:
             by_col[j].discard(p)
+        hits.remove(p)
         for i in hits:
-            if i == p:
-                continue
             row = rows[i]
             a = row.pop(k)
             if pv != 1:
                 for j, v in row.items():
                     row[j] = v * pv
             for j, v in prow.items():
-                if j in row:
-                    w = row[j] - a * v
-                    if w:
-                        row[j] = w
+                x = row.get(j)
+                if x is None:
+                    row[j] = -a * v
+                    by_col[j].add(i)
+                else:
+                    x -= a * v
+                    if x:
+                        row[j] = x
                     else:
                         del row[j]
                         by_col[j].discard(i)
-                else:
-                    row[j] = -a * v
-                    by_col[j].add(i)
             den = pivot[stamp[i] + 1]
             if den != 1:
                 for j, v in row.items():

@@ -267,12 +267,64 @@ def test_bareiss_column_moved_to_the_end_gains_a_unit_entry():
     assert rows == [{0: 2, 3: 1}, {3: -3}, {3: 4}, {}]
 
 
+# The exits of the two loops.  Each matrix is checked against fraction_det,
+# and the rows the elimination leaves show where it stopped.
+
+
+def test_unit_loop_returns_zero_at_an_emptied_column():
+    # row 0 is the pivot of column 0 and cancels row 1's entry in column 1,
+    # which is left with no row: 0 before column 2, with no +-1 entry, could
+    # hand the walk to the Bareiss loop
+    matrix = [[1, 1, 0], [1, 1, 0], [0, 0, 2]]
+    assert fraction_det(matrix) == 0
+    rows = permuted(matrix, range(3))
+    assert _bareiss_abs_det(rows) == 0
+    assert rows == [{1: 1}, {}, {2: 2}]
+
+
+def test_bareiss_loop_returns_zero_at_an_emptied_column():
+    # neither column holds a +-1 entry, so both go to the end of the walk and
+    # the Bareiss loop takes both: its step on column 0 (pivot 2) cancels row
+    # 1's entry in column 1, which is left with no row
+    matrix = [[2, 2], [2, 2]]
+    assert fraction_det(matrix) == 0
+    rows = permuted(matrix, range(2))
+    assert _bareiss_abs_det(rows) == 0
+    assert rows == [{1: 2}, {}]
+
+
+def test_unit_loop_alone_eliminates_a_unimodular_matrix():
+    # column 0 holds 2 and 3, so it goes to the end of the walk; row 0, of -1
+    # in column 1, is negated into its pivot, and leaves 1 in row 1's column
+    # 0, its pivot when column 0 comes back.  Every pivot is 1, so |det| is 1
+    matrix = [[2, -1], [3, -1]]
+    assert fraction_det(matrix) == 1
+    rows = permuted(matrix, range(2))
+    assert _bareiss_abs_det(rows) == 1
+    assert rows == [{0: -2}, {}]
+
+
+def test_hand_off_right_after_a_negated_pivot_row():
+    # columns 0 and 1 hold no +-1 entry and go to the end of the walk; row 0,
+    # negated, is the pivot of column 2, and column 0 comes back with 3 and
+    # 6, so the Bareiss loop takes columns 0 and 1 from rows 1 and 2 as the
+    # negated row left them.  Without the negation of its other entries the
+    # same walk gives 1
+    matrix = [[2, 2, -1], [3, 2, 0], [2, 3, 2]]
+    assert fraction_det(matrix) == -9
+    rows = permuted(matrix, range(3))
+    assert _bareiss_abs_det(rows) == 9
+    assert rows == [{0: -2, 1: -2}, {1: 2}, {}]
+
+
 @st.composite
 def weighted_sparse_matrices(draw):
     """Square matrices of order <= 6 as sparse rows, mostly of one to three
-    entries in {-2, -1, 1, 2}; some rows hold a weight +-1/q or +-p/q, most of
-    those next to one other entry, as a tooth's row does.  Columns are few, so
-    rows share them and the pivots fill and cancel entries."""
+    entries in {-2, -1, 1, 2}; some rows hold a weight +-1/q or +-p/q at any
+    of their entries, most of those next to one other entry, as a tooth's row
+    does, and some hold two weights of different denominators, so a row's
+    scale is the lcm of its denominators, not its first entry's.  Columns are
+    few, so rows share them and the pivots fill and cancel entries."""
     n = draw(st.integers(1, 6))
     units = st.sampled_from([-2, -1, 1, 2])
     weights = st.builds(
@@ -283,7 +335,10 @@ def weighted_sparse_matrices(draw):
         cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
         row = {j: draw(units) for j in cols}
         if draw(st.integers(0, 2)):
-            row[cols[0]] = draw(weights)
+            first, *others = draw(st.permutations(cols))
+            row[first] = w = draw(weights)
+            if others and draw(st.booleans()):
+                row[others[0]] = draw(weights.filter(lambda v: v.denominator != w.denominator))
             weighted[i] = row
         rows.append(row)
     return rows, weighted
