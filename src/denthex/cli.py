@@ -312,12 +312,11 @@ def _cmd_verify(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
     reports = run_suite(args.suite, seed=args.seed, budget=args.budget)
-    print(summary_table(reports))
+    table = summary_table(reports)
+    print(table)
     if args.out:
         write_reports(reports, outdir / f"{args.suite}.jsonl")
-        (outdir / f"{args.suite}-summary.txt").write_text(
-            summary_table(reports) + "\n", encoding="utf-8"
-        )
+        (outdir / f"{args.suite}-summary.txt").write_text(table + "\n", encoding="utf-8")
         print(f"reports written to {outdir}")
     return EXIT_OK if all_passed(reports) else EXIT_CHECK_FAILED
 

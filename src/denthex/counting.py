@@ -24,14 +24,15 @@ integers: one walk over the columns, taken by two loops.  An unweighted
 matrix starts all +-1, so the unit loop is plain integer elimination on +-1
 pivots, whose entries stay small, with no Bareiss bookkeeping; a column with
 no +-1 entry waits at the end of the walk, once.  When such a column comes
-back with none, the Bareiss loop takes the columns left: fraction-free
-Bareiss elimination, with its deferred rescale, on a dense remainder of
-about one side of a hexagon.  On a 2-vCPU host Hex(32) counts in about
-0.08 s and Hex(64) in about 1.8 s.  A row that holds a fractional weight is
-scaled to integers, and the scale is divided out at the end; every matrix,
-weighted or not, is eliminated in one order, its rows as the sweep emits
-them and its columns in index order.  A lozenge forced in every tiling is a
-row or column with a single entry, which the elimination strips as it goes.
+back with none, the Bareiss loop takes the columns left: textbook
+fraction-free Bareiss elimination on a dense copy of the remainder, which
+is small, about one side of a hexagon.  On a 2-vCPU host Hex(32) counts in
+about 0.08 s and Hex(64) in about 1.8 s.  A row that holds a fractional
+weight is scaled to integers, and the scale is divided out at the end;
+every matrix, weighted or not, is eliminated in one order, its rows as the
+sweep emits them and its columns in index order.  A lozenge forced in every
+tiling is a row or column with a single entry, which the elimination strips
+as it goes.
 The search below takes its edges from ``regions.lozenge_codes``, and a
 tiling is a tuple of ``regions.lozenges`` entries ``(up, down, weight)``,
 that list's cell view.
@@ -108,25 +109,16 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
     the end of the walk, once; when it comes back with none, the unit loop
     hands the rest of the walk to the Bareiss loop.  An unweighted Kasteleyn
     matrix is all +-1 at the start, so its entries stay small, and Bareiss is
-    left only the dense remainder, about one side of a hexagon.
+    left only a small, dense remainder.
 
-    The Bareiss loop is fraction-free Bareiss elimination on the columns the
-    walk has left, each with the row of fewest nonzeros as pivot (lowest
-    index on ties).  Every pivot before it was 1, so every row left starts
-    current at pivot 1.  Every step of either loop is a Bareiss step under
-    the order in which the columns were taken, and negating a row flips the
-    determinant's sign alone, so |det| does not depend on the walk.
-
-    In the Bareiss loop, a row without an entry in the pivot column is only
-    rescaled, so the rescaling is deferred until the row is next touched:
-    ``stamp[i]`` is the last Bareiss step row i is current for.  A pivot row
-    catches up by the exact factor pivot(t-1) / pivot(stamp), skipped when
-    the two are equal.  A row that is updated folds its rescale into the
-    update, whose exact division is then by pivot(stamp) instead of
-    pivot(t-1); by Sylvester's identity the quotient is the same entry.
-    Multiplying by a pivot of 1 and dividing by a divisor of 1 are skipped.
-    An entry outside the pivot row's columns is only multiplied and divided
-    by nonzero pivots, so zeros are pruned at the pivot row's columns alone.
+    The Bareiss loop is textbook fraction-free Bareiss elimination on a dense
+    copy of the remainder: the rows the unit loop has not taken as pivots,
+    over the columns the walk has left.  A row with no entry there makes the
+    determinant 0.  Each step swaps up the first row with a nonzero entry in
+    its column and updates every row below it in place, with exact division
+    by the previous pivot.  Every pivot before the remainder was 1, and
+    negating or swapping a row flips the determinant's sign alone, so |det|
+    is the last pivot, whatever order the walk met the columns in.
     """
     n = len(rows)
     by_col: list[set[int]] = [set() for _ in range(n)]
@@ -178,52 +170,29 @@ def _bareiss_abs_det(rows: list[dict[int, int]]) -> int:
     else:
         return 1
 
-    stamp = [-1] * n
-    pivot = [1]  # pivot[t + 1] is the pivot of Bareiss step t
-    for k in walk[w:]:
-        hits = by_col[k]
-        if not hits:
+    rest = walk[w:]
+    live = sorted(set().union(*(by_col[k] for k in rest)))
+    size = len(rest)
+    if len(live) < size:
+        return 0  # a row left with no entry
+    dense = [[rows[i].get(k, 0) for k in rest] for i in live]
+    prev = 1
+    for k in range(size):
+        for p in range(k, size):
+            if dense[p][k]:
+                break
+        else:
             return 0
-        p, fewest = n, n + 1
-        for i in hits:
-            m = len(rows[i])
-            if m < fewest or (m == fewest and i < p):
-                p, fewest = i, m
-        t = len(pivot) - 1
-        prow = rows[p]
-        num, den = pivot[t], pivot[stamp[p] + 1]
-        if num != den:
-            for j, v in prow.items():
-                prow[j] = v * num // den
-        pv = prow.pop(k)
-        for j in prow:
-            by_col[j].discard(p)
-        hits.remove(p)
-        for i in hits:
-            row = rows[i]
-            a = row.pop(k)
-            if pv != 1:
-                for j, v in row.items():
-                    row[j] = v * pv
-            for j, v in prow.items():
-                x = row.get(j)
-                if x is None:
-                    row[j] = -a * v
-                    by_col[j].add(i)
-                else:
-                    x -= a * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                        by_col[j].discard(i)
-            den = pivot[stamp[i] + 1]
-            if den != 1:
-                for j, v in row.items():
-                    row[j] = v // den
-            stamp[i] = t
-        pivot.append(pv)
-    return abs(pivot[-1])
+        dense[k], dense[p] = dense[p], dense[k]
+        top = dense[k]
+        pv = top[k]
+        for i in range(k + 1, size):
+            row = dense[i]
+            x = row[k]
+            for j in range(k + 1, size):
+                row[j] = (pv * row[j] - x * top[j]) // prev
+        prev = pv
+    return abs(prev)
 
 
 def _weighted_abs_det(rows: list[dict], weighted: list[dict]) -> Fraction:

@@ -60,8 +60,13 @@ def canonical_orient(layer: int, index: int) -> Orient:
 
 
 def is_canonical(cell: TriangleCell) -> bool:
+    """Whether ``cell`` is a lattice cell: a ``TriangleCell`` of int (not
+    bool) layer and index, both >= 0, oriented as its parity requires."""
     return (
-        cell.layer >= 0
+        isinstance(cell, TriangleCell)
+        and type(cell.layer) is int
+        and type(cell.index) is int
+        and cell.layer >= 0
         and cell.index >= 0
         and cell.orient is canonical_orient(cell.layer, cell.index)
     )

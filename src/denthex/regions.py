@@ -342,9 +342,11 @@ class Region:
     origin.
 
     A hand-built region passes its cells, which become its ``cells`` view,
-    and its edges as (up cell, down cell) pairs.  Any cell that is not a
-    lattice cell (``lattice.is_canonical``) is refused, the codes are derived
-    from the cells, and each edge is checked once, before anything is
+    and its edges as (up cell, down cell) pairs.  ``cells`` that is not
+    iterable is refused naming the argument, and any cell that is not a
+    lattice cell (``lattice.is_canonical``: a ``TriangleCell`` of int layer
+    and index, never coerced) naming the cell.  The codes are
+    derived from the cells, and each edge is checked once, before anything is
     sorted: an edge that is not an (up, down) lozenge of the region's own
     cells, a weight that is not a positive int or ``Fraction``, a lozenge
     weighted or barred twice, and a lozenge both barred and weighted are
@@ -369,9 +371,19 @@ class Region:
         barred: Iterable[Edge] = frozenset(),
         untileable: bool = False,
     ):
-        cells = frozenset(cells)
+        try:
+            cells = list(cells)
+        except TypeError:
+            got = reprlib.repr(cells)
+            raise InvalidSpec(f"cells must be an iterable of TriangleCell (got {got})") from None
+        # checked before the set is made, which would keep a tuple equal to a cell
         if bad := [c for c in cells if not is_canonical(c)]:
-            raise InvalidSpec(f"{min(bad)} is not a lattice cell (see lattice.is_canonical)")
+            try:
+                bad = min(bad)
+            except TypeError:  # values that do not compare are named by repr
+                bad = min(bad, key=repr)
+            raise InvalidSpec(f"{bad!r} is not a lattice cell (see lattice.is_canonical)")
+        cells = frozenset(cells)
         layer0 = min([c.layer for c in cells], default=0)
         index0 = min([c.index for c in cells], default=0)
         stride = 2 * (max([c.index for c in cells], default=index0) - index0) + 4

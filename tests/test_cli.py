@@ -552,6 +552,24 @@ def test_verify_exit_code_and_reports(tmp_path, capsys):
     assert "fail=0" in stdout
 
 
+def test_verify_out_writes_the_printed_table_once(tmp_path, capsys, monkeypatch):
+    # the table was built twice under --out, once to print and once to write
+    built = []
+    real = cli.summary_table
+
+    def summary_table(reports):
+        built.append(real(reports))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "summary_table", summary_table)
+    out = tmp_path / "reports"
+    assert main(["verify", "shuffling", "--budget", "2", "--out", str(out)]) == 0
+    assert len(built) == 1
+    (table,) = built
+    assert capsys.readouterr().out == f"{table}\nreports written to {out}\n"
+    assert (out / "shuffling-summary.txt").read_text(encoding="utf-8") == table + "\n"
+
+
 @pytest.mark.parametrize("budget", ["-1", "0"])
 def test_verify_rejects_budget_below_one(budget, capsys):
     # a verify run of no checks would print total=0 and report success

@@ -203,22 +203,25 @@ def test_bareiss_matches_fraction_elimination(matrix, data):
     assert _bareiss_abs_det(permuted(matrix, cols)) == want
 
 
-def test_bareiss_non_unit_pivots_and_deferred_rescale():
-    # under Bareiss pivots alone every pivot is 3 or -3, so no division is by
-    # 1; rows 2 and 1 become pivots at steps 1 and 2 without being touched
-    # before, so each needs its deferred rescale, and row 0 is updated at step
-    # 1 having missed step 0's.  Skipping the divisions gives 9, dropping a
-    # deferred rescale gives 1.  The elimination now takes +-1 pivots on 3 of
-    # the 4 steps; the same matrix times 3, below, keeps every step on Bareiss
+def test_unit_pivots_leave_the_bareiss_loop_one_entry():
+    # column 0 holds only 3, so it goes to the end of the walk; the unit loop
+    # takes columns 1, 2 and 3 on +-1 pivots and hands over row 3 alone, with
+    # 3 in column 0.  The same matrix times 3, below, keeps every step on
+    # Bareiss
     matrix = [[0, -1, 3, 1], [0, 0, 1, 0], [0, -1, 0, 0], [3, 0, 0, 0]]
     assert fraction_det(matrix) == -3
-    assert _bareiss_abs_det(permuted(matrix, range(4))) == 3
+    rows = permuted(matrix, range(4))
+    assert _bareiss_abs_det(rows) == 3
+    assert rows == [{}, {}, {}, {0: 3}]
 
 
-def test_bareiss_without_unit_entries_takes_every_rescale():
+def test_bareiss_without_unit_entries_swaps_and_divides():
     # the matrix above times 3: no entry is +-1, so every column is moved to
-    # the end once and comes back with none, and every step is a Bareiss step
-    # with the same pivot rows as above, deferred rescales included
+    # the end once and comes back with none, and the Bareiss loop takes the
+    # whole matrix.  Steps 0 and 1 swap a row up (rows 3 and 2 hold the only
+    # nonzero entries there), and the pivots 9, -27, -81 and -243 make each
+    # division exact by a divisor other than 1.  Skipping a swap gives 0, and
+    # skipping the divisions gives 3**12
     matrix = [[0, -1, 3, 1], [0, 0, 1, 0], [0, -1, 0, 0], [3, 0, 0, 0]]
     matrix = [[3 * v for v in r] for r in matrix]
     assert fraction_det(matrix) == -243
@@ -258,17 +261,18 @@ def test_bareiss_column_moved_to_the_end_gains_a_unit_entry():
     for cols in ([0, 1, 2, 3], [0, 2, 1, 3], [3, 0, 1, 2]):
         assert _bareiss_abs_det(permuted(matrix, cols)) == 6, cols
     # a pivot row keeps its entries in the columns walked after it, so the
-    # rows the elimination leaves show that walk: row 0 was the pivot of
-    # column 1, row 2 of column 2, row 1 of column 0 and row 3 of column 3.
-    # Taking Bareiss on row 3 at once, when column 0 has no unit entry, would
-    # leave [{3: 2}, {3: 2}, {}, {}]
+    # rows the unit loop hands over show that walk: row 0 was the pivot of
+    # column 1, row 2 of column 2 and row 1 of column 0, and row 3 is left
+    # with 6 in column 3 for the Bareiss loop.  Handing over at once, when
+    # column 0 has no unit entry, would leave the rows as they came
     rows = permuted(matrix, range(4))
     _bareiss_abs_det(rows)
-    assert rows == [{0: 2, 3: 1}, {3: -3}, {3: 4}, {}]
+    assert rows == [{0: 2, 3: 1}, {3: -3}, {3: 4}, {3: 6}]
 
 
 # The exits of the two loops.  Each matrix is checked against fraction_det,
-# and the rows the elimination leaves show where it stopped.
+# and the rows the unit loop leaves show where it stopped: the Bareiss loop
+# works on a dense copy and leaves the rows as it found them.
 
 
 def test_unit_loop_returns_zero_at_an_emptied_column():
@@ -284,13 +288,37 @@ def test_unit_loop_returns_zero_at_an_emptied_column():
 
 def test_bareiss_loop_returns_zero_at_an_emptied_column():
     # neither column holds a +-1 entry, so both go to the end of the walk and
-    # the Bareiss loop takes both: its step on column 0 (pivot 2) cancels row
-    # 1's entry in column 1, which is left with no row
+    # the Bareiss loop takes both rows as they are: its step on column 0
+    # (pivot 2) cancels row 1's entry in column 1, which is left with none
     matrix = [[2, 2], [2, 2]]
     assert fraction_det(matrix) == 0
     rows = permuted(matrix, range(2))
     assert _bareiss_abs_det(rows) == 0
-    assert rows == [{1: 2}, {}]
+    assert rows == [{0: 2, 1: 2}, {0: 2, 1: 2}]
+
+
+def test_bareiss_loop_returns_zero_at_a_row_left_empty():
+    # neither column holds a +-1 entry, and row 1 has none at all: the unit
+    # loop hands over two columns but only one row with an entry in them
+    matrix = [[2, 2], [0, 0]]
+    assert fraction_det(matrix) == 0
+    rows = permuted(matrix, range(2))
+    assert _bareiss_abs_det(rows) == 0
+    assert rows == [{0: 2, 1: 2}, {}]
+
+
+def test_bareiss_loop_swaps_up_a_row_for_a_zero_pivot():
+    # row 0 has no entry in column 0, so the Bareiss loop's first step swaps
+    # row 1 up.  Without the swap the pivot is 0, which two columns survive
+    # by chance, but a third divides by it
+    matrix = [[0, 2], [2, 0]]
+    assert fraction_det(matrix) == -4
+    rows = permuted(matrix, range(2))
+    assert _bareiss_abs_det(rows) == 4
+    assert rows == [{1: 2}, {0: 2}]
+    matrix = [[0, 2, 0], [2, 0, 0], [0, 0, 2]]
+    assert fraction_det(matrix) == -8
+    assert _bareiss_abs_det(permuted(matrix, range(3))) == 8
 
 
 def test_unit_loop_alone_eliminates_a_unimodular_matrix():
@@ -314,7 +342,7 @@ def test_hand_off_right_after_a_negated_pivot_row():
     assert fraction_det(matrix) == -9
     rows = permuted(matrix, range(3))
     assert _bareiss_abs_det(rows) == 9
-    assert rows == [{0: -2, 1: -2}, {1: 2}, {}]
+    assert rows == [{0: -2, 1: -2}, {0: 3, 1: 2}, {0: 6, 1: 7}]
 
 
 @st.composite

@@ -174,6 +174,49 @@ def test_region_refuses_malformed_arguments_naming_them(arguments, message):
     assert region == Region(cells=cells, weights=[(E, 3)])
 
 
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        # each escaped as a bare AttributeError from reading cell.layer
+        ([(0, 0, 0)], "(0, 0, 0) is not a lattice cell"),
+        ([5], "5 is not a lattice cell"),
+        # values that do not compare are named by repr
+        ([up(0, 0), 5, (1, 2, 1)], "(1, 2, 1) is not a lattice cell"),
+        # the tuple equals up(0, 0): the set of the cells kept whichever came
+        # first, so this order was accepted and the other refused
+        ([up(0, 0), (0, 0, 0)], "(0, 0, 0) is not a lattice cell"),
+        # each escaped as a bare TypeError from the set of the cells
+        (5, "cells must be an iterable of TriangleCell (got 5)"),
+        (None, "cells must be an iterable of TriangleCell (got None)"),
+        ([[0, 0, 0]], "[0, 0, 0] is not a lattice cell"),
+        # a bare TypeError from the parity of a float index
+        (
+            [TriangleCell(0, 1.0, Orient.DOWN)],
+            f"{TriangleCell(0, 1.0, Orient.DOWN)!r} is not a lattice cell",
+        ),
+        # accepted with layer=True kept, and counted 1
+        (
+            [TriangleCell(True, 1, Orient.UP), down(1, 2)],
+            f"{TriangleCell(True, 1, Orient.UP)!r} is not a lattice cell",
+        ),
+    ],
+    ids=[
+        "tuple",
+        "int",
+        "mixed",
+        "tuple-equal-to-a-cell",
+        "cells-int",
+        "cells-none",
+        "unhashable",
+        "float-index",
+        "bool-layer",
+    ],
+)
+def test_region_refuses_malformed_cells_naming_them(cells, message):
+    with pytest.raises(InvalidSpec, match="^" + re.escape(message)):
+        Region(cells=cells)
+
+
 def test_region_is_immutable_and_equal_only_to_regions():
     region = build_region(hex_spec(1, 1, 1))
     with pytest.raises(AttributeError, match=r"^Region is immutable \(cannot set 'label'\)$"):
