@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import reprlib
 import statistics
@@ -22,7 +23,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import render
 from .counting import (
     CapExceeded,
     count_reflective,
@@ -47,11 +47,13 @@ from .regions import (
     table_size,
     w_spec,
 )
-from .verify import SUITES, all_passed, check_shuffling, run_suite, summary_table, write_reports
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+# a reader closed standard output: 128 + SIGPIPE, as a shell reports a
+# process that the signal ended
+EXIT_BROKEN_PIPE = 141
 
 # ``bench`` reports the median of this many timed counts per rung: a single
 # timing of the same count can move by a factor of two on a busy host
@@ -286,6 +288,8 @@ def _load_ratio(path: str) -> tuple[RatioSpec, int, tuple[int, ...]]:
 
 
 def _cmd_ratio(args) -> int:
+    from .verify import check_shuffling
+
     rs, x, B = _load_ratio(args.specfile)
     # each side of the ratio counts the region of one spec; an RS ratio's
     # centre-anchored sets form an RS spec of the same size as the mirrored one
@@ -306,6 +310,8 @@ def _cmd_ratio(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import all_passed, run_suite, summary_table, write_reports
+
     if args.suite in ("fern", "asymptotic") and (args.seed, args.budget) != (None, None):
         raise SpecFileError(f"verify {args.suite} runs fixed cases: it takes no --seed or --budget")
     if args.out:
@@ -322,6 +328,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
+
     specs = load_specs(args.specfile, args.max_cells)
     if len(specs) != 1:
         raise SpecFileError("render expects exactly one region spec")
@@ -436,6 +444,17 @@ def _int_at_least(lowest: int):
     return parse
 
 
+class _Suites:
+    """The ``verify`` choices: the names of ``verify.SUITES`` and ``all``,
+    read when argparse first iterates them (to check a suite or write help),
+    so that no other command imports the harness."""
+
+    def __iter__(self):
+        from .verify import SUITES
+
+        return iter((*SUITES, "all"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="denthex",
@@ -473,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ratio)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=(*SUITES, "all"))
+    # a metavar keeps add_argument from iterating the choices to make one
+    p.add_argument("suite", choices=_Suites(), metavar="suite", help="one of %(choices)s")
     p.add_argument("--seed", type=int, default=None, help="case seed (not for fern, asymptotic)")
     p.add_argument("--budget", type=_int_at_least(1), default=None, help="cases per seeded suite")
     p.add_argument("--out", default=None, help="directory for report files")
@@ -504,7 +524,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # end quietly; standard output goes to devnull so that the flush at
+        # exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (SpecFileError, InvalidSpec, CapExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from denthex import build_region, ciucu, cli, counting, hex_spec, pp, quartered, regions
+from denthex import build_region, ciucu, cli, counting, hex_spec, pp, quartered, regions, verify
 from denthex.cli import main
 from denthex.lattice import down, up
 from denthex.render import _kind, region_ascii, region_svg, tiling_ascii, tiling_svg
@@ -555,13 +555,13 @@ def test_verify_exit_code_and_reports(tmp_path, capsys):
 def test_verify_out_writes_the_printed_table_once(tmp_path, capsys, monkeypatch):
     # the table was built twice under --out, once to print and once to write
     built = []
-    real = cli.summary_table
+    real = verify.summary_table
 
     def summary_table(reports):
         built.append(real(reports))
         return built[-1]
 
-    monkeypatch.setattr(cli, "summary_table", summary_table)
+    monkeypatch.setattr(verify, "summary_table", summary_table)
     out = tmp_path / "reports"
     assert main(["verify", "shuffling", "--budget", "2", "--out", str(out)]) == 0
     assert len(built) == 1
@@ -586,12 +586,31 @@ def test_verify_rejects_budget_below_one(budget, capsys):
 def test_verify_fixed_suites_refuse_seed_and_budget(suite, flags, capsys, monkeypatch):
     # fern and asymptotic run fixed cases, so a seed or budget would be ignored
     ran = []
-    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: ran.append(args) or [])
+    monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: ran.append(args) or [])
     assert main(["verify", suite, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: verify {suite} runs fixed cases: it takes no --seed or --budget\n"
     assert captured.out == "" and ran == []
     assert main(["verify", "all", *flags]) == 0 and len(ran) == 1
+
+
+def test_verify_help_lists_every_suite(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    listed = ", ".join((*verify.SUITES, "all"))
+    assert listed in " ".join(capsys.readouterr().out.split())
+
+
+def test_verify_unknown_suite_exits_2_naming_the_suites(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "nosuch"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    # some Python versions quote each choice and some do not
+    named = err.split("(choose from ", 1)[1].split(")", 1)[0]
+    assert named.replace("'", "").split(", ") == [*verify.SUITES, "all"]
 
 
 def test_verify_budget_one_runs_one_check(capsys):
@@ -632,6 +651,51 @@ def test_python_m_denthex_runs_the_cli(tmp_path, capsys, monkeypatch):
         runpy.run_module("denthex", run_name="__main__")
     assert exit_info.value.code == 0
     assert capsys.readouterr().out == "20  [Hex(a=2, b=2, c=2) cells=24 up=12 down=12 balanced=True]\n"
+
+
+def test_closed_stdout_ends_quietly_with_141(tmp_path):
+    # a reader that takes one line and closes the pipe, as `| head -1` does;
+    # the output is far larger than a pipe holds, so the writer meets the
+    # closed pipe
+    spec = json.dumps({"family": "Hex", "a": 1, "b": 1, "c": 1})
+    path = write(tmp_path, "specs.jsonl", "\n".join([spec] * 3000))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    argv = [sys.executable, "-m", "denthex", "count", path]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert first.startswith(b"2  [Hex(a=1, b=1, c=1)")
+    assert (status, err) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+class ClosedPipe(io.StringIO):
+    """Standard output whose reader has gone; its ``fileno`` is ``fd``."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_sends_stdout_to_devnull(tmp_path, capsys, monkeypatch):
+    # in-process: no error line, exit 141, and the descriptor behind stdout
+    # now points at devnull, so the flush at exit cannot fail again
+    path = write(tmp_path, "spec.json", {"family": "Hex", "a": 1, "b": 1, "c": 1})
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(["count", path]) == 141
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_render_rejects_negative_cap(tmp_path, capsys):
